@@ -66,7 +66,7 @@ from .wishart_stats import (
     marginal_eigen_density,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ANALYTICAL",

@@ -14,16 +14,30 @@ lower bound and pairing opposite ranks an upper bound on
 ``log2 det(I + rho*Wbar + eta*W)``.  Their midpoint is the approximation
 used for moment estimation; sampled moments feed the Gaussian outage
 closed form in :mod:`relay_outage.outage`.
+
+Every sampled per-hop quantity comes from one chunk kernel,
+:func:`sample_hop_chunk`, which draws the channels and computes only the
+fields its caller names (``HOP_FIELDS``).  Receive Gram forms of at most
+two rows -- every shipped preset -- are evaluated in closed form
+(:class:`~relay_outage.randmat.SmallGram`); larger ones fall back to the
+batched eigensolver and Cholesky routes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .randmat import descending_spectra, receive_gram, sample_channels
+from .randmat import (
+    MAX_CLOSED_FORM_RX,
+    SmallGram,
+    descending_spectra,
+    receive_gram,
+    sample_channels,
+)
 from .rng import CHUNK_SIZE, run_chunks
 from .wishart_stats import LN2, logdet_from_spectrum
 
@@ -31,6 +45,15 @@ from .wishart_stats import LN2, logdet_from_spectrum
 HD_TIME_SHARE = 0.5
 
 MIN_MOMENT_SAMPLES = 100
+
+# Per-draw fields of the hop kernel, all in bits.
+EXACT = "exact"  # log2 det(I + rho*Wbar + eta*W)
+LOWER = "lower"  # same-rank pairing bound on EXACT
+UPPER = "upper"  # opposite-rank pairing bound on EXACT
+MIDPOINT = "midpoint"  # (LOWER + UPPER) / 2
+RSI_LOGDET = "rsi_logdet"  # log2 det(I + rho*Wbar)
+EXACT_MI = "exact_mi"  # EXACT - RSI_LOGDET, the exact mutual information
+HOP_FIELDS = (EXACT, LOWER, UPPER, MIDPOINT, RSI_LOGDET, EXACT_MI)
 
 
 class DuplexMode(Enum):
@@ -116,8 +139,10 @@ class HopMoments:
 def logdet2_psd(a: np.ndarray) -> np.ndarray | float:
     """``log2 det(A)`` for Hermitian positive definite ``A`` via Cholesky.
 
-    This is the production log-det path; ``logdet2_psd_eig`` is the
-    eigenvalue reference route.  Stacked matrices allowed.
+    The hop kernel uses it above ``MAX_CLOSED_FORM_RX`` receive antennas,
+    and the tests use it as the reference for the closed form below that;
+    ``logdet2_psd_eig`` is the eigenvalue reference route.  Stacked
+    matrices allowed.
     """
     chol = np.linalg.cholesky(np.asarray(a))
     diag = np.diagonal(chol, axis1=-2, axis2=-1).real
@@ -235,7 +260,7 @@ def mi_fd_approx(
 class PairedLogdetSamples:
     """Per-realization log-det statistics from common channel draws.
 
-    ``exact`` is ``log2 det(I + rho*Wbar + eta*W)`` by Cholesky; ``lower``
+    ``exact`` is ``log2 det(I + rho*Wbar + eta*W)``; ``lower``
     and ``upper`` the pairing bounds from the sampled spectra;
     ``rsi_logdet`` the interference-only term ``log2 det(I + rho*Wbar)``.
     """
@@ -258,6 +283,147 @@ class PairedLogdetSamples:
         return self.exact - self.rsi_logdet
 
 
+def _closed_form_fields(
+    h: np.ndarray, hbar: np.ndarray | None, eta: float, rho: float, wanted: set
+) -> dict[str, np.ndarray]:
+    """Hop fields for receive Gram forms of at most two rows.
+
+    With ``M = rho*Wbar + eta*W``, ``det(I + M) = 1 + tr M + det M`` and
+    ``det M = rho^2 det Wbar + eta^2 det W + rho*eta*tr(adj(Wbar) W)``.
+    The pairing bounds replace ``det M`` by the product of paired
+    eigenvalue sums, so all three share the ``1 + tr M`` part.
+    """
+    gram = SmallGram.of(h)
+    if hbar is None:
+        exact = np.log1p(eta * gram.trace + eta * eta * gram.det) / LN2
+        return dict.fromkeys((EXACT, LOWER, UPPER, MIDPOINT, EXACT_MI), exact) | {
+            RSI_LOGDET: np.zeros_like(exact)
+        }
+    rsi = SmallGram.of(hbar)
+    rsi_growth = rho * rsi.trace + rho * rho * rsi.det  # det(I + rho*Wbar) - 1
+    out = {}
+    if RSI_LOGDET in wanted:
+        out[RSI_LOGDET] = np.log1p(rsi_growth) / LN2
+    if wanted & {EXACT, EXACT_MI}:
+        # det(I + M) - det(I + rho*Wbar), a sum of non-negative terms
+        gain = eta * gram.trace + eta * eta * gram.det + rho * eta * gram.cross(rsi)
+        if EXACT in wanted:
+            out[EXACT] = np.log1p(rsi_growth + gain) / LN2
+        if EXACT_MI in wanted:
+            out[EXACT_MI] = np.log1p(gain / (1.0 + rsi_growth)) / LN2
+    if wanted & {LOWER, UPPER, MIDPOINT}:
+        trace_m = rho * rsi.trace + eta * gram.trace
+        if h.shape[-2] == 1:  # one eigenvalue each: both pairings are exact
+            same = opposite = 0.0
+        else:
+            beta_max, beta_min = gram.spectrum()
+            alpha_max, alpha_min = rsi.spectrum()
+            same = (rho * alpha_max + eta * beta_max) * (rho * alpha_min + eta * beta_min)
+            opposite = (rho * alpha_max + eta * beta_min) * (rho * alpha_min + eta * beta_max)
+        out[LOWER] = np.log1p(trace_m + same) / LN2
+        out[UPPER] = np.log1p(trace_m + opposite) / LN2
+        out[MIDPOINT] = 0.5 * (out[LOWER] + out[UPPER])
+    return out
+
+
+def _lapack_fields(
+    h: np.ndarray, hbar: np.ndarray | None, eta: float, rho: float, wanted: set
+) -> dict[str, np.ndarray]:
+    """Hop fields through batched eigensolver and Cholesky calls (any size)."""
+    w = receive_gram(h)
+    base = np.eye(w.shape[-1])
+    if hbar is not None:
+        wbar = receive_gram(hbar)
+        base = base + rho * wbar
+    out = {}
+    if wanted & {EXACT, EXACT_MI}:
+        out[EXACT] = logdet2_psd(base + eta * w)
+        out[EXACT_MI] = out[EXACT] - logdet2_psd(base) if hbar is not None else out[EXACT]
+    if wanted & {LOWER, UPPER, MIDPOINT, RSI_LOGDET}:
+        beta = descending_spectra(w)
+        alpha = descending_spectra(wbar) if hbar is not None else np.zeros_like(beta)
+        out[LOWER], out[UPPER] = _pairing_bounds(alpha, beta, eta, rho)
+        out[MIDPOINT] = 0.5 * (out[LOWER] + out[UPPER])
+        out[RSI_LOGDET] = logdet_from_spectrum(alpha, rho)
+    return out
+
+
+def hop_fields(
+    h: np.ndarray,
+    hbar: np.ndarray | None,
+    eta: float,
+    rho: float,
+    fields: tuple[str, ...],
+) -> tuple[np.ndarray, ...]:
+    """Per-draw hop fields from stacked desired and interference channels.
+
+    ``h`` holds the ``(n, rx, tx)`` desired channels and ``hbar`` the
+    ``(n, rx, rsi_tx)`` interference channels, or ``None`` when there is
+    no self-interference (``rho`` is then ignored).  Returns one length-``n``
+    array per name in ``fields`` (see ``HOP_FIELDS``), in that order.
+    Receive dimensions up to ``MAX_CLOSED_FORM_RX`` use the closed form;
+    larger ones the eigensolver and Cholesky routes.
+    """
+    wanted = set(fields)
+    unknown = wanted.difference(HOP_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown hop fields {sorted(unknown)}; expected {HOP_FIELDS}")
+    if h.shape[-2] <= MAX_CLOSED_FORM_RX:
+        out = _closed_form_fields(h, hbar, eta, rho, wanted)
+    else:
+        out = _lapack_fields(h, hbar, eta, rho, wanted)
+    return tuple(out[name] for name in fields)
+
+
+def sample_hop_chunk(
+    stream: np.random.Generator,
+    count: int,
+    rx_antennas: int,
+    tx_antennas: int,
+    eta: float,
+    rho: float,
+    fields: tuple[str, ...],
+    rsi_tx_antennas: int | None = None,
+) -> tuple[np.ndarray, ...]:
+    """The per-hop sampling kernel: draw ``count`` channels, return ``fields``.
+
+    The desired channel is drawn first, then (only if ``rho > 0``) the
+    interference channel, so runs that differ only in the interference
+    level share the desired-channel realizations.
+    """
+    h = sample_channels(count, rx_antennas, tx_antennas, stream)
+    hbar = None
+    if rho > 0.0:
+        m_rsi = rsi_tx_antennas or tx_antennas
+        hbar = sample_channels(count, rx_antennas, m_rsi, stream)
+    return hop_fields(h, hbar, eta, rho, fields)
+
+
+def sample_hop_fields(
+    n_samples: int,
+    rx_antennas: int,
+    tx_antennas: int,
+    eta: float,
+    rho: float,
+    rng: np.random.Generator,
+    fields: tuple[str, ...],
+    rsi_tx_antennas: int | None = None,
+    chunk_size: int = CHUNK_SIZE,
+) -> tuple[np.ndarray, ...]:
+    """``sample_hop_chunk`` over one substream per chunk of ``chunk_size`` draws."""
+    _check_scales(eta, rho)
+    chunk = functools.partial(
+        sample_hop_chunk,
+        rx_antennas=rx_antennas,
+        tx_antennas=tx_antennas,
+        eta=eta,
+        rho=rho,
+        fields=fields,
+        rsi_tx_antennas=rsi_tx_antennas,
+    )
+    return run_chunks(n_samples, rng, chunk, chunk_size)
+
+
 def sample_logdet_pairs(
     n_samples: int,
     rx_antennas: int,
@@ -270,32 +436,19 @@ def sample_logdet_pairs(
 ) -> PairedLogdetSamples:
     """Sample exact and bound-based log-det statistics over common draws.
 
-    Per chunk the desired channel is drawn first, then (only if
-    ``rho > 0``) the interference channel, so runs that differ only in the
-    interference level share the desired-channel realizations.
+    Draw order per chunk is that of :func:`sample_hop_chunk`.
     """
-    _check_scales(eta, rho)
-    m_rsi = rsi_tx_antennas or tx_antennas
-    eye = np.eye(rx_antennas)
-
-    def chunk(stream: np.random.Generator, count: int):
-        h = sample_channels(count, rx_antennas, tx_antennas, stream)
-        w = receive_gram(h)
-        beta = descending_spectra(w)
-        if rho > 0.0:
-            hbar = sample_channels(count, rx_antennas, m_rsi, stream)
-            wbar = receive_gram(hbar)
-            alpha = descending_spectra(wbar)
-            arg = eye + rho * wbar + eta * w
-        else:
-            alpha = np.zeros_like(beta)
-            arg = eye + eta * w
-        exact = logdet2_psd(arg)
-        lower, upper = _pairing_bounds(alpha, beta, eta, rho)
-        rsi_term = logdet_from_spectrum(alpha, rho)
-        return exact, lower, upper, rsi_term
-
-    fields = run_chunks(n_samples, rng, chunk, chunk_size)
+    fields = sample_hop_fields(
+        n_samples,
+        rx_antennas,
+        tx_antennas,
+        eta,
+        rho,
+        rng,
+        (EXACT, LOWER, UPPER, RSI_LOGDET),
+        rsi_tx_antennas,
+        chunk_size,
+    )
     return PairedLogdetSamples(*fields)
 
 
@@ -313,19 +466,21 @@ def hop_mi_samples(
     are exact.  Half-duplex ignores any configured self-interference.
     """
     rho = hop.rho if mode is DuplexMode.FULL_DUPLEX else 0.0
-    pairs = sample_logdet_pairs(
+    midpoint, rsi_logdet = sample_hop_fields(
         n_samples,
         hop.rx_antennas,
         hop.tx_antennas,
         hop.eta,
         rho,
         rng,
-        rsi_tx_antennas=hop.rsi_tx_antennas,
-        chunk_size=chunk_size,
+        (MIDPOINT, RSI_LOGDET),
+        hop.rsi_tx_antennas,
+        chunk_size,
     )
+    approx_mi = midpoint - rsi_logdet
     if mode is DuplexMode.HALF_DUPLEX:
-        return HD_TIME_SHARE * pairs.approx_mi
-    return pairs.approx_mi
+        return HD_TIME_SHARE * approx_mi
+    return approx_mi
 
 
 def estimate_hop_moments(

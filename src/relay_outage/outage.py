@@ -18,13 +18,14 @@ import numpy as np
 from scipy.special import erfc
 
 from .mutual_info import (
+    EXACT_MI,
+    HD_TIME_SHARE,
     DuplexMode,
     HopConfig,
     HopMoments,
     estimate_hop_moments,
-    logdet2_psd,
+    sample_hop_chunk,
 )
-from .randmat import receive_gram, sample_channels
 from .rng import CHUNK_SIZE, run_chunks
 
 MIN_MC_REALIZATIONS = 1000
@@ -139,29 +140,32 @@ def sample_min_mutual_info(
         hop_streams = stream.spawn(cfg.n_hops)
         min_mi = None
         for hop, hop_stream in zip(cfg.hops, hop_streams):
-            eye = np.eye(hop.rx_antennas)
-            h = sample_channels(count, hop.rx_antennas, hop.tx_antennas, hop_stream)
-            w = receive_gram(h)
-            rho = hop.rho if fd else 0.0
-            if fd and rho > 0.0:
-                m_rsi = hop.rsi_tx_antennas or hop.tx_antennas
-                hbar = sample_channels(count, hop.rx_antennas, m_rsi, hop_stream)
-                base = eye + rho * receive_gram(hbar)
-                mi = logdet2_psd(base + hop.eta * w) - logdet2_psd(base)
-            else:
-                mi = logdet2_psd(eye + hop.eta * w)
-                if not fd:
-                    mi = mi * 0.5
+            (mi,) = sample_hop_chunk(
+                hop_stream,
+                count,
+                hop.rx_antennas,
+                hop.tx_antennas,
+                hop.eta,
+                hop.rho if fd else 0.0,
+                (EXACT_MI,),
+                hop.rsi_tx_antennas,
+            )
             min_mi = mi if min_mi is None else np.minimum(min_mi, mi)
         return (min_mi,)
 
     (samples,) = run_chunks(n_realizations, rng, chunk, chunk_size)
-    return samples
+    return samples if fd else HD_TIME_SHARE * samples
 
 
 def _empirical_outage(samples: np.ndarray, rate) -> tuple[np.ndarray, np.ndarray]:
+    """Fraction of ``samples`` strictly below each rate, and its binomial SE.
+
+    Counted by binary search in the sorted samples, so memory stays
+    O(samples + rates) instead of O(samples * rates).
+    """
     rate = np.asarray(rate, dtype=float)
-    p = np.mean(samples[np.newaxis, ...] < rate[..., np.newaxis], axis=-1)
+    below = np.searchsorted(np.sort(samples), rate, side="left")
+    p = below / samples.size
     se = np.sqrt(p * (1.0 - p) / samples.size)
     return p, se
 

@@ -4,8 +4,9 @@ Each check compares one production code path against a route that does
 not share its implementation: quadrature of the normal tail for the
 Q-function, exact per-sample determinants for the pairing bounds, the
 scalar Rayleigh closed form for the half-duplex single-antenna chain, and
-Monte Carlo means for the spectral quadrature.  ``relay-outage validate``
-runs them all and reports one line per check.
+Laguerre quadrature for the sampled log-det means.  The sampled sides all
+come from the production per-hop kernel (``sample_hop_chunk``).
+``relay-outage validate`` runs them all and reports one line per check.
 """
 from __future__ import annotations
 
@@ -17,9 +18,15 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import outage as _outage
-from .mutual_info import DuplexMode, HopConfig, sample_logdet_pairs
+from .mutual_info import (
+    EXACT,
+    DuplexMode,
+    HopConfig,
+    sample_hop_chunk,
+    sample_logdet_pairs,
+)
 from .outage import NetworkConfig, sample_min_mutual_info
-from .randmat import WishartParams, descending_spectra, receive_gram, sample_channels
+from .randmat import WishartParams
 from .rng import STREAM_VALIDATION, substream
 from .scenario import DEFAULT_SEED
 from .wishart_stats import (
@@ -152,10 +159,7 @@ def check_logdet_moments(seed: int, n_samples: int) -> tuple[str, float, float, 
         params = WishartParams(m, p)
         analytic = expected_logdet(params, scale)
         rng = substream(seed, STREAM_VALIDATION, 2, i)
-        spectra = descending_spectra(
-            receive_gram(sample_channels(n_samples, m, p, rng))
-        )
-        values = np.log1p(scale * spectra).sum(axis=-1) / math.log(2.0)
+        (values,) = sample_hop_chunk(rng, n_samples, m, p, scale, 0.0, (EXACT,))
         gap = abs(float(values.mean()) - analytic)
         tolerance = max(
             0.01 * analytic, 3.0 * float(values.std(ddof=1)) / math.sqrt(n_samples)

@@ -10,6 +10,7 @@ from relay_outage.outage import (
     ANALYTICAL,
     MONTECARLO,
     NetworkConfig,
+    _empirical_outage,
     build_outage_curve,
     hop_outage,
     network_outage_analytical,
@@ -168,6 +169,23 @@ def test_fd_without_rsi_equals_twice_hd():
         _chain(2, mode=DuplexMode.HALF_DUPLEX), 4000, substream(SEED, 6)
     )
     assert np.abs(fd - 2.0 * hd).max() <= 1e-9
+
+
+def test_empirical_outage_matches_broadcast_compare():
+    # ties in the samples and rates equal to sample values: "in outage"
+    # means strictly below the rate, as in the broadcast compare
+    samples = np.round(
+        sample_min_mutual_info(_chain(2), 3000, substream(SEED, 12)), 1
+    )
+    rates = np.concatenate(
+        ([-1.0, 0.0], np.unique(samples)[::7], [samples.max() + 1.0])
+    )
+    rates.sort()
+    p, se = _empirical_outage(samples, rates)
+    want = np.mean(samples[np.newaxis, :] < rates[:, np.newaxis], axis=-1)
+    assert np.array_equal(p, want)
+    assert np.array_equal(se, np.sqrt(want * (1.0 - want) / samples.size))
+    assert p[0] == 0.0 and p[-1] == 1.0
 
 
 def test_build_outage_curve_single_point():
