@@ -26,7 +26,7 @@ import numpy as np
 from scipy import stats
 
 from . import __version__
-from .mutual_info import HopConfig, sample_logdet_pairs
+from .mutual_info import EXACT, MIDPOINT, HopConfig, sample_hop_fields
 from .outage import ANALYTICAL, MONTECARLO, build_outage_curve
 from .rng import (
     STREAM_DISTRIBUTION,
@@ -34,8 +34,15 @@ from .rng import (
     STREAM_NETWORK_MC,
     substream,
 )
-from .scenario import Scenario, ScenarioError, load_preset, parse_scenario, preset_names
-from .validation import run_validation
+from .scenario import (
+    DEFAULT_SEED,
+    Scenario,
+    ScenarioError,
+    load_preset,
+    parse_scenario,
+    preset_names,
+)
+from .validation import DEFAULT_REALIZATIONS, DEFAULT_SAMPLES, run_validation
 
 ERROR_PREFIX = "relay-outage: error:"
 
@@ -212,17 +219,16 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         )
     hop = scenario.network.hops[scenario.dist_hop - 1]
     n_samples = scenario.dist_samples or scenario.n_moment_samples
-    pairs = sample_logdet_pairs(
+    exact, midpoint = sample_hop_fields(
         n_samples,
         hop.rx_antennas,
         hop.tx_antennas,
         hop.eta,
         hop.rho,
         substream(scenario.seed, STREAM_DISTRIBUTION),
-        rsi_tx_antennas=hop.rsi_tx_antennas,
+        (EXACT, MIDPOINT),
+        hop.rsi_tx_antennas,
     )
-    exact = pairs.exact
-    midpoint = pairs.midpoint
 
     width = scenario.dist_bin_width
     lo = np.floor(min(exact.min(), midpoint.min()) / width) * width
@@ -269,7 +275,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     report = run_validation(
-        seed=args.seed if args.seed is not None else 12345,
+        seed=args.seed,
         n_sandwich=args.samples,
         n_mc=args.realizations,
         n_moments=args.samples,
@@ -347,13 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     distribution.set_defaults(func=cmd_distribution)
 
     validate = commands.add_parser("validate", help="run the oracle self-checks")
-    validate.add_argument("--seed", type=int, metavar="U64", help="check seed")
     validate.add_argument(
-        "--samples", type=int, default=100_000, metavar="N",
+        "--seed", type=int, default=DEFAULT_SEED, metavar="U64", help="check seed"
+    )
+    validate.add_argument(
+        "--samples", type=int, default=DEFAULT_SAMPLES, metavar="N",
         help="draws for the sandwich and moment checks",
     )
     validate.add_argument(
-        "--realizations", type=int, default=100_000, metavar="N",
+        "--realizations", type=int, default=DEFAULT_REALIZATIONS, metavar="N",
         help="realizations for the Monte Carlo oracle checks",
     )
     validate.set_defaults(func=cmd_validate)

@@ -140,20 +140,12 @@ def logdet2_psd(a: np.ndarray) -> np.ndarray | float:
     """``log2 det(A)`` for Hermitian positive definite ``A`` via Cholesky.
 
     The hop kernel uses it above ``MAX_CLOSED_FORM_RX`` receive antennas,
-    and the tests use it as the reference for the closed form below that;
-    ``logdet2_psd_eig`` is the eigenvalue reference route.  Stacked
-    matrices allowed.
+    and the tests use it as the reference for the closed form below that.
+    Stacked matrices allowed.
     """
     chol = np.linalg.cholesky(np.asarray(a))
     diag = np.diagonal(chol, axis1=-2, axis2=-1).real
     out = 2.0 * np.log(diag).sum(axis=-1) / LN2
-    return out if out.ndim else float(out)
-
-
-def logdet2_psd_eig(a: np.ndarray) -> np.ndarray | float:
-    """Eigenvalue route for ``log2 det(A)``; reference for the Cholesky path."""
-    vals = np.linalg.eigvalsh(np.asarray(a))
-    out = np.log(vals).sum(axis=-1) / LN2
     return out if out.ndim else float(out)
 
 
@@ -162,125 +154,6 @@ def _check_scales(eta: float, rho: float) -> None:
         raise ValueError(f"eta must be non-negative, got {eta}")
     if rho < 0.0:
         raise ValueError(f"rho must be non-negative, got {rho}")
-
-
-def _eye_like(w: np.ndarray) -> np.ndarray:
-    return np.eye(w.shape[-1])
-
-
-def mi_fd_exact(
-    w: np.ndarray, wbar: np.ndarray, eta: float, rho: float
-) -> np.ndarray | float:
-    """Exact full-duplex mutual information in bits (stacked inputs allowed).
-
-    ``w`` and ``wbar`` are the receive-side Gram forms of the desired and
-    self-interference channels and must share the matrix dimension.
-    """
-    _check_scales(eta, rho)
-    w = np.asarray(w)
-    wbar = np.asarray(wbar)
-    if w.shape[-1] != w.shape[-2]:
-        raise ValueError(f"w must be square, got shape {w.shape}")
-    if wbar.shape[-2:] != w.shape[-2:]:
-        raise ValueError(
-            f"w and wbar dimensions differ: {w.shape[-2:]} vs {wbar.shape[-2:]}"
-        )
-    base = _eye_like(w) + rho * wbar
-    return logdet2_psd(base + eta * w) - logdet2_psd(base)
-
-
-def mi_hd_exact(w: np.ndarray, eta: float) -> np.ndarray | float:
-    """Half-duplex mutual information: time-shared ``log2 det(I + eta W)``."""
-    _check_scales(eta, 0.0)
-    w = np.asarray(w)
-    if w.shape[-1] != w.shape[-2]:
-        raise ValueError(f"w must be square, got shape {w.shape}")
-    return HD_TIME_SHARE * logdet2_psd(_eye_like(w) + eta * w)
-
-
-def _pairing_bounds(
-    alpha: np.ndarray, beta: np.ndarray, eta: float, rho: float
-) -> tuple[np.ndarray, np.ndarray]:
-    lower = np.log1p(rho * alpha + eta * beta).sum(axis=-1) / LN2
-    upper = np.log1p(rho * alpha + eta * beta[..., ::-1]).sum(axis=-1) / LN2
-    return lower, upper
-
-
-def _check_descending(name: str, values: np.ndarray) -> None:
-    if values.shape[-1] > 1 and np.any(np.diff(values, axis=-1) > 0.0):
-        raise ValueError(f"{name} spectrum must be sorted descending")
-
-
-def fiedler_bounds(
-    alpha: np.ndarray, beta: np.ndarray, eta: float, rho: float
-) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """Pairing bounds on ``log2 det(I + rho*Wbar + eta*W)`` in bits.
-
-    ``alpha`` (spectrum of ``Wbar``) and ``beta`` (spectrum of ``W``) must
-    be descending and of equal length.  Same-rank pairing gives the lower
-    bound, opposite-rank pairing the upper bound.
-    """
-    _check_scales(eta, rho)
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if alpha.shape != beta.shape:
-        raise ValueError(
-            f"spectra must have matching shapes, got {alpha.shape} vs {beta.shape}"
-        )
-    _check_descending("alpha", alpha)
-    _check_descending("beta", beta)
-    lower, upper = _pairing_bounds(alpha, beta, eta, rho)
-    if lower.ndim:
-        return lower, upper
-    return float(lower), float(upper)
-
-
-def midpoint_logdet(
-    alpha: np.ndarray, beta: np.ndarray, eta: float, rho: float
-) -> np.ndarray | float:
-    """Midpoint of the pairing bounds; the log-det approximation in bits."""
-    lower, upper = fiedler_bounds(alpha, beta, eta, rho)
-    return 0.5 * (lower + upper)
-
-
-def mi_fd_approx(
-    alpha: np.ndarray, beta: np.ndarray, eta: float, rho: float
-) -> np.ndarray | float:
-    """Approximate full-duplex mutual information from the two spectra.
-
-    Midpoint approximation of the sum log-det minus the exact
-    self-interference term.  May come out slightly negative for extreme
-    samples; deliberately not clamped, since clamping would bias the
-    moment estimates built on it.
-    """
-    return midpoint_logdet(alpha, beta, eta, rho) - logdet_from_spectrum(alpha, rho)
-
-
-@dataclass(frozen=True)
-class PairedLogdetSamples:
-    """Per-realization log-det statistics from common channel draws.
-
-    ``exact`` is ``log2 det(I + rho*Wbar + eta*W)``; ``lower``
-    and ``upper`` the pairing bounds from the sampled spectra;
-    ``rsi_logdet`` the interference-only term ``log2 det(I + rho*Wbar)``.
-    """
-
-    exact: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    rsi_logdet: np.ndarray
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
-    @property
-    def approx_mi(self) -> np.ndarray:
-        return self.midpoint - self.rsi_logdet
-
-    @property
-    def exact_mi(self) -> np.ndarray:
-        return self.exact - self.rsi_logdet
 
 
 def _closed_form_fields(
@@ -342,7 +215,9 @@ def _lapack_fields(
     if wanted & {LOWER, UPPER, MIDPOINT, RSI_LOGDET}:
         beta = descending_spectra(w)
         alpha = descending_spectra(wbar) if hbar is not None else np.zeros_like(beta)
-        out[LOWER], out[UPPER] = _pairing_bounds(alpha, beta, eta, rho)
+        # same-rank pairing gives the lower bound, opposite-rank the upper
+        out[LOWER] = np.log1p(rho * alpha + eta * beta).sum(axis=-1) / LN2
+        out[UPPER] = np.log1p(rho * alpha + eta * beta[..., ::-1]).sum(axis=-1) / LN2
         out[MIDPOINT] = 0.5 * (out[LOWER] + out[UPPER])
         out[RSI_LOGDET] = logdet_from_spectrum(alpha, rho)
     return out
@@ -424,47 +299,26 @@ def sample_hop_fields(
     return run_chunks(n_samples, rng, chunk, chunk_size)
 
 
-def sample_logdet_pairs(
-    n_samples: int,
-    rx_antennas: int,
-    tx_antennas: int,
-    eta: float,
-    rho: float,
-    rng: np.random.Generator,
-    rsi_tx_antennas: int | None = None,
-    chunk_size: int = CHUNK_SIZE,
-) -> PairedLogdetSamples:
-    """Sample exact and bound-based log-det statistics over common draws.
-
-    Draw order per chunk is that of :func:`sample_hop_chunk`.
-    """
-    fields = sample_hop_fields(
-        n_samples,
-        rx_antennas,
-        tx_antennas,
-        eta,
-        rho,
-        rng,
-        (EXACT, LOWER, UPPER, RSI_LOGDET),
-        rsi_tx_antennas,
-        chunk_size,
-    )
-    return PairedLogdetSamples(*fields)
-
-
-def hop_mi_samples(
+def estimate_hop_moments(
     hop: HopConfig,
     mode: DuplexMode,
     n_samples: int,
     rng: np.random.Generator,
     chunk_size: int = CHUNK_SIZE,
-) -> np.ndarray:
-    """Per-realization mutual information samples for one hop.
+) -> HopMoments:
+    """Monte Carlo mean and variance of one hop's mutual information.
 
     Full-duplex samples use the midpoint approximation (the quantity whose
     Gaussian moments drive the closed-form outage); half-duplex samples
-    are exact.  Half-duplex ignores any configured self-interference.
+    are exact and ignore any configured self-interference.  The midpoint
+    and interference terms inside each sample share the same interference
+    spectrum, so their correlation is kept intact.
     """
+    if n_samples < MIN_MOMENT_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_MOMENT_SAMPLES} samples for moment "
+            f"estimation, got {n_samples}"
+        )
     rho = hop.rho if mode is DuplexMode.FULL_DUPLEX else 0.0
     midpoint, rsi_logdet = sample_hop_fields(
         n_samples,
@@ -477,30 +331,9 @@ def hop_mi_samples(
         hop.rsi_tx_antennas,
         chunk_size,
     )
-    approx_mi = midpoint - rsi_logdet
+    samples = midpoint - rsi_logdet
     if mode is DuplexMode.HALF_DUPLEX:
-        return HD_TIME_SHARE * approx_mi
-    return approx_mi
-
-
-def estimate_hop_moments(
-    hop: HopConfig,
-    mode: DuplexMode,
-    n_samples: int,
-    rng: np.random.Generator,
-    chunk_size: int = CHUNK_SIZE,
-) -> HopMoments:
-    """Monte Carlo mean and variance of one hop's mutual information.
-
-    The midpoint and interference terms inside each sample share the same
-    interference spectrum, so their correlation is kept intact.
-    """
-    if n_samples < MIN_MOMENT_SAMPLES:
-        raise ValueError(
-            f"need at least {MIN_MOMENT_SAMPLES} samples for moment "
-            f"estimation, got {n_samples}"
-        )
-    samples = hop_mi_samples(hop, mode, n_samples, rng, chunk_size)
+        samples = HD_TIME_SHARE * samples
     return HopMoments(
         mean=float(samples.mean()),
         variance=float(samples.var(ddof=1)),

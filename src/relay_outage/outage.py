@@ -170,24 +170,6 @@ def _empirical_outage(samples: np.ndarray, rate) -> tuple[np.ndarray, np.ndarray
     return p, se
 
 
-def network_outage_montecarlo(
-    cfg: NetworkConfig,
-    rate: float,
-    n_realizations: int,
-    rng: np.random.Generator,
-    chunk_size: int = CHUNK_SIZE,
-) -> tuple[float, float]:
-    """Empirical chain outage and its binomial standard error."""
-    if n_realizations < MIN_MC_REALIZATIONS:
-        raise ValueError(
-            f"need at least {MIN_MC_REALIZATIONS} realizations, got "
-            f"{n_realizations}"
-        )
-    samples = sample_min_mutual_info(cfg, n_realizations, rng, chunk_size)
-    p, se = _empirical_outage(samples, np.asarray([rate]))
-    return float(p[0]), float(se[0])
-
-
 def _check_rate_grid(rates: np.ndarray) -> np.ndarray:
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or rates.size < 1:

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative tolerance for the Hermitian-symmetry check.
-SYMMETRY_RTOL = 1e-10
 # Eigenvalues of a PSD Gram matrix may come back slightly negative from
 # the solver; anything above -PSD_RTOL * max(1, |lambda|_max) is clamped
 # to zero, anything below is an error.
@@ -49,10 +47,6 @@ class WishartParams:
         """Dimension surplus ``p - m``."""
         return self.p - self.m
 
-    @classmethod
-    def from_shape(cls, rows: int, cols: int) -> "WishartParams":
-        return cls(m=min(rows, cols), p=max(rows, cols))
-
 
 def sample_channels(
     n: int, rows: int, cols: int, rng: np.random.Generator
@@ -71,28 +65,6 @@ def sample_channels(
     return _SQRT_HALF * (real + 1j * imag)
 
 
-def sample_channel(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a single Rayleigh-fading channel matrix."""
-    return sample_channels(1, rows, cols, rng)[0]
-
-
-def wishart_from_channel(h: np.ndarray) -> tuple[np.ndarray, WishartParams]:
-    """Gram form of a channel matrix: ``H H^+`` if rows <= cols else ``H^+ H``.
-
-    Returns the ``m x m`` Hermitian PSD matrix (``m`` the smaller channel
-    dimension) together with its :class:`WishartParams`.
-    """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
-        raise ValueError(f"expected a non-empty 2-d matrix, got shape {h.shape}")
-    rows, cols = h.shape
-    if rows <= cols:
-        w = h @ h.conj().T
-    else:
-        w = h.conj().T @ h
-    return w, WishartParams.from_shape(rows, cols)
-
-
 def receive_gram(h: np.ndarray) -> np.ndarray:
     """Receive-side Gram form ``H H^+`` (stacked matrices allowed).
 
@@ -103,8 +75,14 @@ def receive_gram(h: np.ndarray) -> np.ndarray:
     return h @ np.conj(np.swapaxes(h, -1, -2))
 
 
-def _clamped_descending(vals: np.ndarray) -> np.ndarray:
-    """Validate PSD within tolerance, clamp round-off negatives, sort descending."""
+def descending_spectra(ws: np.ndarray) -> np.ndarray:
+    """Spectra of a stack of Hermitian PSD matrices, descending per matrix.
+
+    The matrices must be Hermitian by construction (Gram forms); symmetry
+    is not checked.  Round-off negatives within the PSD tolerance are
+    clamped to zero; larger negatives raise ``ValueError``.
+    """
+    vals = np.linalg.eigvalsh(np.asarray(ws))
     scale = np.maximum(np.abs(vals).max(axis=-1), 1.0)
     tol = PSD_RTOL * scale
     worst = (vals.min(axis=-1) + tol).min()
@@ -114,36 +92,6 @@ def _clamped_descending(vals: np.ndarray) -> np.ndarray:
             f"(eigenvalue undershoot {worst:.3e})"
         )
     return np.maximum(vals[..., ::-1], 0.0)
-
-
-def hermitian_spectrum(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian PSD matrix, descending.
-
-    The matrix must be Hermitian within ``SYMMETRY_RTOL`` (relative to its
-    largest entry).  Round-off negatives within the PSD tolerance are
-    clamped to zero; larger negatives raise ``ValueError``.  Solver
-    non-convergence surfaces as ``numpy.linalg.LinAlgError``.
-    """
-    w = np.asarray(w)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    asym = np.abs(w - w.conj().T).max()
-    scale = max(np.abs(w).max(), 1.0)
-    if asym > SYMMETRY_RTOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian within tolerance "
-            f"(asymmetry {asym:.3e}, scale {scale:.3e})"
-        )
-    return _clamped_descending(np.linalg.eigvalsh(w))
-
-
-def descending_spectra(ws: np.ndarray) -> np.ndarray:
-    """Spectra of a stack of Hermitian PSD matrices, descending per matrix.
-
-    Fast path for matrices that are Hermitian by construction (Gram
-    forms); skips the symmetry check but keeps the PSD clamp.
-    """
-    return _clamped_descending(np.linalg.eigvalsh(np.asarray(ws)))
 
 
 @dataclass(frozen=True)

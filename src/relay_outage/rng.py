@@ -6,16 +6,10 @@ addressed by ``(seed, path)`` is a PCG64 generator seeded with
 are fixed per sampling domain (constants below); chunked samplers spawn
 one child stream per chunk of ``CHUNK_SIZE`` draws.  Results therefore
 depend only on ``(seed, path, n_samples, chunk_size)`` and never on how
-chunks are scheduled onto workers.
-
-``RELAY_OUTAGE_THREADS`` caps the number of worker threads used to
-evaluate chunks.  Chunk outputs are always reassembled in chunk order, so
-the thread count has no effect on the numbers produced.
+chunks are evaluated.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -29,9 +23,6 @@ STREAM_VALIDATION = 3
 # Draws per chunk; part of the determinism contract, do not change casually.
 CHUNK_SIZE = 8192
 
-THREADS_ENV_VAR = "RELAY_OUTAGE_THREADS"
-
-
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator addressed by ``(seed, path)``.
 
@@ -39,16 +30,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     yield statistically independent streams.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
-
-
-def thread_count() -> int:
-    """Worker-thread cap from ``RELAY_OUTAGE_THREADS`` (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def chunk_sizes(n_total: int, chunk_size: int = CHUNK_SIZE) -> list[int]:
@@ -70,16 +51,9 @@ def run_chunks(
     """Evaluate ``chunk_fn(stream, count)`` over per-chunk substreams.
 
     ``chunk_fn`` must return a tuple of 1-d arrays of length ``count``;
-    the tuples are concatenated field-wise in chunk order.  Chunks may be
-    evaluated in parallel (see ``thread_count``) without affecting the
-    result.
+    the tuples are concatenated field-wise in chunk order.
     """
     sizes = chunk_sizes(n_total, chunk_size)
     streams = rng.spawn(len(sizes))
-    workers = min(thread_count(), len(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(chunk_fn, streams, sizes))
-    else:
-        pieces = [chunk_fn(stream, size) for stream, size in zip(streams, sizes)]
+    pieces = [chunk_fn(stream, size) for stream, size in zip(streams, sizes)]
     return tuple(np.concatenate(field) for field in zip(*pieces))

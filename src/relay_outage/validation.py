@@ -6,7 +6,9 @@ Q-function, exact per-sample determinants for the pairing bounds, the
 scalar Rayleigh closed form for the half-duplex single-antenna chain, and
 Laguerre quadrature for the sampled log-det means.  The sampled sides all
 come from the production per-hop kernel (``sample_hop_chunk``).
-``relay-outage validate`` runs them all and reports one line per check.
+``relay-outage validate`` runs them all and reports one line per check;
+the acceptance tests call the same check functions at their own sizes
+and cases.
 """
 from __future__ import annotations
 
@@ -20,12 +22,15 @@ from scipy.integrate import quad
 from . import outage as _outage
 from .mutual_info import (
     EXACT,
+    LOWER,
+    MIN_MOMENT_SAMPLES,
+    UPPER,
     DuplexMode,
     HopConfig,
     sample_hop_chunk,
-    sample_logdet_pairs,
+    sample_hop_fields,
 )
-from .outage import NetworkConfig, sample_min_mutual_info
+from .outage import MIN_MC_REALIZATIONS, NetworkConfig, sample_min_mutual_info
 from .randmat import WishartParams
 from .rng import STREAM_VALIDATION, substream
 from .scenario import DEFAULT_SEED
@@ -38,6 +43,9 @@ from .wishart_stats import (
 SANDWICH_PAIRS = ((10.0, 1.0), (1.0, 10.0), (100.0, 0.1))
 DENSITY_GRID = ((1, 1), (2, 3), (4, 6), (8, 12))
 MOMENT_CASES = ((1, 1, 1.0), (2, 2, 10.0), (2, 4, 100.0))
+# Draws per sandwich/moment case and Monte Carlo realizations by default.
+DEFAULT_SAMPLES = 100_000
+DEFAULT_REALIZATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -95,12 +103,10 @@ def check_sandwich_bound(seed: int, n_samples: int) -> tuple[str, float, float, 
     worst = -np.inf
     for i, (eta, rho) in enumerate(SANDWICH_PAIRS):
         rng = substream(seed, STREAM_VALIDATION, 0, i)
-        pairs = sample_logdet_pairs(n_samples, 2, 2, eta, rho, rng)
-        worst = max(
-            worst,
-            float((pairs.lower - pairs.exact).max()),
-            float((pairs.exact - pairs.upper).max()),
+        exact, lower, upper = sample_hop_fields(
+            n_samples, 2, 2, eta, rho, rng, (EXACT, LOWER, UPPER)
         )
+        worst = max(worst, float((lower - exact).max()), float((exact - upper).max()))
     return (
         "sandwich-bound",
         worst,
@@ -109,9 +115,11 @@ def check_sandwich_bound(seed: int, n_samples: int) -> tuple[str, float, float, 
     )
 
 
-def check_density_normalization() -> tuple[str, float, float, str]:
+def check_density_normalization(
+    grid: tuple[tuple[int, int], ...] = DENSITY_GRID,
+) -> tuple[str, float, float, str]:
     worst = 0.0
-    for m, p in DENSITY_GRID:
+    for m, p in grid:
         params = WishartParams(m, p)
         mass, _ = quad(
             lambda lam: marginal_eigen_density(params, lam),
@@ -126,7 +134,7 @@ def check_density_normalization() -> tuple[str, float, float, str]:
         "density-normalization",
         worst,
         1e-6,
-        f"max |integral f - 1| over orders {DENSITY_GRID}",
+        f"max |integral f - 1| over orders {grid}",
     )
 
 
@@ -153,9 +161,13 @@ def check_siso_rayleigh(seed: int, n_realizations: int) -> tuple[str, float, flo
     )
 
 
-def check_logdet_moments(seed: int, n_samples: int) -> tuple[str, float, float, str]:
+def check_logdet_moments(
+    seed: int,
+    n_samples: int,
+    cases: tuple[tuple[int, int, float], ...] = MOMENT_CASES,
+) -> tuple[str, float, float, str]:
     worst = 0.0
-    for i, (m, p, scale) in enumerate(MOMENT_CASES):
+    for i, (m, p, scale) in enumerate(cases):
         params = WishartParams(m, p)
         analytic = expected_logdet(params, scale)
         rng = substream(seed, STREAM_VALIDATION, 2, i)
@@ -175,11 +187,24 @@ def check_logdet_moments(seed: int, n_samples: int) -> tuple[str, float, float, 
 
 def run_validation(
     seed: int = DEFAULT_SEED,
-    n_sandwich: int = 100_000,
-    n_mc: int = 100_000,
-    n_moments: int = 20_000,
+    n_sandwich: int = DEFAULT_SAMPLES,
+    n_mc: int = DEFAULT_REALIZATIONS,
+    n_moments: int = DEFAULT_SAMPLES,
 ) -> ValidationReport:
-    """Run every check; all must pass for a healthy installation."""
+    """Run every check; all must pass for a healthy installation.
+
+    Draw counts below the package minimums raise ``ValueError``.
+    """
+    n_draws = min(n_sandwich, n_moments)
+    if n_draws < MIN_MOMENT_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_MOMENT_SAMPLES} samples for the sandwich and "
+            f"moment checks, got {n_draws}"
+        )
+    if n_mc < MIN_MC_REALIZATIONS:
+        raise ValueError(
+            f"need at least {MIN_MC_REALIZATIONS} realizations, got {n_mc}"
+        )
     start = time.perf_counter()
     checks = (
         _timed(check_q_function),

@@ -27,6 +27,10 @@ What remains, the Gaussian fold against the empirical fold, is the
 Gaussian law's own error.  The method puts no number on it; test 4
 reports it.
 
+Tests 1, 6 and 7 run the oracle checks of ``relay_outage.validation``
+(the ones ``relay-outage validate`` runs) at acceptance sizes and cases,
+against each check's own limit.
+
 Test 5c compares 35 dB of RSI attenuation with none, on paired draws.
 Per hop 0 <= I(0) - I(rho) <= log2 det(I + rho*Wbar), and both runs share
 their desired-channel draws, so the attenuated curve lies on or above the
@@ -36,7 +40,6 @@ the gap's size: the RSI costs about l = E log2 det(I + rho*Wbar) of rate
 max_R [P0(R + l) - P0(R)], with P0 the RSI-free Monte Carlo CDF.  It is an
 estimate, not a bound, because the shift in each realization is random.
 """
-import math
 import time
 from typing import NamedTuple
 
@@ -45,28 +48,27 @@ import pytest
 from scipy import stats
 
 from conftest import ACCEPTANCE_LINES
-from relay_outage import cli
+from relay_outage import cli, validation
 from relay_outage.mutual_info import (
+    EXACT,
     EXACT_MI,
+    MIDPOINT,
+    RSI_LOGDET,
     DuplexMode,
-    HopConfig,
     sample_hop_fields,
-    sample_logdet_pairs,
 )
 from relay_outage.outage import (
     ANALYTICAL,
     MONTECARLO,
-    NetworkConfig,
     OutageCurve,
     _empirical_outage,
     build_outage_curve,
     sample_min_mutual_info,
 )
-from relay_outage.randmat import WishartParams, sample_channels, receive_gram
+from relay_outage.randmat import WishartParams
 from relay_outage.rng import STREAM_DISTRIBUTION, STREAM_HOP_MOMENTS, STREAM_NETWORK_MC, substream
 from relay_outage.scenario import load_preset
-from relay_outage.mutual_info import logdet2_psd
-from relay_outage.wishart_stats import expected_logdet, integration_cutoff, marginal_eigen_density
+from relay_outage.wishart_stats import expected_logdet
 
 SEED = 12345
 N_ACCEPT = 100_000
@@ -78,6 +80,12 @@ DIST_PRESETS = (
     "dist-snr30-rsi15",
 )
 CURVE_PRESETS = ("fig3-fd-norsi", "fig3-fd-rsi12", "fig3-fd-rsi5", "fig3-hd")
+
+# Test 6: Wishart orders (m, p) and log-det scales of the quadrature checks.
+QUADRATURE_ORDERS = tuple((m, p) for m in (1, 2, 4) for p in (m, m + 2))
+QUADRATURE_CASES = tuple(
+    (m, p, scale) for m, p in QUADRATURE_ORDERS for scale in (1.0, 10.0, 100.0)
+)
 
 HD_FACTOR = 0.5  # half-duplex time share (README: half the spectral efficiency)
 FOLD_Z_LIMIT = 4.5  # test 4b, in pooled standard errors
@@ -93,21 +101,30 @@ def record(ok: bool, tag: str, detail: str) -> None:
     assert ok, line
 
 
+class DistFields(NamedTuple):
+    exact: np.ndarray  # exact log-det
+    midpoint: np.ndarray  # pairing-bound midpoint
+    approx_mi: np.ndarray  # midpoint - RSI log-det
+
+
 @pytest.fixture(scope="module")
 def dist_pairs():
+    """Each distribution preset's paired draws, as ``distribution`` makes them."""
     out = {}
     for name in DIST_PRESETS:
         sc = load_preset(name)
         hop = sc.network.hops[sc.dist_hop - 1]
-        out[name] = sample_logdet_pairs(
+        exact, midpoint, rsi_logdet = sample_hop_fields(
             sc.dist_samples,
             hop.rx_antennas,
             hop.tx_antennas,
             hop.eta,
             hop.rho,
             substream(sc.seed, STREAM_DISTRIBUTION),
+            (EXACT, MIDPOINT, RSI_LOGDET),
             hop.rsi_tx_antennas,
         )
+        out[name] = DistFields(exact, midpoint, midpoint - rsi_logdet)
     return out
 
 
@@ -184,22 +201,21 @@ def max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x)))
 
 
+def check_line(check: tuple[str, float, float, str]) -> tuple[bool, str]:
+    """Verdict and summary of a ``validation.check_*`` result at its own limit."""
+    name, measured, limit, detail = check
+    return measured <= limit, f"{name} = {measured:.3g} (limit {limit:g}; {detail})"
+
+
 def test_pairing_bound_sandwich():
     """Exact log-det never escapes the [lower, upper] pairing bounds."""
-    slack = 1e-9
     t0 = time.perf_counter()
-    violations = 0
-    for i, (eta, rho) in enumerate(((10.0, 1.0), (1.0, 10.0), (100.0, 0.1))):
-        pairs = sample_logdet_pairs(N_ACCEPT, 2, 2, eta, rho, substream(SEED, 101, i))
-        violations += int(np.sum(pairs.lower - pairs.exact > slack))
-        violations += int(np.sum(pairs.exact - pairs.upper > slack))
+    ok, summary = check_line(validation.check_sandwich_bound(SEED, N_ACCEPT))
     elapsed = time.perf_counter() - t0
-    ok = violations == 0 and elapsed < 30.0
     record(
-        ok,
+        ok and elapsed < 30.0,
         "1 pairing-bound sandwich",
-        f"{violations} violations beyond {slack:g} over 3x{N_ACCEPT} pairs "
-        f"({elapsed:.1f} s, limit 30 s)",
+        f"{summary}, {elapsed:.1f} s (limit 30 s)",
     )
 
 
@@ -374,60 +390,21 @@ def test_strong_attenuation_matches_no_rsi(curve_runs):
 
 def test_quadrature_matches_sampling():
     """Laguerre-quadrature log-det mean agrees with direct sampling."""
-    n = 50_000
-    worst_ratio = 0.0
-    for m in (1, 2, 4):
-        for p in (m, m + 2):
-            params = WishartParams(m=m, p=p)
-            for scale in (1.0, 10.0, 100.0):
-                mean = expected_logdet(params, scale)
-                w = receive_gram(
-                    sample_channels(n, m, p, substream(SEED, 106, m, p, int(scale)))
-                )
-                vals = logdet2_psd(np.eye(m) + scale * w)
-                gap = abs(float(np.mean(vals)) - mean)
-                allowed = max(0.01 * abs(mean), 3.0 * float(np.std(vals)) / math.sqrt(n))
-                worst_ratio = max(worst_ratio, gap / allowed)
-
-    norm_err = 0.0
-    from scipy.integrate import quad
-
-    for m in (1, 2, 4):
-        for p in (m, m + 2):
-            params = WishartParams(m=m, p=p)
-            total, _ = quad(
-                lambda lam: marginal_eigen_density(params, lam),
-                0.0,
-                integration_cutoff(params),
-                limit=200,
-            )
-            norm_err = max(norm_err, abs(total - 1.0))
-
+    moments_ok, moments = check_line(
+        validation.check_logdet_moments(SEED, N_ACCEPT, QUADRATURE_CASES)
+    )
+    density_ok, density = check_line(validation.check_density_normalization(QUADRATURE_ORDERS))
     record(
-        worst_ratio <= 1.0 and norm_err <= 1e-6,
+        moments_ok and density_ok,
         "6 quadrature cross-check",
-        f"worst moment gap = {worst_ratio:.2f} of max(1%, 3 SE) over 18 cases; "
-        f"density normalization error {norm_err:.2e} (limit 1e-06)",
+        f"{moments} over {len(QUADRATURE_CASES)} cases, {N_ACCEPT} draws each; {density}",
     )
 
 
 def test_scalar_rayleigh_oracle():
     """Single-antenna half-duplex outage matches the known closed form."""
-    cfg = NetworkConfig(
-        hops=(HopConfig(tx_antennas=1, rx_antennas=1, snr_db=20.0),),
-        mode=DuplexMode.HALF_DUPLEX,
-    )
-    samples = sample_min_mutual_info(cfg, N_ACCEPT, substream(SEED, 107))
-    worst = 0.0
-    for rate in np.linspace(0.5, 3.5, 10):
-        exact = 1.0 - math.exp(-(2.0 ** (2.0 * rate) - 1.0) / 100.0)
-        se = math.sqrt(exact * (1.0 - exact) / N_ACCEPT)
-        worst = max(worst, abs(float(np.mean(samples < rate)) - exact) / se)
-    record(
-        worst <= 3.0,
-        "7 scalar Rayleigh oracle",
-        f"max |z| = {worst:.2f} (limit 3) over 10 rates, {N_ACCEPT} realizations",
-    )
+    ok, summary = check_line(validation.check_siso_rayleigh(SEED, N_ACCEPT))
+    record(ok, "7 scalar Rayleigh oracle", summary)
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

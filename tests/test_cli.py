@@ -217,6 +217,19 @@ def test_validate_detects_corruption(monkeypatch, capsys):
     assert ERROR_PREFIX in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, value, minimum",
+    (("--samples", "99", "100 samples"), ("--realizations", "999", "1000 realizations")),
+)
+def test_validate_below_minimum_exits_2(flag, value, minimum, capsys):
+    rc = cli.main(["validate", flag, value])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ERROR_PREFIX in captured.err
+    assert f"need at least {minimum}" in captured.err
+
+
 def test_bad_scenario_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.scenario"
     path.write_text("[network]\nmode = fd\nhops = zero\n", encoding="utf-8")

@@ -1,9 +1,10 @@
 """The per-hop sampling kernel against the eigensolver/Cholesky oracles.
 
 The closed-form fields for receive Gram forms of at most two rows are
-checked on identical channels against ``descending_spectra``,
-``logdet2_psd``, ``fiedler_bounds`` and ``mi_fd_exact``; the fallback for
-three or more rows must reproduce that route bit for bit.
+checked on identical channels against ``descending_spectra`` and
+``logdet2_psd``, with the pairing bounds and the exact mutual information
+written out below; the fallback for three or more rows must reproduce that
+route bit for bit.
 """
 import numpy as np
 import pytest
@@ -19,15 +20,13 @@ from relay_outage.mutual_info import (
     RSI_LOGDET,
     UPPER,
     HopConfig,
-    fiedler_bounds,
     hop_fields,
     logdet2_psd,
-    mi_fd_exact,
     sample_hop_chunk,
 )
 from relay_outage.randmat import SmallGram, descending_spectra, receive_gram, sample_channels
 from relay_outage.rng import substream
-from relay_outage.wishart_stats import logdet_from_spectrum
+from relay_outage.wishart_stats import LN2, logdet_from_spectrum
 
 SEED = 606
 N_DRAWS = 64
@@ -54,6 +53,13 @@ def _assert_spectrum_matches(h):
     assert np.all(np.abs(got - want) <= SPECTRUM_RTOL * scale)
 
 
+def _pairing_bounds(alpha, beta, eta, rho):
+    """Same-rank (lower) and opposite-rank (upper) pairing of descending spectra."""
+    lower = np.log1p(rho * alpha + eta * beta).sum(axis=-1) / LN2
+    upper = np.log1p(rho * alpha + eta * beta[..., ::-1]).sum(axis=-1) / LN2
+    return lower, upper
+
+
 def _reference_fields(h, hbar, eta, rho):
     rx = h.shape[-2]
     w = receive_gram(h)
@@ -64,14 +70,15 @@ def _reference_fields(h, hbar, eta, rho):
     else:
         wbar = receive_gram(hbar)
         alpha = descending_spectra(wbar)
-    lower, upper = fiedler_bounds(alpha, beta, eta, rho)
+    lower, upper = _pairing_bounds(alpha, beta, eta, rho)
+    base = np.eye(rx) + rho * wbar
     return {
-        EXACT: logdet2_psd(np.eye(rx) + rho * wbar + eta * w),
+        EXACT: logdet2_psd(base + eta * w),
         LOWER: lower,
         UPPER: upper,
         MIDPOINT: 0.5 * (lower + upper),
-        RSI_LOGDET: logdet2_psd(np.eye(rx) + rho * wbar),
-        EXACT_MI: mi_fd_exact(w, wbar, eta, rho),
+        RSI_LOGDET: logdet2_psd(base),
+        EXACT_MI: logdet2_psd(base + eta * w) - logdet2_psd(base),
     }
 
 
@@ -110,7 +117,7 @@ def _eigensolver_route(h, hbar, eta, rho):
         exact = logdet2_psd(eye + rho * wbar + eta * w)
         base = eye + rho * wbar
         exact_mi = logdet2_psd(base + eta * w) - logdet2_psd(base)
-    lower, upper = fiedler_bounds(alpha, beta, eta, rho)
+    lower, upper = _pairing_bounds(alpha, beta, eta, rho)
     return {
         EXACT: exact,
         LOWER: lower,

@@ -2,23 +2,23 @@ import numpy as np
 import pytest
 
 from relay_outage.mutual_info import (
+    EXACT,
+    EXACT_MI,
+    LOWER,
+    MIDPOINT,
+    RSI_LOGDET,
+    UPPER,
     DuplexMode,
     HopConfig,
     HopMoments,
     estimate_hop_moments,
-    fiedler_bounds,
-    hop_mi_samples,
+    hop_fields,
     logdet2_psd,
-    logdet2_psd_eig,
-    mi_fd_approx,
-    mi_fd_exact,
-    mi_hd_exact,
-    midpoint_logdet,
-    sample_logdet_pairs,
+    sample_hop_fields,
 )
 from relay_outage.randmat import descending_spectra, receive_gram, sample_channels
 from relay_outage.rng import substream
-from relay_outage.wishart_stats import expected_logdet
+from relay_outage.wishart_stats import LN2, expected_logdet
 from relay_outage.randmat import WishartParams
 
 SEED = 404
@@ -28,10 +28,19 @@ SEED = 404
 MAD_ETA5_RHO05 = 0.11351350012870358
 
 
-def _wishart_pair(n, rng, rx=2, tx=2):
-    w = receive_gram(sample_channels(n, rx, tx, rng))
-    wbar = receive_gram(sample_channels(n, rx, tx, rng))
-    return w, wbar
+def _channel_pair(n, rng, rx=2, tx=2):
+    return sample_channels(n, rx, tx, rng), sample_channels(n, rx, tx, rng)
+
+
+def _fields(h, hbar, eta, rho, *names):
+    """Hop fields of given channels; a single name gives a single array."""
+    out = hop_fields(h, hbar, eta, rho, names)
+    return out if len(names) > 1 else out[0]
+
+
+def _scalar_channel(gain):
+    """A single 1x1 channel whose receive Gram form is ``gain``."""
+    return np.full((1, 1, 1), np.sqrt(gain), dtype=complex)
 
 
 def test_duplex_mode_parse():
@@ -69,132 +78,137 @@ def test_hop_moments_std_error():
 
 
 def test_mi_fd_exact_no_signal():
-    w, wbar = _wishart_pair(1, substream(SEED, 0))
-    assert mi_fd_exact(w[0], wbar[0], 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    h, hbar = _channel_pair(1, substream(SEED, 0))
+    assert _fields(h, hbar, 0.0, 1.0, EXACT_MI)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mi_fd_exact_no_interference():
-    w, wbar = _wishart_pair(8, substream(SEED, 1))
-    got = mi_fd_exact(w, wbar, 5.0, 0.0)
-    want = np.log2(np.linalg.det(np.eye(2) + 5.0 * w).real)
+    h, hbar = _channel_pair(8, substream(SEED, 1))
+    got = _fields(h, hbar, 5.0, 0.0, EXACT_MI)
+    want = np.log2(np.linalg.det(np.eye(2) + 5.0 * receive_gram(h)).real)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_mi_fd_exact_scalar_quotient():
     # 1x1 case collapses to log2(1 + eta*w / (rho*v + 1))
     w, v = 1.7, 0.9
-    got = mi_fd_exact(np.array([[w]]), np.array([[v]]), 3.0, 2.0)
+    got = _fields(_scalar_channel(w), _scalar_channel(v), 3.0, 2.0, EXACT_MI)[0]
     assert got == pytest.approx(np.log2(1 + 3.0 * w / (2.0 * v + 1.0)), abs=1e-12)
 
 
-def test_mi_fd_exact_shape_mismatch():
-    with pytest.raises(ValueError):
-        mi_fd_exact(np.eye(2), np.eye(3), 1.0, 1.0)
-
-
 def test_mi_fd_exact_nonnegative():
-    w, wbar = _wishart_pair(256, substream(SEED, 2))
-    assert np.all(mi_fd_exact(w, wbar, 10.0, 5.0) >= 0.0)
+    h, hbar = _channel_pair(256, substream(SEED, 2))
+    assert np.all(_fields(h, hbar, 10.0, 5.0, EXACT_MI) >= 0.0)
 
 
 def test_mi_fd_exact_scale_consistency():
-    w, wbar = _wishart_pair(16, substream(SEED, 3))
-    base = mi_fd_exact(w, wbar, 8.0, 2.5)
+    # scaling W by c and eta by 1/c leaves the mutual information unchanged
+    h, hbar = _channel_pair(16, substream(SEED, 3))
+    base = _fields(h, hbar, 8.0, 2.5, EXACT_MI)
     for c in (0.25, 4.0, 100.0):
         np.testing.assert_allclose(
-            mi_fd_exact(c * w, wbar, 8.0 / c, 2.5), base, rtol=1e-9
+            _fields(np.sqrt(c) * h, hbar, 8.0 / c, 2.5, EXACT_MI), base, rtol=1e-9
         )
 
 
 def test_mi_hd_exact():
-    assert mi_hd_exact(np.zeros((2, 2)), 7.0) == pytest.approx(0.0)
-    assert mi_hd_exact(np.array([[3.0]]), 1.0) == pytest.approx(1.0)
-    w, wbar = _wishart_pair(8, substream(SEED, 4))
-    np.testing.assert_allclose(
-        mi_hd_exact(w, 5.0), 0.5 * mi_fd_exact(w, wbar, 5.0, 0.0), atol=1e-10
+    # half-duplex moments are those of the RSI-free full-duplex hop, scaled
+    # by the time share 1/2 (exact in binary floating point)
+    hop = HopConfig(
+        tx_antennas=2, rx_antennas=2, snr_db=20.0, rsi_snr_db=8.0, rsi_tx_antennas=2
     )
+    hd = estimate_hop_moments(hop, DuplexMode.HALF_DUPLEX, 5000, substream(SEED, 4))
+    fd = estimate_hop_moments(
+        HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20.0),
+        DuplexMode.FULL_DUPLEX,
+        5000,
+        substream(SEED, 4),
+    )
+    assert hd.mean == 0.5 * fd.mean
+    assert hd.variance == 0.25 * fd.variance
 
 
 def test_logdet_routes_agree():
     # Cholesky production path vs eigenvalue reference path
-    w, wbar = _wishart_pair(128, substream(SEED, 5), rx=3, tx=3)
-    arg = np.eye(3) + 2.0 * w + 0.7 * wbar
-    np.testing.assert_allclose(
-        logdet2_psd(arg), logdet2_psd_eig(arg), atol=1e-9
-    )
+    h, hbar = _channel_pair(128, substream(SEED, 5), rx=3, tx=3)
+    arg = np.eye(3) + 2.0 * receive_gram(h) + 0.7 * receive_gram(hbar)
+    eig_route = np.log(np.linalg.eigvalsh(arg)).sum(axis=-1) / LN2
+    np.testing.assert_allclose(logdet2_psd(arg), eig_route, atol=1e-9)
 
 
 def test_fiedler_bounds_single_eigenvalue():
-    lower, upper = fiedler_bounds(np.array([2.0]), np.array([3.0]), 4.0, 0.5)
+    lower, upper, exact = _fields(
+        _scalar_channel(3.0), _scalar_channel(2.0), 4.0, 0.5, LOWER, UPPER, EXACT
+    )
     expected = np.log2(1 + 0.5 * 2.0 + 4.0 * 3.0)
-    assert lower == pytest.approx(expected)
-    assert upper == pytest.approx(expected)
+    assert lower[0] == pytest.approx(expected)
+    assert upper[0] == pytest.approx(expected)
+    assert exact[0] == pytest.approx(expected)
 
 
 def test_fiedler_bounds_degenerate_spectra():
-    alpha = np.array([1.5, 1.5])
-    lower, upper = fiedler_bounds(alpha, alpha, 2.0, 3.0)
-    assert lower == pytest.approx(upper)
+    # W = Wbar = 1.5 I: flat spectra pair the same way at either rank
+    h = np.sqrt(1.5) * np.eye(2, dtype=complex)[np.newaxis]
+    lower, upper = _fields(h, h, 2.0, 3.0, LOWER, UPPER)
+    assert lower[0] == pytest.approx(upper[0])
 
 
 def test_fiedler_bounds_validation():
-    with pytest.raises(ValueError):
-        fiedler_bounds(np.array([1.0, 2.0]), np.array([1.0]), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        fiedler_bounds(np.array([1.0, 2.0]), np.array([2.0, 1.0]), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        fiedler_bounds(np.array([2.0, 1.0]), np.array([2.0, 1.0]), -1.0, 1.0)
+    for eta, rho in ((-1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError):
+            sample_hop_fields(100, 2, 2, eta, rho, substream(SEED, 16), (LOWER, UPPER))
 
 
 def test_sandwich_property():
-    pairs = sample_logdet_pairs(10_000, 2, 2, 10.0, 1.0, substream(SEED, 6))
-    assert np.all(pairs.lower <= pairs.exact + 1e-9)
-    assert np.all(pairs.exact <= pairs.upper + 1e-9)
+    exact, lower, upper = sample_hop_fields(
+        10_000, 2, 2, 10.0, 1.0, substream(SEED, 6), (EXACT, LOWER, UPPER)
+    )
+    assert np.all(lower <= exact + 1e-9)
+    assert np.all(exact <= upper + 1e-9)
 
 
 def test_midpoint_exact_when_rho_zero():
-    beta = descending_spectra(
-        receive_gram(sample_channels(32, 2, 2, substream(SEED, 7)))
-    )
-    alpha = np.zeros_like(beta)
-    got = midpoint_logdet(alpha, beta, 6.0, 0.0)
+    h = sample_channels(32, 2, 2, substream(SEED, 7))
+    beta = descending_spectra(receive_gram(h))
+    got = _fields(h, None, 6.0, 0.0, MIDPOINT)
     np.testing.assert_allclose(got, np.log2(1 + 6.0 * beta).sum(axis=-1), atol=1e-12)
 
 
 def test_mi_fd_approx_reductions():
-    beta = descending_spectra(
-        receive_gram(sample_channels(16, 2, 2, substream(SEED, 8)))
-    )
-    alpha = np.zeros_like(beta)
+    # approximate MI = midpoint - RSI log-det; without RSI it is the exact
+    # log-det, and with one receive antenna it is the exact MI
+    h = sample_channels(16, 2, 2, substream(SEED, 8))
+    beta = descending_spectra(receive_gram(h))
+    midpoint, rsi_logdet = _fields(h, None, 6.0, 0.0, MIDPOINT, RSI_LOGDET)
     np.testing.assert_allclose(
-        mi_fd_approx(alpha, beta, 6.0, 0.0),
-        np.log2(1 + 6.0 * beta).sum(axis=-1),
-        atol=1e-12,
+        midpoint - rsi_logdet, np.log2(1 + 6.0 * beta).sum(axis=-1), atol=1e-12
     )
-    # m = 1: approximation collapses to the exact scalar expression
-    a, b = np.array([0.8]), np.array([2.2])
-    got = mi_fd_approx(a, b, 3.0, 1.5)
-    want = mi_fd_exact(np.array([[2.2]]), np.array([[0.8]]), 3.0, 1.5)
-    assert got == pytest.approx(want, abs=1e-12)
+    h, hbar = _scalar_channel(2.2), _scalar_channel(0.8)
+    midpoint, rsi_logdet, exact_mi = _fields(h, hbar, 3.0, 1.5, MIDPOINT, RSI_LOGDET, EXACT_MI)
+    assert (midpoint - rsi_logdet)[0] == pytest.approx(exact_mi[0], abs=1e-12)
 
 
 def test_mi_fd_approx_paired_deviation_frozen():
     # Per-sample |approx - exact| at (eta, rho) = (5, 0.5), 2x2, 10^4 pairs.
     # The distributions nearly coincide (KS ~ 0.01) but the paired gap is
     # set by the bound width, about 0.11 bits here.
-    pairs = sample_logdet_pairs(10_000, 2, 2, 5.0, 0.5, substream(SEED, 0))
-    mad = np.abs(pairs.approx_mi - pairs.exact_mi).mean()
+    exact, midpoint, rsi_logdet = sample_hop_fields(
+        10_000, 2, 2, 5.0, 0.5, substream(SEED, 0), (EXACT, MIDPOINT, RSI_LOGDET)
+    )
+    mad = np.abs((midpoint - rsi_logdet) - (exact - rsi_logdet)).mean()
     assert mad == pytest.approx(MAD_ETA5_RHO05, abs=1e-6)
 
 
 def test_approx_mi_unclamped_and_nonnegative():
     # every pairing term log2(1 + rho*a + eta*b) dominates log2(1 + rho*a),
     # so the coupled approximation stays >= 0 without any clamp
-    pairs = sample_logdet_pairs(50_000, 2, 2, 0.05, 50.0, substream(SEED, 9))
-    np.testing.assert_array_equal(pairs.approx_mi, pairs.midpoint - pairs.rsi_logdet)
-    assert pairs.approx_mi.min() >= 0.0
+    midpoint, rsi_logdet = sample_hop_fields(
+        50_000, 2, 2, 0.05, 50.0, substream(SEED, 9), (MIDPOINT, RSI_LOGDET)
+    )
+    approx_mi = midpoint - rsi_logdet
+    assert approx_mi.min() >= 0.0
     # under this extreme interference the statistic crowds against zero
-    assert pairs.approx_mi.min() < 1e-3
+    assert approx_mi.min() < 1e-3
 
 
 def test_estimate_hop_moments_hd_siso_quadrature():
@@ -246,14 +260,3 @@ def test_estimate_hop_moments_reproducible():
     a = estimate_hop_moments(hop, DuplexMode.FULL_DUPLEX, 5000, substream(SEED, 14))
     b = estimate_hop_moments(hop, DuplexMode.FULL_DUPLEX, 5000, substream(SEED, 14))
     assert a == b
-
-
-def test_worker_count_does_not_change_results(monkeypatch):
-    hop = HopConfig(
-        tx_antennas=2, rx_antennas=2, snr_db=20.0, rsi_snr_db=8.0, rsi_tx_antennas=2
-    )
-    monkeypatch.setenv("RELAY_OUTAGE_THREADS", "1")
-    serial = hop_mi_samples(hop, DuplexMode.FULL_DUPLEX, 20_000, substream(SEED, 15))
-    monkeypatch.setenv("RELAY_OUTAGE_THREADS", "4")
-    threaded = hop_mi_samples(hop, DuplexMode.FULL_DUPLEX, 20_000, substream(SEED, 15))
-    assert np.array_equal(serial, threaded)

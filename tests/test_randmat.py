@@ -4,11 +4,8 @@ import pytest
 from relay_outage.randmat import (
     WishartParams,
     descending_spectra,
-    hermitian_spectrum,
     receive_gram,
-    sample_channel,
     sample_channels,
-    wishart_from_channel,
 )
 from relay_outage.rng import substream
 
@@ -18,7 +15,6 @@ SEED = 20240901
 def test_wishart_params_validation():
     params = WishartParams(2, 3)
     assert params.d == 1
-    assert WishartParams.from_shape(5, 3) == WishartParams(3, 5)
     with pytest.raises(ValueError):
         WishartParams(3, 2)
     with pytest.raises(ValueError):
@@ -26,17 +22,17 @@ def test_wishart_params_validation():
 
 
 def test_sample_channel_deterministic():
-    a = sample_channel(1, 1, substream(SEED, 0))
-    b = sample_channel(1, 1, substream(SEED, 0))
+    a = sample_channels(1, 1, 1, substream(SEED, 0))
+    b = sample_channels(1, 1, 1, substream(SEED, 0))
     assert np.array_equal(a, b)
     # disjoint stream ids give different draws
-    c = sample_channel(1, 1, substream(SEED, 1))
+    c = sample_channels(1, 1, 1, substream(SEED, 1))
     assert not np.array_equal(a, c)
 
 
 def test_sample_channel_rejects_zero_dims():
     with pytest.raises(ValueError):
-        sample_channel(0, 2, substream(SEED, 0))
+        sample_channels(1, 0, 2, substream(SEED, 0))
     with pytest.raises(ValueError):
         sample_channels(0, 2, 2, substream(SEED, 0))
 
@@ -49,20 +45,7 @@ def test_sample_channel_unit_power():
 
 
 def test_wishart_scalar():
-    w, params = wishart_from_channel(np.array([[2.0]]))
-    assert np.allclose(w, [[4.0]])
-    assert params == WishartParams(1, 1)
-
-
-def test_wishart_shape_rule():
-    h = sample_channel(2, 3, substream(SEED, 3))
-    w, params = wishart_from_channel(h)
-    assert w.shape == (2, 2)
-    assert params == WishartParams(2, 3)
-    # tall matrix folds to the small Gram form too
-    w2, params2 = wishart_from_channel(h.conj().T)
-    assert w2.shape == (2, 2)
-    assert params2 == WishartParams(2, 3)
+    np.testing.assert_allclose(receive_gram(np.array([[2.0]])), [[4.0]])
 
 
 def test_wishart_trace_mean():
@@ -73,58 +56,51 @@ def test_wishart_trace_mean():
 
 
 def test_transpose_gives_same_spectrum():
-    h = sample_channel(3, 5, substream(SEED, 5))
-    wa, _ = wishart_from_channel(h)
-    wb, _ = wishart_from_channel(h.conj().T)
-    np.testing.assert_allclose(
-        hermitian_spectrum(wa), hermitian_spectrum(wb), rtol=1e-10, atol=1e-12
-    )
+    # H H^+ (3x3) and H^+ H (5x5, rank 3) share the nonzero eigenvalues
+    h = sample_channels(1, 3, 5, substream(SEED, 5))
+    wide = descending_spectra(receive_gram(h))
+    tall = descending_spectra(receive_gram(np.conj(np.swapaxes(h, -1, -2))))
+    np.testing.assert_allclose(wide, tall[:, :3], rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(tall[:, 3:], 0.0, atol=1e-12)
 
 
 def test_spectrum_sums_to_trace():
     for i in range(20):
-        h = sample_channel(3, 3, substream(SEED, 6, i))
-        w, _ = wishart_from_channel(h)
-        spectrum = hermitian_spectrum(w)
+        w = receive_gram(sample_channels(1, 3, 3, substream(SEED, 6, i)))[0]
+        spectrum = descending_spectra(w)
         assert np.all(np.diff(spectrum) <= 0)
         assert np.all(spectrum >= 0)
         np.testing.assert_allclose(spectrum.sum(), np.trace(w).real, rtol=1e-9)
 
 
 def test_hermitian_spectrum_identity():
-    np.testing.assert_allclose(hermitian_spectrum(np.eye(3)), [1.0, 1.0, 1.0])
+    np.testing.assert_allclose(descending_spectra(np.eye(3)), [1.0, 1.0, 1.0])
 
 
 def test_hermitian_spectrum_descending():
     np.testing.assert_allclose(
-        hermitian_spectrum(np.diag([1.0, 5.0, 3.0])), [5.0, 3.0, 1.0]
+        descending_spectra(np.diag([1.0, 5.0, 3.0])), [5.0, 3.0, 1.0]
     )
 
 
 def test_diagonal_gram_spectrum():
-    w, _ = wishart_from_channel(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    np.testing.assert_allclose(hermitian_spectrum(w), [4.0, 1.0])
+    w = receive_gram(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    np.testing.assert_allclose(descending_spectra(w), [4.0, 1.0])
 
 
 def test_psd_clamping_tolerance():
     # tiny negatives from eigensolver noise clamp to zero
-    spectrum = hermitian_spectrum(np.diag([1.0, -1e-12]))
+    spectrum = descending_spectra(np.diag([1.0, -1e-12]))
     np.testing.assert_allclose(spectrum, [1.0, 0.0])
-    # genuinely indefinite input is rejected
+    # genuinely indefinite input is rejected, also inside a stack
     with pytest.raises(ValueError):
-        hermitian_spectrum(np.diag([1.0, -1e-3]))
-
-
-def test_hermitian_spectrum_rejects_bad_input():
+        descending_spectra(np.diag([1.0, -1e-3]))
     with pytest.raises(ValueError):
-        hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        hermitian_spectrum(np.ones((2, 3)))
+        descending_spectra(np.stack([np.eye(2), np.diag([1.0, -1e-3])]))
 
 
 def test_descending_spectra_batched_matches_single():
-    h = sample_channels(64, 2, 2, substream(SEED, 7))
-    ws = receive_gram(h)
+    ws = receive_gram(sample_channels(64, 2, 2, substream(SEED, 7)))
     batched = descending_spectra(ws)
-    singles = np.stack([hermitian_spectrum(w) for w in ws])
+    singles = np.stack([descending_spectra(w) for w in ws])
     np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-12)
