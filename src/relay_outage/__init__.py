@@ -7,24 +7,23 @@ into the chain outage — with a Monte Carlo path alongside for
 verification.  The ``relay-outage`` command drives scenario files; see
 :mod:`relay_outage.cli`.
 """
-from .mutual_info import DuplexMode, HopConfig
-from .outage import ANALYTICAL, MONTECARLO, NetworkConfig, build_outage_curve
+from .mutual_info import HopConfig
+from .outage import DuplexMode, NetworkConfig, analytical_outage, montecarlo_outage
 from .rng import substream
 from .scenario import Scenario, ScenarioError, load_preset, parse_scenario, preset_names
 
 __version__ = "0.2.0"
 
 __all__ = [
-    "ANALYTICAL",
-    "MONTECARLO",
     "DuplexMode",
     "HopConfig",
     "NetworkConfig",
     "Scenario",
     "ScenarioError",
     "__version__",
-    "build_outage_curve",
+    "analytical_outage",
     "load_preset",
+    "montecarlo_outage",
     "parse_scenario",
     "preset_names",
     "substream",

@@ -26,8 +26,8 @@ import numpy as np
 from scipy import stats
 
 from . import __version__
-from .mutual_info import EXACT, MIDPOINT, HopConfig, sample_hop_fields
-from .outage import ANALYTICAL, MONTECARLO, build_outage_curve
+from .mutual_info import EXACT, MIDPOINT, MIN_MOMENT_SAMPLES, HopConfig, sample_hop_fields
+from .outage import analytical_outage, montecarlo_outage
 from .rng import (
     STREAM_DISTRIBUTION,
     STREAM_HOP_MOMENTS,
@@ -158,19 +158,17 @@ plot '{csv}' using (($1+$2)/2):4 with lines title 'midpoint approximation', \\
 def cmd_outage(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
     rates = scenario.rates
-    analytical = build_outage_curve(
+    analytical = analytical_outage(
         scenario.network,
         rates,
-        ANALYTICAL,
         substream(scenario.seed, STREAM_HOP_MOMENTS),
-        n_moment_samples=scenario.n_moment_samples,
+        scenario.n_moment_samples,
     )
-    montecarlo = build_outage_curve(
+    montecarlo, std_errors = montecarlo_outage(
         scenario.network,
         rates,
-        MONTECARLO,
         substream(scenario.seed, STREAM_NETWORK_MC),
-        n_realizations=scenario.n_mc_realizations,
+        scenario.n_mc_realizations,
     )
 
     header = _scenario_header(scenario, "outage")
@@ -182,12 +180,7 @@ def cmd_outage(args: argparse.Namespace) -> int:
     )
     rows = tuple(
         (float(rate), float(pa), float(pm), float(se))
-        for rate, pa, pm, se in zip(
-            rates,
-            analytical.probabilities,
-            montecarlo.probabilities,
-            montecarlo.std_errors,
-        )
+        for rate, pa, pm, se in zip(rates, analytical, montecarlo, std_errors)
     )
     table = ResultTable(header=tuple(header), columns=OUTAGE_COLUMNS, rows=rows)
 
@@ -200,9 +193,7 @@ def cmd_outage(args: argparse.Namespace) -> int:
             OUTAGE_GNUPLOT.format(csv=csv_path.name),
         )
 
-    deviation = float(
-        np.max(np.abs(analytical.probabilities - montecarlo.probabilities))
-    )
+    deviation = float(np.max(np.abs(analytical - montecarlo)))
     print(
         f"{scenario.name}: max |analytical - MC| = {deviation:.6g} "
         f"over {rates.size} rates; wrote {csv_path}"
@@ -219,6 +210,11 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         )
     hop = scenario.network.hops[scenario.dist_hop - 1]
     n_samples = scenario.dist_samples or scenario.n_moment_samples
+    if n_samples < MIN_MOMENT_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_MOMENT_SAMPLES} samples for the distribution, "
+            f"got {n_samples}"
+        )
     exact, midpoint = sample_hop_fields(
         n_samples,
         hop.rx_antennas,

@@ -1,4 +1,4 @@
-"""Per-hop mutual information for full- and half-duplex MIMO links.
+"""Per-hop mutual information of MIMO links through a full-duplex relay.
 
 Full-duplex mutual information through a self-interfering relay is
 
@@ -6,7 +6,9 @@ Full-duplex mutual information through a self-interfering relay is
 
 with ``W`` the desired-link and ``Wbar`` the self-interference Gram
 matrices.  The additive form above is the numerically stable rearrangement
-of the matrix-quotient expression; no inversion is ever performed.
+of the matrix-quotient expression; no inversion is ever performed.  A
+half-duplex hop is the same link with ``rho = 0``, scaled by the time
+share that :class:`~relay_outage.outage.NetworkConfig` owns.
 
 The log-determinant of the two-matrix sum admits eigenvalue-pairing
 bounds: with both spectra sorted descending, pairing same ranks gives a
@@ -27,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -38,11 +39,8 @@ from .randmat import (
     receive_gram,
     sample_channels,
 )
-from .rng import CHUNK_SIZE, run_chunks
+from .rng import run_chunks
 from .wishart_stats import LN2, logdet_from_spectrum
-
-# Half-duplex spends half the channel uses per hop on each phase.
-HD_TIME_SHARE = 0.5
 
 MIN_MOMENT_SAMPLES = 100
 
@@ -54,18 +52,6 @@ MIDPOINT = "midpoint"  # (LOWER + UPPER) / 2
 RSI_LOGDET = "rsi_logdet"  # log2 det(I + rho*Wbar)
 EXACT_MI = "exact_mi"  # EXACT - RSI_LOGDET, the exact mutual information
 HOP_FIELDS = (EXACT, LOWER, UPPER, MIDPOINT, RSI_LOGDET, EXACT_MI)
-
-
-class DuplexMode(Enum):
-    FULL_DUPLEX = "fd"
-    HALF_DUPLEX = "hd"
-
-    @classmethod
-    def parse(cls, text: str) -> "DuplexMode":
-        for mode in cls:
-            if mode.value == text:
-                return mode
-        raise ValueError(f"unknown duplex mode {text!r} (expected 'fd' or 'hd')")
 
 
 @dataclass(frozen=True)
@@ -283,9 +269,8 @@ def sample_hop_fields(
     rng: np.random.Generator,
     fields: tuple[str, ...],
     rsi_tx_antennas: int | None = None,
-    chunk_size: int = CHUNK_SIZE,
 ) -> tuple[np.ndarray, ...]:
-    """``sample_hop_chunk`` over one substream per chunk of ``chunk_size`` draws."""
+    """``sample_hop_chunk`` over one substream per chunk of ``CHUNK_SIZE`` draws."""
     _check_scales(eta, rho)
     chunk = functools.partial(
         sample_hop_chunk,
@@ -296,44 +281,36 @@ def sample_hop_fields(
         fields=fields,
         rsi_tx_antennas=rsi_tx_antennas,
     )
-    return run_chunks(n_samples, rng, chunk, chunk_size)
+    return run_chunks(n_samples, rng, chunk)
 
 
 def estimate_hop_moments(
-    hop: HopConfig,
-    mode: DuplexMode,
-    n_samples: int,
-    rng: np.random.Generator,
-    chunk_size: int = CHUNK_SIZE,
+    hop: HopConfig, n_samples: int, rng: np.random.Generator
 ) -> HopMoments:
     """Monte Carlo mean and variance of one hop's mutual information.
 
-    Full-duplex samples use the midpoint approximation (the quantity whose
-    Gaussian moments drive the closed-form outage); half-duplex samples
-    are exact and ignore any configured self-interference.  The midpoint
-    and interference terms inside each sample share the same interference
-    spectrum, so their correlation is kept intact.
+    Samples use the midpoint approximation (the quantity whose Gaussian
+    moments drive the closed-form outage), in full-duplex form; a chain
+    scales them by its time share.  The midpoint and interference terms
+    inside each sample share the same interference spectrum, so their
+    correlation is kept intact.
     """
     if n_samples < MIN_MOMENT_SAMPLES:
         raise ValueError(
             f"need at least {MIN_MOMENT_SAMPLES} samples for moment "
             f"estimation, got {n_samples}"
         )
-    rho = hop.rho if mode is DuplexMode.FULL_DUPLEX else 0.0
     midpoint, rsi_logdet = sample_hop_fields(
         n_samples,
         hop.rx_antennas,
         hop.tx_antennas,
         hop.eta,
-        rho,
+        hop.rho,
         rng,
         (MIDPOINT, RSI_LOGDET),
         hop.rsi_tx_antennas,
-        chunk_size,
     )
     samples = midpoint - rsi_logdet
-    if mode is DuplexMode.HALF_DUPLEX:
-        samples = HD_TIME_SHARE * samples
     return HopMoments(
         mean=float(samples.mean()),
         variance=float(samples.var(ddof=1)),

@@ -13,27 +13,32 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 from scipy.special import erfc
 
-from .mutual_info import (
-    EXACT_MI,
-    HD_TIME_SHARE,
-    DuplexMode,
-    HopConfig,
-    HopMoments,
-    estimate_hop_moments,
-    sample_hop_chunk,
-)
-from .rng import CHUNK_SIZE, run_chunks
+from .mutual_info import EXACT_MI, HopConfig, estimate_hop_moments, sample_hop_chunk
+from .rng import run_chunks
 
 MIN_MC_REALIZATIONS = 1000
 
+# Half-duplex spends half the channel uses per hop on each phase.
+HD_TIME_SHARE = 0.5
+
 _SQRT_HALF = math.sqrt(0.5)
 
-ANALYTICAL = "analytical"
-MONTECARLO = "montecarlo"
+
+class DuplexMode(Enum):
+    FULL_DUPLEX = "fd"
+    HALF_DUPLEX = "hd"
+
+    @classmethod
+    def parse(cls, text: str) -> "DuplexMode":
+        for mode in cls:
+            if mode.value == text:
+                return mode
+        raise ValueError(f"unknown duplex mode {text!r} (expected 'fd' or 'hd')")
 
 
 @dataclass(frozen=True)
@@ -66,15 +71,15 @@ class NetworkConfig:
     def n_hops(self) -> int:
         return len(self.hops)
 
+    @property
+    def time_share(self) -> float:
+        """Share of the channel uses each hop transmits in, which scales its rate.
 
-@dataclass(frozen=True)
-class OutageCurve:
-    """Outage probability versus target rate, from one evaluation method."""
-
-    rates: np.ndarray
-    probabilities: np.ndarray
-    method: str
-    std_errors: np.ndarray | None = None
+        Half-duplex hops carry no self-interference (checked above), so
+        scaling the full-duplex form of the mutual information by this
+        share is the whole of the half-duplex policy.
+        """
+        return HD_TIME_SHARE if self.mode is DuplexMode.HALF_DUPLEX else 1.0
 
 
 def q_function(x):
@@ -88,53 +93,16 @@ def q_function(x):
     return out if out.ndim else float(out)
 
 
-def hop_outage(moments: HopMoments, rate: float) -> float:
-    """Gaussian outage probability of a single hop at the target rate.
-
-    Probability that a normal variable with the given moments falls below
-    ``rate``.  Degenerate (zero-variance) moments give a step function and
-    raise a warning.
-    """
-    if moments.variance == 0.0:
-        warnings.warn(
-            "zero-variance hop moments: outage degenerates to a step function",
-            stacklevel=2,
-        )
-        return 0.0 if rate < moments.mean else 1.0
-    p = q_function((moments.mean - rate) / moments.std)
-    return float(min(max(p, 0.0), 1.0))
-
-
-def network_outage_analytical(
-    cfg: NetworkConfig, moments: list[HopMoments], rate: float
-) -> float:
-    """Closed-form chain outage from per-hop Gaussian moments."""
-    if len(moments) != cfg.n_hops:
-        raise ValueError(
-            f"need one HopMoments per hop: got {len(moments)} for "
-            f"{cfg.n_hops} hops"
-        )
-    success = 1.0
-    for hop_moments in moments:
-        success *= 1.0 - hop_outage(hop_moments, rate)
-    return float(min(max(1.0 - success, 0.0), 1.0))
-
-
 def sample_min_mutual_info(
-    cfg: NetworkConfig,
-    n_realizations: int,
-    rng: np.random.Generator,
-    chunk_size: int = CHUNK_SIZE,
+    cfg: NetworkConfig, n_realizations: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Weakest-hop exact mutual information per channel realization.
 
-    Every hop (and its self-interference channel, when present in
-    full-duplex mode) is redrawn independently per realization.  Each hop
-    owns a fixed substream per chunk, drawn desired channel first, so
-    configurations differing only in interference level share their
-    desired-channel realizations.
+    Every hop (and its self-interference channel, when present) is redrawn
+    independently per realization.  Each hop owns a fixed substream per
+    chunk, drawn desired channel first, so configurations differing only
+    in interference level share their desired-channel realizations.
     """
-    fd = cfg.mode is DuplexMode.FULL_DUPLEX
 
     def chunk(stream: np.random.Generator, count: int):
         hop_streams = stream.spawn(cfg.n_hops)
@@ -146,15 +114,38 @@ def sample_min_mutual_info(
                 hop.rx_antennas,
                 hop.tx_antennas,
                 hop.eta,
-                hop.rho if fd else 0.0,
+                hop.rho,
                 (EXACT_MI,),
                 hop.rsi_tx_antennas,
             )
             min_mi = mi if min_mi is None else np.minimum(min_mi, mi)
         return (min_mi,)
 
-    (samples,) = run_chunks(n_realizations, rng, chunk, chunk_size)
-    return samples if fd else HD_TIME_SHARE * samples
+    (samples,) = run_chunks(n_realizations, rng, chunk)
+    samples *= cfg.time_share
+    return samples
+
+
+def _gaussian_outage(mean, variance, rates: np.ndarray) -> np.ndarray:
+    """Chain outage at each rate from per-hop Gaussian moments.
+
+    Hop ``k`` is in outage with the probability ``p_k`` that a normal
+    variable of mean ``mean[k]`` and variance ``variance[k]`` falls below
+    the rate; the chain is in outage with ``1 - prod_k (1 - p_k)``.  A
+    zero-variance hop is a step at its mean and raises a warning.
+    """
+    mean = np.asarray(mean, dtype=float)[:, np.newaxis]
+    std = np.sqrt(np.asarray(variance, dtype=float))[:, np.newaxis]
+    step = std == 0.0
+    if step.any():
+        warnings.warn(
+            "zero-variance hop moments: outage degenerates to a step function",
+            stacklevel=2,
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.clip(q_function((mean - rates) / std), 0.0, 1.0)
+    p = np.where(step, rates >= mean, p)
+    return np.clip(1.0 - np.prod(1.0 - p, axis=0), 0.0, 1.0)
 
 
 def _empirical_outage(samples: np.ndarray, rate) -> tuple[np.ndarray, np.ndarray]:
@@ -179,42 +170,43 @@ def _check_rate_grid(rates: np.ndarray) -> np.ndarray:
     return rates
 
 
-def build_outage_curve(
-    cfg: NetworkConfig,
-    rates: np.ndarray,
-    method: str,
-    rng: np.random.Generator,
-    n_moment_samples: int = 10_000,
-    n_realizations: int = 10_000,
-    chunk_size: int = CHUNK_SIZE,
-) -> OutageCurve:
-    """Outage curve over a rate grid by either evaluation method.
+def analytical_outage(
+    cfg: NetworkConfig, rates: np.ndarray, rng: np.random.Generator, n_samples: int
+) -> np.ndarray:
+    """Gaussian closed-form chain outage at each rate.
 
-    The analytical method estimates each hop's moments once (one substream
-    per hop) and reuses them across the grid; the Monte Carlo method draws
-    one set of realizations and reads the empirical weakest-hop CDF off
-    it.
+    Each hop's moments are estimated once from ``n_samples`` draws on its
+    own substream of ``rng``, scaled by the chain's time share, and reused
+    across the grid.
     """
     rates = _check_rate_grid(rates)
-    if method == ANALYTICAL:
-        hop_streams = rng.spawn(cfg.n_hops)
-        moments = [
-            estimate_hop_moments(hop, cfg.mode, n_moment_samples, stream, chunk_size)
-            for hop, stream in zip(cfg.hops, hop_streams)
-        ]
-        probs = np.array(
-            [network_outage_analytical(cfg, moments, r) for r in rates]
+    moments = [
+        estimate_hop_moments(hop, n_samples, stream)
+        for hop, stream in zip(cfg.hops, rng.spawn(cfg.n_hops))
+    ]
+    share = cfg.time_share
+    return _gaussian_outage(
+        [share * m.mean for m in moments],
+        [share * share * m.variance for m in moments],
+        rates,
+    )
+
+
+def montecarlo_outage(
+    cfg: NetworkConfig,
+    rates: np.ndarray,
+    rng: np.random.Generator,
+    n_realizations: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical chain outage at each rate and its binomial standard error.
+
+    One set of ``n_realizations`` realizations is drawn from ``rng`` and
+    the weakest-hop empirical CDF is read off it at every rate.
+    """
+    rates = _check_rate_grid(rates)
+    if n_realizations < MIN_MC_REALIZATIONS:
+        raise ValueError(
+            f"need at least {MIN_MC_REALIZATIONS} realizations, got "
+            f"{n_realizations}"
         )
-        return OutageCurve(rates=rates, probabilities=probs, method=ANALYTICAL)
-    if method == MONTECARLO:
-        if n_realizations < MIN_MC_REALIZATIONS:
-            raise ValueError(
-                f"need at least {MIN_MC_REALIZATIONS} realizations, got "
-                f"{n_realizations}"
-            )
-        samples = sample_min_mutual_info(cfg, n_realizations, rng, chunk_size)
-        probs, errs = _empirical_outage(samples, rates)
-        return OutageCurve(
-            rates=rates, probabilities=probs, method=MONTECARLO, std_errors=errs
-        )
-    raise ValueError(f"unknown method {method!r} (expected 'analytical' or 'montecarlo')")
+    return _empirical_outage(sample_min_mutual_info(cfg, n_realizations, rng), rates)

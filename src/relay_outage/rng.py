@@ -4,9 +4,9 @@ Stream scheme (stable across releases of this package): the stream
 addressed by ``(seed, path)`` is a PCG64 generator seeded with
 ``numpy.random.SeedSequence(seed, spawn_key=path)``.  Top-level path ids
 are fixed per sampling domain (constants below); chunked samplers spawn
-one child stream per chunk of ``CHUNK_SIZE`` draws.  Results therefore
-depend only on ``(seed, path, n_samples, chunk_size)`` and never on how
-chunks are evaluated.
+one child stream per chunk of ``CHUNK_SIZE`` draws, a fixed constant.
+Results therefore depend only on ``(seed, path, n_samples)`` and never on
+how chunks are evaluated.
 """
 from __future__ import annotations
 
@@ -32,28 +32,21 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
-def chunk_sizes(n_total: int, chunk_size: int = CHUNK_SIZE) -> list[int]:
-    """Split ``n_total`` draws into full chunks plus one remainder chunk."""
-    if n_total < 1:
-        raise ValueError(f"need at least one draw, got {n_total}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    n_full, rest = divmod(n_total, chunk_size)
-    return [chunk_size] * n_full + ([rest] if rest else [])
-
-
 def run_chunks(
     n_total: int,
     rng: np.random.Generator,
     chunk_fn: Callable[[np.random.Generator, int], tuple[np.ndarray, ...]],
-    chunk_size: int = CHUNK_SIZE,
 ):
     """Evaluate ``chunk_fn(stream, count)`` over per-chunk substreams.
 
-    ``chunk_fn`` must return a tuple of 1-d arrays of length ``count``;
-    the tuples are concatenated field-wise in chunk order.
+    ``n_total`` draws split into full chunks of ``CHUNK_SIZE`` plus one
+    remainder chunk.  ``chunk_fn`` must return a tuple of 1-d arrays of
+    length ``count``; the tuples are concatenated field-wise in chunk order.
     """
-    sizes = chunk_sizes(n_total, chunk_size)
+    if n_total < 1:
+        raise ValueError(f"need at least one draw, got {n_total}")
+    n_full, rest = divmod(n_total, CHUNK_SIZE)
+    sizes = [CHUNK_SIZE] * n_full + ([rest] if rest else [])
     streams = rng.spawn(len(sizes))
     pieces = [chunk_fn(stream, size) for stream, size in zip(streams, sizes)]
     return tuple(np.concatenate(field) for field in zip(*pieces))

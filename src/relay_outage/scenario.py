@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mutual_info import DuplexMode, HopConfig
-from .outage import NetworkConfig
+from .mutual_info import HopConfig
+from .outage import DuplexMode, NetworkConfig
 
 DEFAULT_RATE_START = 0.0
 DEFAULT_RATE_STOP = 14.0

@@ -5,7 +5,8 @@ not share its implementation: quadrature of the normal tail for the
 Q-function, exact per-sample determinants for the pairing bounds, the
 scalar Rayleigh closed form for the half-duplex single-antenna chain, and
 Laguerre quadrature for the sampled log-det means.  The sampled sides all
-come from the production per-hop kernel (``sample_hop_chunk``).
+come from the production per-hop kernel (``sample_hop_chunk``), one
+substream per chunk.
 ``relay-outage validate`` runs them all and reports one line per check;
 the acceptance tests call the same check functions at their own sizes
 and cases.
@@ -25,12 +26,10 @@ from .mutual_info import (
     LOWER,
     MIN_MOMENT_SAMPLES,
     UPPER,
-    DuplexMode,
     HopConfig,
-    sample_hop_chunk,
     sample_hop_fields,
 )
-from .outage import MIN_MC_REALIZATIONS, NetworkConfig, sample_min_mutual_info
+from .outage import MIN_MC_REALIZATIONS, DuplexMode, NetworkConfig, montecarlo_outage
 from .randmat import WishartParams
 from .rng import STREAM_VALIDATION, substream
 from .scenario import DEFAULT_SEED
@@ -144,15 +143,15 @@ def check_siso_rayleigh(seed: int, n_realizations: int) -> tuple[str, float, flo
         hops=(HopConfig(tx_antennas=1, rx_antennas=1, snr_db=20.0),),
         mode=DuplexMode.HALF_DUPLEX,
     )
-    rng = substream(seed, STREAM_VALIDATION, 1)
-    samples = sample_min_mutual_info(cfg, n_realizations, rng)
     rates = np.linspace(0.5, 3.5, 10)
+    empirical, _ = montecarlo_outage(
+        cfg, rates, substream(seed, STREAM_VALIDATION, 1), n_realizations
+    )
     worst = 0.0
-    for rate in rates:
+    for rate, p_hat in zip(rates, empirical):
         exact = 1.0 - math.exp(-(2.0 ** (2.0 * rate) - 1.0) / snr)
         se = math.sqrt(exact * (1.0 - exact) / n_realizations)
-        empirical = float(np.mean(samples < rate))
-        worst = max(worst, abs(empirical - exact) / se)
+        worst = max(worst, abs(float(p_hat) - exact) / se)
     return (
         "siso-rayleigh-outage",
         worst,
@@ -171,7 +170,7 @@ def check_logdet_moments(
         params = WishartParams(m, p)
         analytic = expected_logdet(params, scale)
         rng = substream(seed, STREAM_VALIDATION, 2, i)
-        (values,) = sample_hop_chunk(rng, n_samples, m, p, scale, 0.0, (EXACT,))
+        (values,) = sample_hop_fields(n_samples, m, p, scale, 0.0, rng, (EXACT,))
         gap = abs(float(values.mean()) - analytic)
         tolerance = max(
             0.01 * analytic, 3.0 * float(values.std(ddof=1)) / math.sqrt(n_samples)

@@ -49,22 +49,8 @@ from scipy import stats
 
 from conftest import ACCEPTANCE_LINES
 from relay_outage import cli, validation
-from relay_outage.mutual_info import (
-    EXACT,
-    EXACT_MI,
-    MIDPOINT,
-    RSI_LOGDET,
-    DuplexMode,
-    sample_hop_fields,
-)
-from relay_outage.outage import (
-    ANALYTICAL,
-    MONTECARLO,
-    OutageCurve,
-    _empirical_outage,
-    build_outage_curve,
-    sample_min_mutual_info,
-)
+from relay_outage.mutual_info import EXACT, EXACT_MI, MIDPOINT, RSI_LOGDET, sample_hop_fields
+from relay_outage.outage import DuplexMode, analytical_outage, montecarlo_outage
 from relay_outage.randmat import WishartParams
 from relay_outage.rng import STREAM_DISTRIBUTION, STREAM_HOP_MOMENTS, STREAM_NETWORK_MC, substream
 from relay_outage.scenario import load_preset
@@ -128,28 +114,29 @@ def dist_pairs():
     return out
 
 
+class CurveRun(NamedTuple):
+    analytical: np.ndarray  # closed-form outage per rate
+    montecarlo: np.ndarray  # Monte Carlo outage per rate
+    std_errors: np.ndarray  # its binomial standard error
+    seconds: float
+
+
+def run_montecarlo(sc, rates):
+    """The preset's Monte Carlo outage at ``rates``, on its own stream."""
+    return montecarlo_outage(sc.network, rates, substream(sc.seed, STREAM_NETWORK_MC), N_ACCEPT)
+
+
 @pytest.fixture(scope="module")
 def curve_runs():
     out = {}
     for name in CURVE_PRESETS + ("fig3-fd-rsi35",):
         sc = load_preset(name)
         t0 = time.perf_counter()
-        analytical = build_outage_curve(
-            sc.network,
-            sc.rates,
-            ANALYTICAL,
-            substream(sc.seed, STREAM_HOP_MOMENTS),
-            n_moment_samples=N_ACCEPT,
+        analytical = analytical_outage(
+            sc.network, sc.rates, substream(sc.seed, STREAM_HOP_MOMENTS), N_ACCEPT
         )
-        # build_outage_curve's Monte Carlo branch, keeping the sorted samples.
-        samples = np.sort(
-            sample_min_mutual_info(sc.network, N_ACCEPT, substream(sc.seed, STREAM_NETWORK_MC))
-        )
-        probs, errs = _empirical_outage(samples, sc.rates)
-        montecarlo = OutageCurve(
-            rates=sc.rates, probabilities=probs, method=MONTECARLO, std_errors=errs
-        )
-        out[name] = (analytical, montecarlo, time.perf_counter() - t0, samples)
+        montecarlo, std_errors = run_montecarlo(sc, sc.rates)
+        out[name] = CurveRun(analytical, montecarlo, std_errors, time.perf_counter() - t0)
     return out
 
 
@@ -257,17 +244,17 @@ def test_analytical_matches_simulation(curve_runs, exact_mi_folds):
     """
     rows = []
     for name in CURVE_PRESETS:
-        analytical, montecarlo = curve_runs[name][:2]
+        run = curve_runs[name]
         folds = exact_mi_folds[name]
         rows.append((
             name,
-            max_abs(analytical.probabilities - montecarlo.probabilities),
-            max_abs(analytical.probabilities - folds.gaussian),
+            max_abs(run.analytical - run.montecarlo),
+            max_abs(run.analytical - folds.gaussian),
             max_abs(folds.gaussian - folds.empirical),
             folds.skews,
         ))
     worst = max(total for _, total, _, _, _ in rows)
-    runtime = sum(curve_runs[name][2] for name in CURVE_PRESETS)
+    runtime = sum(curve_runs[name].seconds for name in CURVE_PRESETS)
     by_name = "; ".join(
         f"{name}={total:.4f} (midpoint {midpoint:.4f}, Gaussian law {law:.4f}, "
         f"skew {'/'.join(f'{g:+.2f}' for g in skews)})"
@@ -284,7 +271,7 @@ def test_analytical_matches_simulation(curve_runs, exact_mi_folds):
 def test_midpoint_curve_error(curve_runs, exact_mi_folds):
     """The pairing-bound midpoint moves the analytical curve by under 0.03."""
     gaps = {
-        name: max_abs(curve_runs[name][0].probabilities - exact_mi_folds[name].gaussian)
+        name: max_abs(curve_runs[name].analytical - exact_mi_folds[name].gaussian)
         for name in CURVE_PRESETS
     }
     worst = max(gaps.values())
@@ -301,14 +288,14 @@ def test_montecarlo_matches_empirical_fold(curve_runs, exact_mi_folds):
     """Monte Carlo chain outage equals the fold of per-hop empirical CDFs."""
     worst_z, worst_gap, points = 0.0, 0.0, 0
     for name in CURVE_PRESETS:
-        montecarlo = curve_runs[name][1]
+        montecarlo = curve_runs[name].montecarlo
         folds = exact_mi_folds[name]
-        gap = np.abs(montecarlo.probabilities - folds.empirical)
+        gap = np.abs(montecarlo - folds.empirical)
         # Two-proportion z-test, variance at the pooled value: a plug-in SE
         # read off a tail count of one or two is far too small.  The fold's
         # variance is at most the binomial one.  One draw in N_ACCEPT is
         # the resolution of either estimate.
-        pooled = 0.5 * (montecarlo.probabilities + folds.empirical)
+        pooled = 0.5 * (montecarlo + folds.empirical)
         se = np.maximum(np.sqrt(2.0 * pooled * (1.0 - pooled) / N_ACCEPT), 1.0 / N_ACCEPT)
         worst_z = max(worst_z, float(np.max(gap / se)))
         worst_gap = max(worst_gap, float(np.max(gap)))
@@ -323,8 +310,8 @@ def test_montecarlo_matches_empirical_fold(curve_runs, exact_mi_folds):
 
 def test_interference_level_ordering(curve_runs):
     """More residual self-interference means strictly worse outage."""
-    trio = [curve_runs[n][1] for n in ("fig3-fd-norsi", "fig3-fd-rsi12", "fig3-fd-rsi5")]
-    probs = np.stack([c.probabilities for c in trio])
+    trio = [curve_runs[n] for n in ("fig3-fd-norsi", "fig3-fd-rsi12", "fig3-fd-rsi5")]
+    probs = np.stack([c.montecarlo for c in trio])
     errs = np.stack([c.std_errors for c in trio])
     mask = np.all((probs >= 0.01) & (probs <= 0.99), axis=0)
     with np.errstate(invalid="ignore"):  # saturated rates divide 0 by 0
@@ -341,10 +328,10 @@ def test_interference_level_ordering(curve_runs):
 
 def test_hd_beats_heavy_rsi_somewhere(curve_runs):
     """Half-duplex wins over full-duplex when interference is strong."""
-    hd = curve_runs["fig3-hd"][1]
-    fd = curve_runs["fig3-fd-rsi5"][1]
+    hd = curve_runs["fig3-hd"]
+    fd = curve_runs["fig3-fd-rsi5"]
     with np.errstate(invalid="ignore"):
-        z = (fd.probabilities - hd.probabilities) / np.hypot(fd.std_errors, hd.std_errors)
+        z = (fd.montecarlo - hd.montecarlo) / np.hypot(fd.std_errors, hd.std_errors)
     wins = int(np.sum(z > 3.0))
     record(
         wins > 0,
@@ -367,17 +354,15 @@ def test_strong_attenuation_matches_no_rsi(curve_runs):
     rho = 10.0 ** (RSI35_DB / 10.0) / RSI35_TX_ANTENNAS
     ell = expected_logdet(WishartParams(m=2, p=RSI35_TX_ANTENNAS), rho)
 
-    p0_samples = curve_runs["fig3-fd-norsi"][3]
     rates = sc.rates
-    rise = np.searchsorted(p0_samples, rates + ell) - np.searchsorted(p0_samples, rates)
-    limit = float(np.max(rise)) / p0_samples.size
-    gaps = (curve_runs["fig3-fd-rsi35"][1].probabilities
-            - curve_runs["fig3-fd-norsi"][1].probabilities)
+    p0 = curve_runs["fig3-fd-norsi"].montecarlo
+    p0_shifted, _ = run_montecarlo(load_preset("fig3-fd-norsi"), rates + ell)
+    limit = float(np.max(p0_shifted - p0))
+    gaps = curve_runs["fig3-fd-rsi35"].montecarlo - p0
     below = int(np.sum(gaps < 0.0))
     gap_mc = float(np.max(gaps))
     gap_analytical = max_abs(
-        curve_runs["fig3-fd-rsi35"][0].probabilities
-        - curve_runs["fig3-fd-norsi"][0].probabilities
+        curve_runs["fig3-fd-rsi35"].analytical - curve_runs["fig3-fd-norsi"].analytical
     )
     record(
         below == 0 and gap_mc <= limit,

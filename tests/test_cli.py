@@ -3,7 +3,6 @@ import pytest
 
 from relay_outage import cli
 from relay_outage.cli import ERROR_PREFIX, ResultTable
-from relay_outage.outage import MONTECARLO, OutageCurve
 
 SMALL_SCENARIO = """[network]
 mode = fd
@@ -199,6 +198,24 @@ def test_distribution_needs_section(tmp_path, capsys):
     assert ERROR_PREFIX in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ("flag", "scenario"))
+def test_distribution_below_minimum_exits_2(source, tmp_path, capsys):
+    if source == "flag":
+        argv = ["--preset", "dist-snr20-rsi0", "--samples", "1"]
+    else:
+        path = tmp_path / "few.scenario"
+        path.write_text(
+            SMALL_SCENARIO.replace("samples = 20000", "samples = 99"), encoding="utf-8"
+        )
+        argv = ["--scenario", str(path)]
+    rc = cli.main(["distribution", *argv, "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{ERROR_PREFIX} need at least 100 samples" in captured.err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_validate_command(capsys):
     rc = cli.main(["validate", "--samples", "2000", "--realizations", "4000"])
     assert rc == 0
@@ -247,12 +264,10 @@ def test_unknown_preset_exits_2(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_3(scenario_file, tmp_path, monkeypatch, capsys):
-    def broken_curve(network, rates, method, rng, **kwargs):
-        probs = np.full(rates.shape, np.nan)
-        errs = probs if method == MONTECARLO else None
-        return OutageCurve(rates=rates, probabilities=probs, method=method, std_errors=errs)
+    def broken_curve(network, rates, rng, n_samples):
+        return np.full(rates.shape, np.nan)
 
-    monkeypatch.setattr("relay_outage.cli.build_outage_curve", broken_curve)
+    monkeypatch.setattr("relay_outage.cli.analytical_outage", broken_curve)
     rc = cli.main(["outage", "--scenario", str(scenario_file), "--out", str(tmp_path)])
     assert rc == 3
     assert ERROR_PREFIX in capsys.readouterr().err

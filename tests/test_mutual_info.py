@@ -8,7 +8,6 @@ from relay_outage.mutual_info import (
     MIDPOINT,
     RSI_LOGDET,
     UPPER,
-    DuplexMode,
     HopConfig,
     HopMoments,
     estimate_hop_moments,
@@ -16,6 +15,7 @@ from relay_outage.mutual_info import (
     logdet2_psd,
     sample_hop_fields,
 )
+from relay_outage.outage import DuplexMode, NetworkConfig
 from relay_outage.randmat import descending_spectra, receive_gram, sample_channels
 from relay_outage.rng import substream
 from relay_outage.wishart_stats import LN2, expected_logdet
@@ -111,23 +111,6 @@ def test_mi_fd_exact_scale_consistency():
         )
 
 
-def test_mi_hd_exact():
-    # half-duplex moments are those of the RSI-free full-duplex hop, scaled
-    # by the time share 1/2 (exact in binary floating point)
-    hop = HopConfig(
-        tx_antennas=2, rx_antennas=2, snr_db=20.0, rsi_snr_db=8.0, rsi_tx_antennas=2
-    )
-    hd = estimate_hop_moments(hop, DuplexMode.HALF_DUPLEX, 5000, substream(SEED, 4))
-    fd = estimate_hop_moments(
-        HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20.0),
-        DuplexMode.FULL_DUPLEX,
-        5000,
-        substream(SEED, 4),
-    )
-    assert hd.mean == 0.5 * fd.mean
-    assert hd.variance == 0.25 * fd.variance
-
-
 def test_logdet_routes_agree():
     # Cholesky production path vs eigenvalue reference path
     h, hbar = _channel_pair(128, substream(SEED, 5), rx=3, tx=3)
@@ -212,19 +195,17 @@ def test_approx_mi_unclamped_and_nonnegative():
 
 
 def test_estimate_hop_moments_hd_siso_quadrature():
+    # a half-duplex chain scales the hop's moments by its time share
     hop = HopConfig(tx_antennas=1, rx_antennas=1, snr_db=20.0)
-    moments = estimate_hop_moments(
-        hop, DuplexMode.HALF_DUPLEX, 50_000, substream(SEED, 10)
-    )
+    moments = estimate_hop_moments(hop, 50_000, substream(SEED, 10))
+    share = NetworkConfig(hops=(hop,), mode=DuplexMode.HALF_DUPLEX).time_share
     expected = 0.5 * expected_logdet(WishartParams(1, 1), 100.0)
-    assert abs(moments.mean - expected) < 3 * moments.std_error_mean
+    assert abs(share * moments.mean - expected) < 3 * share * moments.std_error_mean
 
 
 def test_estimate_hop_moments_fd_norsi_quadrature():
     hop = HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20.0)
-    moments = estimate_hop_moments(
-        hop, DuplexMode.FULL_DUPLEX, 50_000, substream(SEED, 11)
-    )
+    moments = estimate_hop_moments(hop, 50_000, substream(SEED, 11))
     expected = expected_logdet(WishartParams(2, 2), 50.0)
     assert abs(moments.mean - expected) < 3 * moments.std_error_mean
 
@@ -240,9 +221,7 @@ def test_estimate_hop_moments_mean_decreases_with_rsi():
             rsi_snr_db=rsi_db,
             rsi_tx_antennas=None if rsi_db is None else 2,
         )
-        moments = estimate_hop_moments(
-            hop, DuplexMode.FULL_DUPLEX, 20_000, substream(SEED, 12)
-        )
+        moments = estimate_hop_moments(hop, 20_000, substream(SEED, 12))
         means.append(moments.mean)
     assert all(a > b for a, b in zip(means, means[1:]))
 
@@ -250,13 +229,13 @@ def test_estimate_hop_moments_mean_decreases_with_rsi():
 def test_estimate_hop_moments_rejects_tiny_sample():
     hop = HopConfig(tx_antennas=1, rx_antennas=1, snr_db=10.0)
     with pytest.raises(ValueError):
-        estimate_hop_moments(hop, DuplexMode.FULL_DUPLEX, 99, substream(SEED, 13))
+        estimate_hop_moments(hop, 99, substream(SEED, 13))
 
 
 def test_estimate_hop_moments_reproducible():
     hop = HopConfig(
         tx_antennas=2, rx_antennas=2, snr_db=20.0, rsi_snr_db=8.0, rsi_tx_antennas=2
     )
-    a = estimate_hop_moments(hop, DuplexMode.FULL_DUPLEX, 5000, substream(SEED, 14))
-    b = estimate_hop_moments(hop, DuplexMode.FULL_DUPLEX, 5000, substream(SEED, 14))
+    a = estimate_hop_moments(hop, 5000, substream(SEED, 14))
+    b = estimate_hop_moments(hop, 5000, substream(SEED, 14))
     assert a == b

@@ -5,15 +5,14 @@ import pytest
 
 from scipy.stats import norm
 
-from relay_outage.mutual_info import DuplexMode, HopConfig, HopMoments, estimate_hop_moments
+from relay_outage.mutual_info import HopConfig, HopMoments, estimate_hop_moments
 from relay_outage.outage import (
-    ANALYTICAL,
-    MONTECARLO,
+    DuplexMode,
     NetworkConfig,
     _empirical_outage,
-    build_outage_curve,
-    hop_outage,
-    network_outage_analytical,
+    _gaussian_outage,
+    analytical_outage,
+    montecarlo_outage,
     q_function,
     sample_min_mutual_info,
 )
@@ -40,61 +39,106 @@ def test_q_function_values():
     np.testing.assert_allclose(q_function(x) + q_function(-x), 1.0, atol=1e-15)
 
 
+def _hop_outage(moments, rate):
+    """Gaussian outage of a single hop at one rate."""
+    return float(_gaussian_outage([moments.mean], [moments.variance], np.array([rate]))[0])
+
+
+def _reference_chain_outage(moments, rates):
+    """The per-rate, per-hop loop that the array fold replaced, written out."""
+    out = []
+    for rate in rates:
+        success = 1.0
+        for m in moments:
+            if m.variance == 0.0:
+                p = 0.0 if rate < m.mean else 1.0
+            else:
+                p = float(q_function((m.mean - rate) / m.std))
+                p = min(max(p, 0.0), 1.0)
+            success *= 1.0 - p
+        out.append(min(max(1.0 - success, 0.0), 1.0))
+    return np.array(out)
+
+
 def test_hop_outage_median():
     moments = HopMoments(mean=6.0, variance=2.0, n_samples=1000)
-    assert hop_outage(moments, 6.0) == pytest.approx(0.5)
+    assert _hop_outage(moments, 6.0) == pytest.approx(0.5)
 
 
 def test_hop_outage_vanishes_at_low_rate():
     moments = HopMoments(mean=12.0, variance=1.0, n_samples=1000)
-    assert hop_outage(moments, 0.0) < 1e-12
+    assert _hop_outage(moments, 0.0) < 1e-12
 
 
 def test_hop_outage_above_mean():
     # rate one sigma above the mean: outage is the normal CDF there,
     # Q(-1); the complementary reading would be non-monotone in R
     moments = HopMoments(mean=4.0, variance=1.0, n_samples=1000)
-    assert hop_outage(moments, 5.0) == pytest.approx(0.8413447460685429, abs=1e-12)
+    assert _hop_outage(moments, 5.0) == pytest.approx(0.8413447460685429, abs=1e-12)
 
 
 def test_hop_outage_monotone_in_rate():
-    moments = HopMoments(mean=5.0, variance=1.5, n_samples=1000)
     rates = np.linspace(0.0, 10.0, 41)
-    probs = [hop_outage(moments, r) for r in rates]
-    assert all(a <= b for a, b in zip(probs, probs[1:]))
+    probs = _gaussian_outage([5.0], [1.5], rates)
+    assert np.all(np.diff(probs) >= 0.0)
 
 
 def test_hop_outage_degenerate_variance_steps():
     moments = HopMoments(mean=3.0, variance=0.0, n_samples=1000)
     with pytest.warns(UserWarning):
-        assert hop_outage(moments, 2.9) == 0.0
+        assert _hop_outage(moments, 2.9) == 0.0
     with pytest.warns(UserWarning):
-        assert hop_outage(moments, 3.1) == 1.0
+        assert _hop_outage(moments, 3.1) == 1.0
+    # a step hop inside a chain, at rates below, at and above its mean
+    other = HopMoments(mean=5.0, variance=1.0, n_samples=1000)
+    rates = np.array([2.0, 3.0, 4.0])
+    with pytest.warns(UserWarning):
+        got = _gaussian_outage([3.0, 5.0], [0.0, 1.0], rates)
+    assert np.array_equal(got, _reference_chain_outage([moments, other], rates))
+    assert got[0] < 1.0 and got[1] == got[2] == 1.0
 
 
 def test_network_outage_single_hop_is_hop_outage():
-    cfg = _chain(1)
-    moments = [HopMoments(mean=5.0, variance=1.0, n_samples=1000)]
-    for rate in (2.0, 5.0, 7.5):
-        assert network_outage_analytical(cfg, moments, rate) == pytest.approx(
-            hop_outage(moments[0], rate)
-        )
+    rates = np.array([2.0, 5.0, 7.5])
+    got = _gaussian_outage([5.0], [1.0], rates)
+    np.testing.assert_allclose(got, q_function(5.0 - rates), rtol=1e-12)
 
 
 def test_network_outage_product_structure():
     # three identical hops at per-hop outage 0.1
-    cfg = _chain(3)
-    moments = [HopMoments(mean=Z_FOR_P01, variance=1.0, n_samples=1000)] * 3
-    got = network_outage_analytical(cfg, moments, 0.0)
+    got = _gaussian_outage([Z_FOR_P01] * 3, [1.0] * 3, np.array([0.0]))[0]
     assert got == pytest.approx(1.0 - 0.9 ** 3, abs=1e-9)
 
 
-def test_network_outage_moment_count_mismatch():
-    cfg = _chain(2)
-    with pytest.raises(ValueError):
-        network_outage_analytical(
-            cfg, [HopMoments(mean=5.0, variance=1.0, n_samples=100)], 1.0
-        )
+def test_analytical_fold_matches_per_rate_loop():
+    # three hops with distinct moments: the array fold keeps the loop's
+    # arithmetic, clamps and hop order bit for bit
+    hops = (
+        HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20.0, rsi_snr_db=8.0, rsi_tx_antennas=2),
+        HopConfig(tx_antennas=2, rx_antennas=2, snr_db=14.0, rsi_snr_db=3.0, rsi_tx_antennas=1),
+        HopConfig(tx_antennas=1, rx_antennas=2, snr_db=25.0),
+    )
+    cfg = NetworkConfig(hops=hops, mode=DuplexMode.FULL_DUPLEX)
+    rates = np.arange(0.0, 14.01, 0.25)
+    got = analytical_outage(cfg, rates, substream(SEED, 30), 3000)
+    moments = [
+        estimate_hop_moments(hop, 3000, stream)
+        for hop, stream in zip(hops, substream(SEED, 30).spawn(3))
+    ]
+    assert len({m.mean for m in moments}) == 3
+    assert np.array_equal(got, _reference_chain_outage(moments, rates))
+    assert 0.0 < got[8] < got[-8] < 1.0
+
+
+def test_hd_analytical_curve_is_fd_curve_at_twice_the_rate():
+    # half duplex halves every hop's mutual information: mean x 1/2,
+    # variance x 1/4, both exact in binary floating point, so on the same
+    # stream the curve at R is the RSI-free full-duplex curve at 2R
+    rates = np.arange(0.0, 7.01, 0.25)
+    hd = analytical_outage(_chain(3, DuplexMode.HALF_DUPLEX), rates, substream(SEED, 31), 2000)
+    fd = analytical_outage(_chain(3), 2.0 * rates, substream(SEED, 31), 2000)
+    assert np.array_equal(hd, fd)
+    assert 0.0 < hd[12] < 1.0
 
 
 def test_network_config_validation():
@@ -119,10 +163,8 @@ def test_min_mutual_info_extreme_rates():
 
 def _montecarlo_point(cfg, rate, n_realizations, rng):
     """Monte Carlo outage and its standard error at a single rate."""
-    curve = build_outage_curve(
-        cfg, np.array([rate]), MONTECARLO, rng, n_realizations=n_realizations
-    )
-    return float(curve.probabilities[0]), float(curve.std_errors[0])
+    p, se = montecarlo_outage(cfg, np.array([rate]), rng, n_realizations)
+    return float(p[0]), float(se[0])
 
 
 def test_montecarlo_requires_enough_realizations():
@@ -180,42 +222,30 @@ def test_empirical_outage_matches_broadcast_compare():
     assert p[0] == 0.0 and p[-1] == 1.0
 
 
-def test_build_outage_curve_single_point():
-    curve = build_outage_curve(
-        _chain(1), np.array([4.0]), MONTECARLO, substream(SEED, 7),
-        n_realizations=2000,
-    )
-    assert curve.rates.shape == (1,)
-    assert curve.std_errors is not None
+def test_montecarlo_outage_single_point():
+    p, se = montecarlo_outage(_chain(1), np.array([4.0]), substream(SEED, 7), 2000)
+    assert p.shape == se.shape == (1,)
 
 
 def test_analytical_curve_monotone():
     rates = np.arange(0.0, 14.01, 0.5)
-    curve = build_outage_curve(
-        _chain(3), rates, ANALYTICAL, substream(SEED, 8), n_moment_samples=2000
-    )
-    assert np.all(np.diff(curve.probabilities) >= 0.0)
-    assert np.all((curve.probabilities >= 0.0) & (curve.probabilities <= 1.0))
+    probs = analytical_outage(_chain(3), rates, substream(SEED, 8), 2000)
+    assert np.all(np.diff(probs) >= 0.0)
+    assert np.all((probs >= 0.0) & (probs <= 1.0))
 
 
 def test_montecarlo_curve_monotone():
     # one sample set across the grid makes the empirical CDF exactly monotone
     rates = np.arange(0.0, 14.01, 0.5)
-    curve = build_outage_curve(
-        _chain(3), rates, MONTECARLO, substream(SEED, 9), n_realizations=4000
-    )
-    assert np.all(np.diff(curve.probabilities) >= 0.0)
+    probs, _ = montecarlo_outage(_chain(3), rates, substream(SEED, 9), 4000)
+    assert np.all(np.diff(probs) >= 0.0)
 
 
-def test_build_outage_curve_validation():
-    with pytest.raises(ValueError):
-        build_outage_curve(
-            _chain(1), np.array([2.0, 1.0]), ANALYTICAL, substream(SEED, 10)
-        )
-    with pytest.raises(ValueError):
-        build_outage_curve(
-            _chain(1), np.array([1.0]), "bogus", substream(SEED, 11)
-        )
+def test_rate_grid_validation():
+    for outage in (analytical_outage, montecarlo_outage):
+        for rates in ([2.0, 1.0], [1.0, 1.0], [], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="rate grid"):
+                outage(_chain(1), np.array(rates), substream(SEED, 10), 2000)
 
 
 def test_norsi_preset_outage_half_at_adjusted_mean_rate():
@@ -223,13 +253,14 @@ def test_norsi_preset_outage_half_at_adjusted_mean_rate():
     # is 0.5**(1/K), i.e. at the per-hop mean shifted down by z* per-hop std
     sc = load_preset("fig3-fd-norsi")
     moments = [
-        estimate_hop_moments(hop, sc.network.mode, 100_000, substream(SEED, 20, k))
+        estimate_hop_moments(hop, 100_000, substream(SEED, 20, k))
         for k, hop in enumerate(sc.network.hops)
     ]
     mu = float(np.mean([m.mean for m in moments]))
     sigma = float(np.mean([m.std for m in moments]))
     z_star = norm.isf(1.0 - 0.5 ** (1.0 / sc.network.n_hops))
     rate = mu - z_star * sigma
-    assert network_outage_analytical(sc.network, moments, rate) == pytest.approx(
-        0.5, abs=0.02
+    got = _gaussian_outage(
+        [m.mean for m in moments], [m.variance for m in moments], np.array([rate])
     )
+    assert got[0] == pytest.approx(0.5, abs=0.02)

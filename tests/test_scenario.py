@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relay_outage.mutual_info import DuplexMode
+from relay_outage.outage import DuplexMode
 from relay_outage.scenario import (
     ScenarioError,
     load_preset,
