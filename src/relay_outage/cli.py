@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .mutual_info import EXACT, MIDPOINT, MIN_MOMENT_SAMPLES, HopConfig, sample_hop_fields
@@ -42,7 +41,6 @@ from .scenario import (
     parse_scenario,
     preset_names,
 )
-from .validation import DEFAULT_REALIZATIONS, DEFAULT_SAMPLES, run_validation
 
 ERROR_PREFIX = "relay-outage: error:"
 
@@ -75,6 +73,29 @@ class ResultTable:
                 raise ArithmeticError(f"non-finite value in result row {row}")
             lines.append(",".join(repr(float(value)) for value in row))
         return "\n".join(lines) + "\n"
+
+
+def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance: the largest gap between ECDFs.
+
+    Both ECDFs are read at every sample by binary search, so ties need no
+    special care.  The arithmetic is ``scipy.stats.ks_2samp``'s statistic
+    before its exact p-value path re-rounds it for small samples.
+    """
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    gap = (
+        np.searchsorted(a, both, side="right") / a.size
+        - np.searchsorted(b, both, side="right") / b.size
+    )
+    return float(max(gap.max(), -gap.min()))
+
+
+def _skewness(x: np.ndarray) -> float:
+    """Biased sample skewness ``m3 / m2**1.5``, in ``scipy.stats.skew``'s arithmetic."""
+    dev = x - x.mean()
+    sq = dev**2
+    return float((sq * dev).mean() / sq.mean() ** 1.5)
 
 
 def _hop_header(index: int, hop: HopConfig) -> str:
@@ -234,9 +255,9 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     exact_freq = np.histogram(exact, bins=edges)[0] / n_samples
     midpoint_freq = np.histogram(midpoint, bins=edges)[0] / n_samples
 
-    ks_distance = float(stats.ks_2samp(exact, midpoint).statistic)
-    exact_skew = float(stats.skew(exact))
-    midpoint_skew = float(stats.skew(midpoint))
+    ks_distance = _ks_distance(exact, midpoint)
+    exact_skew = _skewness(exact)
+    midpoint_skew = _skewness(midpoint)
 
     header = _scenario_header(scenario, "distribution")
     header.append(f"distribution_hop: {scenario.dist_hop}")
@@ -270,12 +291,15 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    report = run_validation(
-        seed=args.seed,
-        n_sandwich=args.samples,
-        n_mc=args.realizations,
-        n_moments=args.samples,
-    )
+    # Imported here: the oracles need scipy, which no other command loads.
+    from .validation import run_validation
+
+    counts: dict[str, int] = {}  # an omitted count keeps run_validation's default
+    if args.samples is not None:
+        counts.update(n_sandwich=args.samples, n_moments=args.samples)
+    if args.realizations is not None:
+        counts.update(n_mc=args.realizations)
+    report = run_validation(seed=args.seed, **counts)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(
@@ -353,11 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=DEFAULT_SEED, metavar="U64", help="check seed"
     )
     validate.add_argument(
-        "--samples", type=int, default=DEFAULT_SAMPLES, metavar="N",
+        "--samples", type=int, metavar="N",
         help="draws for the sandwich and moment checks",
     )
     validate.add_argument(
-        "--realizations", type=int, default=DEFAULT_REALIZATIONS, metavar="N",
+        "--realizations", type=int, metavar="N",
         help="realizations for the Monte Carlo oracle checks",
     )
     validate.set_defaults(func=cmd_validate)

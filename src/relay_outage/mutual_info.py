@@ -40,7 +40,8 @@ from .randmat import (
     sample_channels,
 )
 from .rng import run_chunks
-from .wishart_stats import LN2, logdet_from_spectrum
+
+LN2 = math.log(2.0)
 
 MIN_MOMENT_SAMPLES = 100
 
@@ -133,6 +134,15 @@ def logdet2_psd(a: np.ndarray) -> np.ndarray | float:
     diag = np.diagonal(chol, axis1=-2, axis2=-1).real
     out = 2.0 * np.log(diag).sum(axis=-1) / LN2
     return out if out.ndim else float(out)
+
+
+def logdet_from_spectrum(spectrum: np.ndarray, scale: float):
+    """``sum_i log2(1 + scale * lambda_i)`` along the last axis.
+
+    Equals ``log2 det(I + scale W)`` for the matrix the spectrum came
+    from.  Accepts stacked spectra.
+    """
+    return np.log1p(scale * np.asarray(spectrum)).sum(axis=-1) / LN2
 
 
 def _check_scales(eta: float, rho: float) -> None:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erfc
 
 from .mutual_info import EXACT_MI, HopConfig, estimate_hop_moments, sample_hop_chunk
 from .rng import run_chunks
@@ -27,6 +26,7 @@ MIN_MC_REALIZATIONS = 1000
 HD_TIME_SHARE = 0.5
 
 _SQRT_HALF = math.sqrt(0.5)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 class DuplexMode(Enum):
@@ -85,11 +85,12 @@ class NetworkConfig:
 def q_function(x):
     """Upper-tail probability of the standard normal distribution.
 
-    Computed through the complementary error function; absolute error
-    well below 1e-12 for ``|x| <= 8``.  Accepts arrays.
+    Computed through the complementary error function, one ``math.erfc``
+    call per element; absolute error well below 1e-12 for ``|x| <= 8``.
+    Accepts arrays.
     """
     x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(x * _SQRT_HALF)
+    out = 0.5 * np.asarray(_erfc(x * _SQRT_HALF), dtype=float)
     return out if out.ndim else float(out)
 
 
@@ -131,7 +132,8 @@ def _gaussian_outage(mean, variance, rates: np.ndarray) -> np.ndarray:
 
     Hop ``k`` is in outage with the probability ``p_k`` that a normal
     variable of mean ``mean[k]`` and variance ``variance[k]`` falls below
-    the rate; the chain is in outage with ``1 - prod_k (1 - p_k)``.  A
+    the rate; the chain is in outage with ``1 - prod_k (1 - p_k)``, summed
+    in log space so that probabilities far below 1e-16 survive.  A
     zero-variance hop is a step at its mean and raises a warning.
     """
     mean = np.asarray(mean, dtype=float)[:, np.newaxis]
@@ -145,7 +147,10 @@ def _gaussian_outage(mean, variance, rates: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.clip(q_function((mean - rates) / std), 0.0, 1.0)
     p = np.where(step, rates >= mean, p)
-    return np.clip(1.0 - np.prod(1.0 - p, axis=0), 0.0, 1.0)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf, folded to exactly 1
+        log_success = np.sum(np.log1p(-p), axis=0)
+    # 0.0 - x rather than -x: a chain that never fails reads 0.0, not -0.0
+    return 0.0 - np.expm1(log_success)
 
 
 def _empirical_outage(samples: np.ndarray, rate) -> tuple[np.ndarray, np.ndarray]:

@@ -36,6 +36,8 @@ DEFAULT_MC_REALIZATIONS = 10_000
 DEFAULT_SEED = 12345
 DEFAULT_OUTPUT_DIR = "results"
 DEFAULT_BIN_WIDTH = 0.1
+# Largest rate grid accepted; the presets use 57 points, the finest benchmark grid 281.
+MAX_RATE_POINTS = 100_000
 
 _HOP_KEYS = frozenset(
     {"tx_antennas", "rx_antennas", "snr_db", "rsi_snr_db", "rsi_tx_antennas"}
@@ -80,8 +82,16 @@ class Scenario:
 
     @property
     def rates(self) -> np.ndarray:
-        n = int(np.floor((self.rate_stop - self.rate_start) / self.rate_step + 1e-9))
-        return self.rate_start + self.rate_step * np.arange(n + 1)
+        n = int(_rate_points(self.rate_start, self.rate_stop, self.rate_step))
+        return self.rate_start + self.rate_step * np.arange(n)
+
+
+def _rate_points(start: float, stop: float, step: float) -> float:
+    """Points of the grid ``start, start + step, ...`` up to ``stop``.
+
+    A float, so that a grid too large for any integer type reads inf.
+    """
+    return np.floor((stop - start) / step + 1e-9) + 1.0
 
 
 _Entry = tuple[str, int]  # raw value, line number
@@ -280,6 +290,13 @@ def parse_scenario_text(text: str, name: str, source: str = "<scenario>") -> Sce
     if stop < start:
         raise ScenarioError(
             f"rates: stop ({stop}) must not be below start ({start})", source, rates_line
+        )
+    if _rate_points(start, stop, step) > MAX_RATE_POINTS:
+        raise ScenarioError(
+            f"rates: the grid from {start} to {stop} in steps of {step} has more "
+            f"than {MAX_RATE_POINTS} points",
+            source,
+            rates_line,
         )
 
     sampling = sections.get("sampling", {})

@@ -17,9 +17,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from .mutual_info import LN2
 from .randmat import WishartParams
-
-LN2 = math.log(2.0)
 
 # Absolute quadrature tolerance for expectations, in bits.
 QUAD_ABS_TOL = 1e-6
@@ -115,12 +114,3 @@ def expected_logdet(params: WishartParams, scale: float) -> float:
             f"tolerance {QUAD_ABS_TOL}"
         )
     return total
-
-
-def logdet_from_spectrum(spectrum: np.ndarray, scale: float):
-    """``sum_i log2(1 + scale * lambda_i)`` along the last axis.
-
-    Equals ``log2 det(I + scale W)`` for the matrix the spectrum came
-    from.  Accepts stacked spectra.
-    """
-    return np.log1p(scale * np.asarray(spectrum)).sum(axis=-1) / LN2

@@ -1,8 +1,15 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from relay_outage import cli
-from relay_outage.cli import ERROR_PREFIX, ResultTable
+from relay_outage.cli import ERROR_PREFIX, ResultTable, _ks_distance, _skewness
+from relay_outage.mutual_info import EXACT, MIDPOINT, sample_hop_fields
+from relay_outage.rng import substream
 
 SMALL_SCENARIO = """[network]
 mode = fd
@@ -299,3 +306,73 @@ def test_render_rejects_ragged_rows():
     table = ResultTable(header=("demo",), columns=("a", "b"), rows=((1.0,),))
     with pytest.raises(ValueError):
         table.render()
+
+
+def test_huge_rate_grid_exits_2(tmp_path, capsys):
+    # a 1e-9 step makes 3e9 rate points (24 GB of rates alone); the grid
+    # is refused before anything is allocated
+    path = tmp_path / "fine.scenario"
+    path.write_text(SMALL_SCENARIO.replace("step = 0.5", "step = 1e-9"), encoding="utf-8")
+    rc = cli.main(["outage", "--scenario", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{ERROR_PREFIX} ")
+    assert "more than 100000 points" in captured.err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("n", (5000, 20000))
+def test_distribution_stats_match_scipy(n):
+    exact, midpoint = sample_hop_fields(
+        n, 2, 2, 10.0, 1.0, substream(n, 77), (EXACT, MIDPOINT)
+    )
+    # scipy's exact p-value path (max(n1, n2) <= 10000) re-rounds the
+    # statistic to a multiple of 1/lcm(n1, n2); its asymptotic path keeps
+    # the ECDF difference that the CLI writes
+    want = stats.ks_2samp(exact, midpoint, method="asymp").statistic
+    assert _ks_distance(exact, midpoint) == want
+    assert _skewness(exact) == stats.skew(exact)
+    assert _skewness(midpoint) == stats.skew(midpoint)
+
+
+def test_distribution_stats_match_scipy_with_ties():
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, 12, 3000).astype(float)
+    b = np.concatenate([rng.integers(2, 15, 1700), np.full(300, 7)]).astype(float)
+    assert _ks_distance(a, b) == stats.ks_2samp(a, b, method="asymp").statistic
+    assert _ks_distance(b, a) == stats.ks_2samp(b, a, method="asymp").statistic
+    assert _ks_distance(a, a) == 0.0
+    assert _skewness(a) == stats.skew(a)
+    assert _skewness(b) == stats.skew(b)
+
+
+_SCIPY_FREE_PROBE = """
+import sys
+from relay_outage import cli
+{run}
+loaded = sorted(
+    name for name in sys.modules
+    if name.split(".")[0] == "scipy"
+    or name in ("relay_outage.validation", "relay_outage.wishart_stats")
+)
+print(loaded)
+"""
+
+
+@pytest.mark.parametrize("command", ("import", "outage", "distribution"))
+def test_commands_other_than_validate_do_not_load_scipy(command, scenario_file, tmp_path):
+    run = "" if command == "import" else (
+        f"assert cli.main([{command!r}, '--scenario', {str(scenario_file)!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_PROBE.format(run=run)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

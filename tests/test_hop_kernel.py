@@ -15,6 +15,7 @@ from relay_outage.mutual_info import (
     EXACT,
     EXACT_MI,
     HOP_FIELDS,
+    LN2,
     LOWER,
     MIDPOINT,
     RSI_LOGDET,
@@ -22,11 +23,11 @@ from relay_outage.mutual_info import (
     HopConfig,
     hop_fields,
     logdet2_psd,
+    logdet_from_spectrum,
     sample_hop_chunk,
 )
 from relay_outage.randmat import SmallGram, descending_spectra, receive_gram, sample_channels
 from relay_outage.rng import substream
-from relay_outage.wishart_stats import LN2, logdet_from_spectrum
 
 SEED = 606
 N_DRAWS = 64

@@ -4,6 +4,7 @@ import pytest
 from relay_outage.mutual_info import (
     EXACT,
     EXACT_MI,
+    LN2,
     LOWER,
     MIDPOINT,
     RSI_LOGDET,
@@ -18,7 +19,7 @@ from relay_outage.mutual_info import (
 from relay_outage.outage import DuplexMode, NetworkConfig
 from relay_outage.randmat import descending_spectra, receive_gram, sample_channels
 from relay_outage.rng import substream
-from relay_outage.wishart_stats import LN2, expected_logdet
+from relay_outage.wishart_stats import expected_logdet
 from relay_outage.randmat import WishartParams
 
 SEED = 404

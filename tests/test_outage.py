@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from scipy.special import erfc
 from scipy.stats import norm
 
 from relay_outage.mutual_info import HopConfig, HopMoments, estimate_hop_moments
@@ -39,24 +41,39 @@ def test_q_function_values():
     np.testing.assert_allclose(q_function(x) + q_function(-x), 1.0, atol=1e-15)
 
 
+def test_q_function_matches_scipy_erfc():
+    # scipy's erfc is the oracle for the per-element math.erfc, far into
+    # the tail where Q falls towards 1e-300.  Both get the argument x * sqrt(1/2):
+    # a one-ulp change of the argument alone moves erfc by ~2u^2 ulps, 1.5e-13
+    # relative at x = 37, which would swamp the comparison of the two functions.
+    x = np.linspace(-8.0, 37.0, 4501)
+    want = 0.5 * erfc(x * math.sqrt(0.5))
+    np.testing.assert_allclose(q_function(x), want, rtol=1e-13, atol=0.0)
+    assert isinstance(q_function(1.5), float)
+    want = 0.5 * erfc(1.5 * math.sqrt(0.5))
+    assert q_function(1.5) == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert q_function(x[:4500].reshape(3, -1)).shape == (3, 1500)
+
+
 def _hop_outage(moments, rate):
     """Gaussian outage of a single hop at one rate."""
     return float(_gaussian_outage([moments.mean], [moments.variance], np.array([rate]))[0])
 
 
 def _reference_chain_outage(moments, rates):
-    """The per-rate, per-hop loop that the array fold replaced, written out."""
+    """The fold as a per-rate, per-hop loop: ``-expm1(sum_k log1p(-p_k))``."""
     out = []
     for rate in rates:
-        success = 1.0
+        log_success = 0.0
         for m in moments:
             if m.variance == 0.0:
                 p = 0.0 if rate < m.mean else 1.0
             else:
                 p = float(q_function((m.mean - rate) / m.std))
                 p = min(max(p, 0.0), 1.0)
-            success *= 1.0 - p
-        out.append(min(max(1.0 - success, 0.0), 1.0))
+            # numpy's log1p/expm1, which may differ from math's in the last bit
+            log_success += float(np.log1p(-p)) if p < 1.0 else -math.inf
+        out.append(0.0 - float(np.expm1(log_success)))
     return np.array(out)
 
 
@@ -108,6 +125,27 @@ def test_network_outage_product_structure():
     # three identical hops at per-hop outage 0.1
     got = _gaussian_outage([Z_FOR_P01] * 3, [1.0] * 3, np.array([0.0]))[0]
     assert got == pytest.approx(1.0 - 0.9 ** 3, abs=1e-9)
+
+
+def test_network_outage_keeps_the_deep_tail():
+    # 1 - prod(1 - p) reads 0 once every p is below about 1e-16; the chain
+    # outage of three hops at p = 1e-20 each is 3e-20 to first order
+    z = norm.isf(1e-20)
+    p = q_function(z)
+    assert p == pytest.approx(1e-20, rel=1e-12, abs=0.0)
+    got = _gaussian_outage([z] * 3, [1.0] * 3, np.array([0.0]))[0]
+    assert got == pytest.approx(3e-20, rel=1e-12, abs=0.0)
+
+
+def test_network_outage_saturates_cleanly():
+    # a hop certain to fail folds to exactly 1 without a warning, and a
+    # chain certain to succeed reads +0.0, never -0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _gaussian_outage([0.0, 5.0], [1.0, 1.0], np.array([40.0]))[0]
+        never = _gaussian_outage([60.0], [1.0], np.array([0.0]))[0]
+    assert got == 1.0
+    assert never == 0.0 and math.copysign(1.0, never) == 1.0
 
 
 def test_analytical_fold_matches_per_rate_loop():

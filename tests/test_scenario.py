@@ -3,6 +3,7 @@ import pytest
 
 from relay_outage.outage import DuplexMode
 from relay_outage.scenario import (
+    MAX_RATE_POINTS,
     ScenarioError,
     load_preset,
     parse_scenario,
@@ -159,6 +160,19 @@ def test_rsi_none_clears_default():
 def test_parse_errors(text, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         parse_scenario_text(text, name="bad")
+
+
+def test_rate_grid_point_cap():
+    base = (
+        "[network]\nmode = fd\nhops = 1\n"
+        "[hop]\ntx_antennas = 1\nrx_antennas = 1\nsnr_db = 0\n"
+        "[rates]\nstart = 0\nstep = {step}\nstop = {stop}\n"
+    )
+    at_cap = parse_scenario_text(base.format(step=1, stop=MAX_RATE_POINTS - 1), name="cap")
+    assert at_cap.rates.size == MAX_RATE_POINTS
+    for step, stop in ((1, MAX_RATE_POINTS), (1e-9, 14), (1e-320, 14)):
+        with pytest.raises(ScenarioError, match=f"more than {MAX_RATE_POINTS} points"):
+            parse_scenario_text(base.format(step=step, stop=stop), name="fine")
 
 
 def test_errors_carry_line_numbers():

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, exp1
 
+from relay_outage.mutual_info import logdet_from_spectrum
 from relay_outage.randmat import WishartParams, descending_spectra, receive_gram, sample_channels
 from relay_outage.rng import substream
 from relay_outage.wishart_stats import (
@@ -12,7 +13,6 @@ from relay_outage.wishart_stats import (
     expected_logdet,
     integration_cutoff,
     laguerre,
-    logdet_from_spectrum,
     marginal_eigen_density,
 )
 
