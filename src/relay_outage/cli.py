@@ -291,7 +291,8 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    # Imported here: the oracles need scipy, which no other command loads.
+    # Imported here so that the other commands do not load the oracles
+    # (about 6 ms on top of the ~160 ms import of this module).
     from .validation import run_validation
 
     counts: dict[str, int] = {}  # an omitted count keeps run_validation's default

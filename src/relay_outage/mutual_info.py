@@ -114,14 +114,6 @@ class HopMoments:
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def std_error_mean(self) -> float:
-        return math.sqrt(self.variance / self.n_samples)
-
 
 def logdet2_psd(a: np.ndarray) -> np.ndarray | float:
     """``log2 det(A)`` for Hermitian positive definite ``A`` via Cholesky.

@@ -6,16 +6,18 @@ generalized Laguerre functions for the weight ``x^d e^-x`` with
 
     f(x) = (1/m) * sum_{i=0}^{m-1} [i!/(i+d)!] (L_i^d(x))^2 x^d e^-x
 
-These quadrature expectations are the independent analytical cross-check
-on the Monte Carlo moment estimates elsewhere in the package.
+Expectations under it come from one fixed Gauss-Legendre rule
+(``QUADRATURE_NODES`` nodes, numpy only) in the variable ``t = sqrt(x)``;
+the validation module maps the same rule onto the normal tail.  These
+quadratures are the independent analytical cross-check on the Monte Carlo
+moment estimates elsewhere in the package.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .mutual_info import LN2
 from .randmat import WishartParams
@@ -25,6 +27,39 @@ QUAD_ABS_TOL = 1e-6
 # The integration interval is cut where the weight x^(p+m) e^-x drops
 # below this level.
 WEIGHT_FLOOR = 1e-12
+# Gauss-Legendre nodes per integral; the error estimate is the gap to the
+# rule with half as many.
+QUADRATURE_NODES = 256
+
+
+@functools.cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n``-point Gauss-Legendre nodes and weights on ``[-1, 1]``, by Newton's method.
+
+    numpy's ``leggauss`` agrees to 2e-16 but calls a threaded LAPACK solver,
+    which stalled for up to 0.5 s per process on a 2-vCPU machine.
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = n * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / slope
+        x = x - step
+        if np.abs(step).max() < 1e-15:
+            break
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+def gauss_legendre(fn, a: float, b: float) -> tuple[float, float]:
+    """Integral of the vectorised ``fn`` over ``[a, b]`` and its error estimate."""
+    half = 0.5 * (b - a)
+    value, coarse = (
+        half * float(weights @ fn(a + half * (nodes + 1.0)))
+        for nodes, weights in map(_legendre_rule, (QUADRATURE_NODES, QUADRATURE_NODES // 2))
+    )
+    return value, abs(value - coarse)
 
 
 def laguerre(order: int, d: int, x):
@@ -71,8 +106,7 @@ def marginal_eigen_density(params: WishartParams, lam):
     m, d = params.m, params.d
     total = np.zeros_like(lam)
     for i in range(m):
-        weight = math.exp(gammaln(i + 1) - gammaln(i + d + 1))
-        total += weight * laguerre(i, d, lam) ** 2
+        total += laguerre(i, d, lam) ** 2 / math.perm(i + d, d)  # i!/(i+d)!
     dens = total * lam**d * np.exp(-lam) / m
     return dens if dens.ndim else float(dens)
 
@@ -90,23 +124,31 @@ def integration_cutoff(params: WishartParams) -> float:
     return x
 
 
+def eigen_expectation(params: WishartParams, fn) -> tuple[float, float]:
+    """``integral fn(x) f(x) dx`` over ``[0, integration_cutoff]``, and its error estimate.
+
+    In ``t = sqrt(x)`` the log-det singularity at ``x = -1/scale`` moves far
+    enough from the interval for the rule to converge up to ``scale ~ 1e6``.
+    """
+
+    def integrand(t):
+        lam = t * t
+        return 2.0 * t * fn(lam) * marginal_eigen_density(params, lam)
+
+    return gauss_legendre(integrand, 0.0, math.sqrt(integration_cutoff(params)))
+
+
 def expected_logdet(params: WishartParams, scale: float) -> float:
     """Mean of ``log2 det(I + scale * W)`` over ``(m, p)`` Wishart samples.
 
-    Evaluated as ``m * integral log2(1 + scale x) f(x) dx`` by adaptive
-    quadrature, accurate to ``QUAD_ABS_TOL`` bits.
+    Evaluated as ``m * integral log2(1 + scale x) f(x) dx`` by
+    ``eigen_expectation``, accurate to ``QUAD_ABS_TOL`` bits.
     """
     if scale < 0.0:
         raise ValueError(f"scale must be non-negative, got {scale}")
     if scale == 0.0:
         return 0.0
-
-    def integrand(lam: float) -> float:
-        return math.log1p(scale * lam) / LN2 * marginal_eigen_density(params, lam)
-
-    value, err = quad(
-        integrand, 0.0, integration_cutoff(params), epsabs=1e-9, epsrel=1e-9, limit=200
-    )
+    value, err = eigen_expectation(params, lambda lam: np.log1p(scale * lam) / LN2)
     total = params.m * value
     if params.m * err > QUAD_ABS_TOL:
         raise ArithmeticError(

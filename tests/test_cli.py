@@ -360,12 +360,7 @@ print(loaded)
 """
 
 
-@pytest.mark.parametrize("command", ("import", "outage", "distribution"))
-def test_commands_other_than_validate_do_not_load_scipy(command, scenario_file, tmp_path):
-    run = "" if command == "import" else (
-        f"assert cli.main([{command!r}, '--scenario', {str(scenario_file)!r}, "
-        f"'--out', {str(tmp_path)!r}]) == 0"
-    )
+def _modules_loaded_by(run: str) -> str:
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_PROBE.format(run=run)],
@@ -375,4 +370,20 @@ def test_commands_other_than_validate_do_not_load_scipy(command, scenario_file, 
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ("import", "outage", "distribution"))
+def test_commands_other_than_validate_do_not_load_scipy(command, scenario_file, tmp_path):
+    run = "" if command == "import" else (
+        f"assert cli.main([{command!r}, '--scenario', {str(scenario_file)!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0"
+    )
+    assert _modules_loaded_by(run) == "[]"
+
+
+def test_validate_does_not_load_scipy():
+    run = "assert cli.main(['validate', '--samples', '1000', '--realizations', '2000']) == 0"
+    assert _modules_loaded_by(run) == str(
+        ["relay_outage.validation", "relay_outage.wishart_stats"]
+    )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,8 +74,8 @@ def test_hop_config_validation():
 
 def test_hop_moments_std_error():
     moments = HopMoments(mean=4.0, variance=9.0, n_samples=100)
-    assert moments.std == 3.0
-    assert moments.std_error_mean == pytest.approx(0.3)
+    assert math.sqrt(moments.variance) == 3.0
+    assert math.sqrt(moments.variance / moments.n_samples) == pytest.approx(0.3)
     with pytest.raises(ValueError):
         HopMoments(mean=0.0, variance=-1.0, n_samples=10)
 
@@ -201,14 +203,16 @@ def test_estimate_hop_moments_hd_siso_quadrature():
     moments = estimate_hop_moments(hop, 50_000, substream(SEED, 10))
     share = NetworkConfig(hops=(hop,), mode=DuplexMode.HALF_DUPLEX).time_share
     expected = 0.5 * expected_logdet(WishartParams(1, 1), 100.0)
-    assert abs(share * moments.mean - expected) < 3 * share * moments.std_error_mean
+    se = math.sqrt(moments.variance / moments.n_samples)
+    assert abs(share * moments.mean - expected) < 3 * share * se
 
 
 def test_estimate_hop_moments_fd_norsi_quadrature():
     hop = HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20.0)
     moments = estimate_hop_moments(hop, 50_000, substream(SEED, 11))
     expected = expected_logdet(WishartParams(2, 2), 50.0)
-    assert abs(moments.mean - expected) < 3 * moments.std_error_mean
+    se = math.sqrt(moments.variance / moments.n_samples)
+    assert abs(moments.mean - expected) < 3 * se
 
 
 def test_estimate_hop_moments_mean_decreases_with_rsi():

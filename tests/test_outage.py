@@ -69,7 +69,7 @@ def _reference_chain_outage(moments, rates):
             if m.variance == 0.0:
                 p = 0.0 if rate < m.mean else 1.0
             else:
-                p = float(q_function((m.mean - rate) / m.std))
+                p = float(q_function((m.mean - rate) / math.sqrt(m.variance)))
                 p = min(max(p, 0.0), 1.0)
             # numpy's log1p/expm1, which may differ from math's in the last bit
             log_success += float(np.log1p(-p)) if p < 1.0 else -math.inf
@@ -295,7 +295,7 @@ def test_norsi_preset_outage_half_at_adjusted_mean_rate():
         for k, hop in enumerate(sc.network.hops)
     ]
     mu = float(np.mean([m.mean for m in moments]))
-    sigma = float(np.mean([m.std for m in moments]))
+    sigma = float(np.mean([math.sqrt(m.variance) for m in moments]))
     z_star = norm.isf(1.0 - 0.5 ** (1.0 / sc.network.n_hops))
     rate = mu - z_star * sigma
     got = _gaussian_outage(

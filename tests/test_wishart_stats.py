@@ -122,6 +122,29 @@ def test_expected_logdet_exponential_integral():
     )
 
 
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2, 1e4, 1e6])
+def test_expected_logdet_scalar_closed_form(scale):
+    # 1x1: E log2(1 + s x) over x ~ Exp(1) is e^(1/s) E1(1/s) / ln 2
+    expected = math.exp(1.0 / scale) * float(exp1(1.0 / scale)) / math.log(2.0)
+    assert expected_logdet(WishartParams(1, 1), scale) == pytest.approx(expected, abs=1e-9)
+
+
+# acceptance 6's Wishart orders
+@pytest.mark.parametrize("m,p", [(m, p) for m in (1, 2, 4) for p in (m, m + 2)])
+@pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
+def test_expected_logdet_matches_adaptive_quadrature(m, p, scale):
+    params = WishartParams(m, p)
+    value, _ = quad(
+        lambda x: math.log1p(scale * x) / math.log(2.0) * marginal_eigen_density(params, x),
+        0.0,
+        integration_cutoff(params),
+        epsabs=1e-12,
+        epsrel=1e-12,
+        limit=500,
+    )
+    assert expected_logdet(params, scale) == pytest.approx(m * value, abs=1e-9)
+
+
 def test_expected_logdet_matches_monte_carlo():
     params = WishartParams(2, 2)
     analytic = expected_logdet(params, 10.0)
