@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .mutual_info import EXACT, MIDPOINT, MIN_MOMENT_SAMPLES, HopConfig, sample_hop_fields
+from .mutual_info import EXACT, MIDPOINT, HopConfig, sample_hop_fields
 from .outage import analytical_outage, montecarlo_outage
 from .rng import (
     STREAM_DISTRIBUTION,
@@ -231,11 +231,6 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         )
     hop = scenario.network.hops[scenario.dist_hop - 1]
     n_samples = scenario.dist_samples or scenario.n_moment_samples
-    if n_samples < MIN_MOMENT_SAMPLES:
-        raise ValueError(
-            f"need at least {MIN_MOMENT_SAMPLES} samples for the distribution, "
-            f"got {n_samples}"
-        )
     exact, midpoint = sample_hop_fields(
         n_samples,
         hop.rx_antennas,
@@ -297,7 +292,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     counts: dict[str, int] = {}  # an omitted count keeps run_validation's default
     if args.samples is not None:
-        counts.update(n_sandwich=args.samples, n_moments=args.samples)
+        counts.update(n_samples=args.samples)
     if args.realizations is not None:
         counts.update(n_mc=args.realizations)
     report = run_validation(seed=args.seed, **counts)
@@ -393,10 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

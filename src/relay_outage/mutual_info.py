@@ -272,7 +272,14 @@ def sample_hop_fields(
     fields: tuple[str, ...],
     rsi_tx_antennas: int | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """``sample_hop_chunk`` over one substream per chunk of ``CHUNK_SIZE`` draws."""
+    """``sample_hop_chunk`` over one substream per chunk of ``CHUNK_SIZE`` draws.
+
+    The one entry through which moments, ``distribution`` and ``validate``
+    sample a hop, so it owns their minimum: fewer than
+    ``MIN_MOMENT_SAMPLES`` draws raise ``ValueError``.
+    """
+    if n_samples < MIN_MOMENT_SAMPLES:
+        raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples, got {n_samples}")
     _check_scales(eta, rho)
     chunk = functools.partial(
         sample_hop_chunk,
@@ -297,11 +304,6 @@ def estimate_hop_moments(
     inside each sample share the same interference spectrum, so their
     correlation is kept intact.
     """
-    if n_samples < MIN_MOMENT_SAMPLES:
-        raise ValueError(
-            f"need at least {MIN_MOMENT_SAMPLES} samples for moment "
-            f"estimation, got {n_samples}"
-        )
     midpoint, rsi_logdet = sample_hop_fields(
         n_samples,
         hop.rx_antennas,

@@ -8,9 +8,15 @@ the rate grid, sampling sizes, and the output directory.  Grammar::
 
 Sections: ``[network]``, ``[hop]`` (defaults for every hop except the
 last), ``[hop.K]`` (1-based per-hop overrides), ``[rates]``,
-``[sampling]``, ``[output]``, ``[distribution]``.  Unknown sections or
-keys are errors, as is any malformed value; diagnostics carry the source
-name and line number.
+``[sampling]``, ``[output]``, ``[distribution]``.  Each key is declared
+once, with its value parser and default, in ``_SECTIONS`` or (for the hop
+sections) ``_HOP_KEYS``; the accepted key sets come from those tables.
+Unknown sections or keys are errors, as is any malformed value;
+diagnostics carry the source name and the line of the offending key.
+Rules on the chain as a whole belong to
+:class:`~relay_outage.outage.NetworkConfig` and are reported at the
+``[network]`` line.  Sample-count minimums are not scenario rules: the
+sampling functions enforce them when a run starts.
 
 The last hop is interference-free by default (the terminal node only
 receives); give it a ``[hop.K]`` override to model interference there.
@@ -19,7 +25,7 @@ time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -28,29 +34,9 @@ import numpy as np
 from .mutual_info import HopConfig
 from .outage import DuplexMode, NetworkConfig
 
-DEFAULT_RATE_START = 0.0
-DEFAULT_RATE_STOP = 14.0
-DEFAULT_RATE_STEP = 0.25
-DEFAULT_MOMENT_SAMPLES = 10_000
-DEFAULT_MC_REALIZATIONS = 10_000
 DEFAULT_SEED = 12345
-DEFAULT_OUTPUT_DIR = "results"
-DEFAULT_BIN_WIDTH = 0.1
 # Largest rate grid accepted; the presets use 57 points, the finest benchmark grid 281.
 MAX_RATE_POINTS = 100_000
-
-_HOP_KEYS = frozenset(
-    {"tx_antennas", "rx_antennas", "snr_db", "rsi_snr_db", "rsi_tx_antennas"}
-)
-_SECTION_KEYS: dict[str, frozenset[str]] = {
-    "network": frozenset({"mode", "hops"}),
-    "hop": _HOP_KEYS,
-    "rates": frozenset({"start", "stop", "step"}),
-    "sampling": frozenset({"moment_samples", "mc_realizations", "seed"}),
-    "output": frozenset({"directory"}),
-    "distribution": frozenset({"hop", "bin_width", "samples"}),
-}
-_RSI_KEYS = frozenset({"rsi_snr_db", "rsi_tx_antennas"})
 
 
 class ScenarioError(ValueError):
@@ -132,6 +118,96 @@ def _read_sections(
     return sections, section_lines
 
 
+_REQUIRED = object()  # the default of a key that must be given
+
+
+def _integer(minimum: int):
+    def parse(text: str, field: str) -> int:
+        try:
+            out = int(text)
+        except ValueError:
+            raise ValueError(f"{field}: expected an integer, got {text!r}") from None
+        if out < minimum:
+            raise ValueError(f"{field}: must be >= {minimum}, got {out}")
+        return out
+
+    return parse
+
+
+def _number(positive: bool = False):
+    def parse(text: str, field: str) -> float:
+        try:
+            out = float(text)
+        except ValueError:
+            raise ValueError(f"{field}: expected a number, got {text!r}") from None
+        if not np.isfinite(out):
+            raise ValueError(f"{field}: must be finite, got {text!r}")
+        if positive and out <= 0.0:
+            raise ValueError(f"{field}: must be positive, got {out}")
+        return out
+
+    return parse
+
+
+def _or_none(parse):
+    """``parse``, except that ``none`` (any case) reads ``None``."""
+    return lambda text, field: None if text.lower() == "none" else parse(text, field)
+
+
+# Every section but the hop ones: key -> (field, value parser, default).
+# The [network] fields build the NetworkConfig; the rest are Scenario fields.
+_SECTIONS = {
+    "network": {
+        "mode": ("mode", lambda text, field: DuplexMode.parse(text), _REQUIRED),
+        "hops": ("n_hops", _integer(1), _REQUIRED),
+    },
+    "rates": {
+        "start": ("rate_start", _number(), 0.0),
+        "stop": ("rate_stop", _number(), 14.0),
+        "step": ("rate_step", _number(positive=True), 0.25),
+    },
+    "sampling": {
+        "moment_samples": ("n_moment_samples", _integer(1), 10_000),
+        "mc_realizations": ("n_mc_realizations", _integer(1), 10_000),
+        "seed": ("seed", _integer(0), DEFAULT_SEED),
+    },
+    "output": {"directory": ("output_dir", lambda text, field: text, "results")},
+    "distribution": {
+        "hop": ("dist_hop", _integer(1), None),
+        "bin_width": ("dist_bin_width", _number(positive=True), 0.1),
+        "samples": ("dist_samples", _integer(1), None),
+    },
+}
+# [hop] and [hop.K]: HopConfig field -> (value parser, default).
+_HOP_KEYS = {
+    "tx_antennas": (_integer(1), _REQUIRED),
+    "rx_antennas": (_integer(1), _REQUIRED),
+    "snr_db": (_number(), _REQUIRED),
+    "rsi_snr_db": (_or_none(_number()), None),
+    "rsi_tx_antennas": (_or_none(_integer(1)), None),
+}
+_RSI_KEYS = frozenset(key for key in _HOP_KEYS if key.startswith("rsi_"))
+_ALLOWED_KEYS = {**_SECTIONS, "hop": _HOP_KEYS}
+
+
+def _parse(
+    entries: dict[str, _Entry], section: str, key: str, parser, default,
+    source: str, section_line: int | None,
+):
+    """The parsed value of ``key``, or its default; errors carry the key's line."""
+    if key not in entries:
+        if default is _REQUIRED:
+            raise ScenarioError(
+                f"missing required key '{key}' in [{section}]", source, section_line
+            )
+        return default
+    text, line = entries[key]
+    try:
+        return parser(text, f"{section}.{key}")
+    except ValueError as exc:
+        raise ScenarioError(str(exc), source, line) from None
+
+
 def _check_known(
     sections: dict[str, dict[str, _Entry]],
     section_lines: dict[str, int],
@@ -154,8 +230,8 @@ def _check_known(
                     section_lines[name],
                 )
             allowed = _HOP_KEYS
-        elif name in _SECTION_KEYS:
-            allowed = _SECTION_KEYS[name]
+        elif name in _ALLOWED_KEYS:
+            allowed = _ALLOWED_KEYS[name]
         else:
             raise ScenarioError(f"unknown section [{name}]", source, section_lines[name])
         for key, (_, lineno) in entries.items():
@@ -163,130 +239,60 @@ def _check_known(
                 raise ScenarioError(f"unknown key '{key}' in [{name}]", source, lineno)
 
 
-def _parse_int(entry: _Entry, field: str, source: str, minimum: int | None = None) -> int:
-    value, lineno = entry
-    try:
-        out = int(value)
-    except ValueError:
-        raise ScenarioError(f"{field}: expected an integer, got {value!r}", source, lineno)
-    if minimum is not None and out < minimum:
-        raise ScenarioError(f"{field}: must be >= {minimum}, got {out}", source, lineno)
-    return out
-
-
-def _parse_float(entry: _Entry, field: str, source: str) -> float:
-    value, lineno = entry
-    try:
-        out = float(value)
-    except ValueError:
-        raise ScenarioError(f"{field}: expected a number, got {value!r}", source, lineno)
-    if not np.isfinite(out):
-        raise ScenarioError(f"{field}: must be finite, got {value!r}", source, lineno)
-    return out
-
-
-def _require(
-    entries: dict[str, _Entry], key: str, section: str, source: str,
-    section_line: int | None,
-) -> _Entry:
-    if key not in entries:
-        raise ScenarioError(f"missing required key '{key}' in [{section}]", source, section_line)
-    return entries[key]
-
-
 def _build_hops(
     sections: dict[str, dict[str, _Entry]],
     section_lines: dict[str, int],
     n_hops: int,
-    mode: DuplexMode,
     source: str,
 ) -> tuple[HopConfig, ...]:
-    defaults = sections.get("hop", {})
-    merged_per_hop: list[dict[str, _Entry]] = []
+    hops = []
     for k in range(1, n_hops + 1):
-        merged = dict(defaults)
+        section = f"hop.{k}"
+        merged = dict(sections.get("hop", {}))
         if k == n_hops:
             # Terminal receiver: interference defaults do not apply.
             for key in _RSI_KEYS:
                 merged.pop(key, None)
-        merged.update(sections.get(f"hop.{k}", {}))
-        merged_per_hop.append(merged)
-
-    raw_hops = []
-    for k, merged in enumerate(merged_per_hop, start=1):
-        section = f"hop.{k}"
+        merged.update(sections.get(section, {}))
         line = section_lines.get(section, section_lines.get("hop"))
-        tx = _parse_int(_require(merged, "tx_antennas", section, source, line),
-                        f"{section}.tx_antennas", source, minimum=1)
-        rx = _parse_int(_require(merged, "rx_antennas", section, source, line),
-                        f"{section}.rx_antennas", source, minimum=1)
-        snr = _parse_float(_require(merged, "snr_db", section, source, line),
-                           f"{section}.snr_db", source)
-        rsi_entry = merged.get("rsi_snr_db")
-        rsi: float | None = None
-        if rsi_entry is not None and rsi_entry[0].lower() != "none":
-            rsi = _parse_float(rsi_entry, f"{section}.rsi_snr_db", source)
-            if mode is DuplexMode.HALF_DUPLEX:
-                raise ScenarioError(
-                    f"{section}.rsi_snr_db: self-interference is not modeled "
-                    "in half-duplex mode",
-                    source,
-                    rsi_entry[1],
-                )
-        rsi_tx_entry = merged.get("rsi_tx_antennas")
-        rsi_tx: int | None = None
-        if rsi_tx_entry is not None and rsi_tx_entry[0].lower() != "none":
-            rsi_tx = _parse_int(rsi_tx_entry, f"{section}.rsi_tx_antennas", source, minimum=1)
-        raw_hops.append((tx, rx, snr, rsi, rsi_tx))
-
-    hops = []
-    for k, (tx, rx, snr, rsi, rsi_tx) in enumerate(raw_hops):
-        if rsi is not None and rsi_tx is None:
-            # Interferer is the next stage's transmitter.
-            rsi_tx = raw_hops[k + 1][0] if k + 1 < n_hops else tx
-        hops.append(
-            HopConfig(
-                tx_antennas=tx,
-                rx_antennas=rx,
-                snr_db=snr,
-                rsi_snr_db=rsi,
-                rsi_tx_antennas=rsi_tx if rsi is not None else None,
-            )
+        fields = {
+            key: _parse(merged, section, key, parser, default, source, line)
+            for key, (parser, default) in _HOP_KEYS.items()
+        }
+        hops.append(HopConfig(**fields))
+    # The interferer is the next stage's transmitter (the terminal hop's own).
+    return tuple(
+        replace(
+            hop, rsi_tx_antennas=(hop.rsi_tx_antennas or nxt.tx_antennas) if hop.has_rsi else None
         )
-    return tuple(hops)
+        for hop, nxt in zip(hops, hops[1:] + hops[-1:])
+    )
 
 
 def parse_scenario_text(text: str, name: str, source: str = "<scenario>") -> Scenario:
     """Parse scenario content; every defect raises :class:`ScenarioError`."""
     sections, section_lines = _read_sections(text, source)
-
     if "network" not in sections:
         raise ScenarioError("missing required section [network]", source)
-    network = sections["network"]
-    net_line = section_lines["network"]
-    mode_entry = _require(network, "mode", "network", source, net_line)
-    try:
-        mode = DuplexMode.parse(mode_entry[0])
-    except ValueError as exc:
-        raise ScenarioError(str(exc), source, mode_entry[1])
-    n_hops = _parse_int(_require(network, "hops", "network", source, net_line),
-                        "network.hops", source, minimum=1)
-
+    values = {
+        field: _parse(
+            sections.get(section, {}), section, key, parser, default, source,
+            section_lines.get(section),
+        )
+        for section, keys in _SECTIONS.items()
+        for key, (field, parser, default) in keys.items()
+    }
+    n_hops = values.pop("n_hops")
     _check_known(sections, section_lines, n_hops, source)
-
-    hops = _build_hops(sections, section_lines, n_hops, mode, source)
+    hops = _build_hops(sections, section_lines, n_hops, source)
     try:
-        net = NetworkConfig(hops=hops, mode=mode)
+        network = NetworkConfig(hops=hops, mode=values.pop("mode"))
     except ValueError as exc:
-        raise ScenarioError(str(exc), source)
+        raise ScenarioError(str(exc), source, section_lines["network"]) from None
+    scenario = Scenario(name=name, network=network, **values)
 
-    rates = sections.get("rates", {})
+    start, stop, step = scenario.rate_start, scenario.rate_stop, scenario.rate_step
     rates_line = section_lines.get("rates")
-    start = _parse_float(rates["start"], "rates.start", source) if "start" in rates else DEFAULT_RATE_START
-    stop = _parse_float(rates["stop"], "rates.stop", source) if "stop" in rates else DEFAULT_RATE_STOP
-    step = _parse_float(rates["step"], "rates.step", source) if "step" in rates else DEFAULT_RATE_STEP
-    if step <= 0.0:
-        raise ScenarioError(f"rates.step: must be positive, got {step}", source, rates_line)
     if stop < start:
         raise ScenarioError(
             f"rates: stop ({stop}) must not be below start ({start})", source, rates_line
@@ -298,65 +304,13 @@ def parse_scenario_text(text: str, name: str, source: str = "<scenario>") -> Sce
             source,
             rates_line,
         )
-
-    sampling = sections.get("sampling", {})
-    n_moment = (
-        _parse_int(sampling["moment_samples"], "sampling.moment_samples", source, minimum=1)
-        if "moment_samples" in sampling
-        else DEFAULT_MOMENT_SAMPLES
-    )
-    n_mc = (
-        _parse_int(sampling["mc_realizations"], "sampling.mc_realizations", source, minimum=1)
-        if "mc_realizations" in sampling
-        else DEFAULT_MC_REALIZATIONS
-    )
-    seed = (
-        _parse_int(sampling["seed"], "sampling.seed", source, minimum=0)
-        if "seed" in sampling
-        else DEFAULT_SEED
-    )
-
-    output = sections.get("output", {})
-    out_dir = output["directory"][0] if "directory" in output else DEFAULT_OUTPUT_DIR
-
-    dist = sections.get("distribution", {})
-    dist_hop: int | None = None
-    if "hop" in dist:
-        dist_hop = _parse_int(dist["hop"], "distribution.hop", source, minimum=1)
-        if dist_hop > n_hops:
-            raise ScenarioError(
-                f"distribution.hop: index {dist_hop} out of range ({n_hops} hops)",
-                source,
-                dist["hop"][1],
-            )
-    bin_width = (
-        _parse_float(dist["bin_width"], "distribution.bin_width", source)
-        if "bin_width" in dist
-        else DEFAULT_BIN_WIDTH
-    )
-    if bin_width <= 0.0:
-        line = dist["bin_width"][1] if "bin_width" in dist else None
-        raise ScenarioError(f"distribution.bin_width: must be positive, got {bin_width}", source, line)
-    dist_samples = (
-        _parse_int(dist["samples"], "distribution.samples", source, minimum=1)
-        if "samples" in dist
-        else None
-    )
-
-    return Scenario(
-        name=name,
-        network=net,
-        rate_start=start,
-        rate_stop=stop,
-        rate_step=step,
-        n_moment_samples=n_moment,
-        n_mc_realizations=n_mc,
-        seed=seed,
-        output_dir=out_dir,
-        dist_hop=dist_hop,
-        dist_bin_width=bin_width,
-        dist_samples=dist_samples,
-    )
+    if scenario.dist_hop is not None and scenario.dist_hop > n_hops:
+        raise ScenarioError(
+            f"distribution.hop: index {scenario.dist_hop} out of range ({n_hops} hops)",
+            source,
+            sections["distribution"]["hop"][1],
+        )
+    return scenario
 
 
 def parse_scenario(path: str | Path) -> Scenario:

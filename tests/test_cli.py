@@ -264,6 +264,25 @@ def test_bad_scenario_exits_2(tmp_path, capsys):
     assert "broken.scenario:3" in err
 
 
+def test_unusable_out_exits_2(tmp_path):
+    # no directory can be made below a regular file
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    out = tmp_path / "plain" / "results"
+    proc = subprocess.run(
+        [sys.executable, "-m", "relay_outage.cli", "outage", "--preset", "fig3-hd",
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"{ERROR_PREFIX} ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_preset_exits_2(tmp_path, capsys):
     rc = cli.main(["outage", "--preset", "fig9-nope", "--out", str(tmp_path)])
     assert rc == 2

@@ -3,6 +3,8 @@ import pytest
 
 from relay_outage.outage import DuplexMode
 from relay_outage.scenario import (
+    _HOP_KEYS,
+    _SECTIONS,
     MAX_RATE_POINTS,
     ScenarioError,
     load_preset,
@@ -179,6 +181,61 @@ def test_errors_carry_line_numbers():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("[network]\nmode = fd\nhops = nope\n", name="x", source="x.scenario")
     assert "x.scenario:3" in str(err.value)
+
+
+def _render(sections):
+    """Scenario text from {section: {key: value}}, and each key's line."""
+    lines, key_lines = [], {}
+    for section, entries in sections.items():
+        lines.append(f"[{section}]")
+        for key, value in entries.items():
+            lines.append(f"{key} = {value}")
+            key_lines[section, key] = len(lines)
+    return "\n".join(lines) + "\n", key_lines
+
+
+SETTABLE_KEYS = [(section, key) for section, keys in _SECTIONS.items() for key in keys] + [
+    (section, key) for section in ("hop", "hop.2") for key in _HOP_KEYS
+]
+
+
+@pytest.mark.parametrize(
+    "section,key", SETTABLE_KEYS, ids=[f"{s}.{k}" for s, k in SETTABLE_KEYS]
+)
+def test_malformed_value_names_its_line(section, key):
+    sections = {
+        "network": {"mode": "fd", "hops": "2"},
+        "hop": {"tx_antennas": "2", "rx_antennas": "2", "snr_db": "20"},
+        "hop.2": {},
+        "rates": {},
+        "sampling": {},
+        "output": {},
+        "distribution": {},
+    }
+    parse_scenario_text(_render(sections)[0], name="good")
+    # the output directory takes any text, so only an empty one is malformed
+    sections[section][key] = "" if key == "directory" else "bogus"
+    text, key_lines = _render(sections)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text, name="bad", source="bad.scenario")
+    assert str(err.value).startswith(f"bad.scenario:{key_lines[section, key]}: ")
+
+
+@pytest.mark.parametrize(
+    "mode,hop_extra,fragment",
+    (
+        ("hd", "rsi_snr_db = 3\n", "half-duplex hops cannot carry self-interference"),
+        ("fd", "rsi_snr_db = 3\nrsi_tx_antennas = 3\n", "does not match hop 2 tx_antennas=2"),
+    ),
+)
+def test_chain_errors_name_the_network_line(mode, hop_extra, fragment):
+    text = (
+        f"# chain rules are checked on the whole network\n\n[network]\nmode = {mode}\n"
+        "hops = 2\n[hop]\ntx_antennas = 2\nrx_antennas = 2\nsnr_db = 20\n" + hop_extra
+    )
+    with pytest.raises(ScenarioError, match=fragment) as err:
+        parse_scenario_text(text, name="chain", source="chain.scenario")
+    assert str(err.value).startswith("chain.scenario:3: ")
 
 
 def test_parse_scenario_missing_file(tmp_path):

@@ -5,7 +5,7 @@ from relay_outage import validation
 
 @pytest.fixture(scope="module")
 def small_report():
-    return validation.run_validation(seed=7, n_sandwich=2000, n_mc=20000, n_moments=5000)
+    return validation.run_validation(seed=7, n_samples=5000, n_mc=20000)
 
 
 def test_all_checks_pass_at_reduced_size(small_report):
@@ -31,7 +31,7 @@ def test_corrupted_q_function_is_caught(monkeypatch):
     monkeypatch.setattr(
         "relay_outage.outage.q_function", lambda x: 0.5 * (1.0 - x / 10.0)
     )
-    report = validation.run_validation(seed=7, n_sandwich=500, n_mc=2000, n_moments=1000)
+    report = validation.run_validation(seed=7, n_samples=1000, n_mc=2000)
     assert not report.passed
     assert "q-function" in report.failures
 
