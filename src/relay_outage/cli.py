@@ -39,6 +39,7 @@ from .scenario import (
     ScenarioError,
     load_preset,
     parse_scenario,
+    parse_seed,
     preset_names,
 )
 
@@ -232,14 +233,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     hop = scenario.network.hops[scenario.dist_hop - 1]
     n_samples = scenario.dist_samples or scenario.n_moment_samples
     exact, midpoint = sample_hop_fields(
-        n_samples,
-        hop.rx_antennas,
-        hop.tx_antennas,
-        hop.eta,
-        hop.rho,
-        substream(scenario.seed, STREAM_DISTRIBUTION),
-        (EXACT, MIDPOINT),
-        hop.rsi_tx_antennas,
+        hop, n_samples, substream(scenario.seed, STREAM_DISTRIBUTION), (EXACT, MIDPOINT)
     )
 
     width = scenario.dist_bin_width
@@ -290,12 +284,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # (about 6 ms on top of the ~160 ms import of this module).
     from .validation import run_validation
 
-    counts: dict[str, int] = {}  # an omitted count keeps run_validation's default
+    options: dict[str, int] = {}  # an omitted flag keeps run_validation's default
+    if args.seed is not None:
+        options.update(seed=args.seed)
     if args.samples is not None:
-        counts.update(n_samples=args.samples)
+        options.update(n_samples=args.samples)
     if args.realizations is not None:
-        counts.update(n_mc=args.realizations)
-    report = run_validation(seed=args.seed, **counts)
+        options.update(n_mc=args.realizations)
+    report = run_validation(**options)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(
@@ -321,18 +317,12 @@ def _add_scenario_source(parser: argparse.ArgumentParser) -> None:
         metavar="NAME",
         help=f"shipped scenario preset ({', '.join(preset_names())})",
     )
-    parser.add_argument("--seed", type=int, metavar="U64", help="override the scenario seed")
+    parser.add_argument("--seed", metavar="SEED", help="override the scenario seed")
     parser.add_argument(
         "--samples",
         type=int,
         metavar="N",
         help="override per-hop moment / distribution sample count",
-    )
-    parser.add_argument(
-        "--realizations",
-        type=int,
-        metavar="N",
-        help="override Monte Carlo realization count",
     )
     parser.add_argument("--out", metavar="DIR", help="override the output directory")
     parser.add_argument(
@@ -359,6 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
         "outage", help="sweep outage probability over the rate grid"
     )
     _add_scenario_source(outage)
+    outage.add_argument(
+        "--realizations",
+        type=int,
+        metavar="N",
+        help="override Monte Carlo realization count",
+    )
     outage.set_defaults(func=cmd_outage)
 
     distribution = commands.add_parser(
@@ -369,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     distribution.set_defaults(func=cmd_distribution)
 
     validate = commands.add_parser("validate", help="run the oracle self-checks")
-    validate.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, metavar="U64", help="check seed"
-    )
+    validate.add_argument("--seed", metavar="SEED", help=f"check seed (default {DEFAULT_SEED})")
     validate.add_argument(
         "--samples", type=int, metavar="N",
         help="draws for the sandwich and moment checks",
@@ -387,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            args.seed = parse_seed(args.seed, "--seed")
         return args.func(args)
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ used for moment estimation; sampled moments feed the Gaussian outage
 closed form in :mod:`relay_outage.outage`.
 
 Every sampled per-hop quantity comes from one chunk kernel,
-:func:`sample_hop_chunk`, which draws the channels and computes only the
+:func:`sample_hop_chunk`, which draws a :class:`HopConfig`'s channels (the
+interference channel only when the hop has RSI) and computes only the
 fields its caller names (``HOP_FIELDS``).  Receive Gram forms of at most
 two rows -- every shipped preset -- are evaluated in closed form
 (:class:`~relay_outage.randmat.SmallGram`); larger ones fall back to the
@@ -26,7 +27,6 @@ batched eigensolver and Cholesky routes.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -62,7 +62,8 @@ class HopConfig:
     ``snr_db`` is the desired-link SNR; ``rsi_snr_db`` the residual
     self-interference power ratio at the receiving node (``None`` means no
     self-interference).  ``rsi_tx_antennas`` is the antenna count of the
-    interfering transmitter (the next stage); defaults to ``tx_antennas``.
+    interfering transmitter, the next stage, whose size the
+    :class:`~relay_outage.outage.NetworkConfig` of the chain owns.
     """
 
     tx_antennas: int
@@ -88,12 +89,16 @@ class HopConfig:
         return 10.0 ** (self.snr_db / 10.0) / self.tx_antennas
 
     @property
+    def interferer_antennas(self) -> int:
+        """Transmit antennas of the interferer; a lone hop's own by default."""
+        return self.rsi_tx_antennas or self.tx_antennas
+
+    @property
     def rho(self) -> float:
         """Per-antenna power ratio of the self-interference link (0 if none)."""
         if self.rsi_snr_db is None:
             return 0.0
-        m_next = self.rsi_tx_antennas or self.tx_antennas
-        return 10.0 ** (self.rsi_snr_db / 10.0) / m_next
+        return 10.0 ** (self.rsi_snr_db / 10.0) / self.interferer_antennas
 
     @property
     def has_rsi(self) -> bool:
@@ -135,13 +140,6 @@ def logdet_from_spectrum(spectrum: np.ndarray, scale: float):
     from.  Accepts stacked spectra.
     """
     return np.log1p(scale * np.asarray(spectrum)).sum(axis=-1) / LN2
-
-
-def _check_scales(eta: float, rho: float) -> None:
-    if eta < 0.0:
-        raise ValueError(f"eta must be non-negative, got {eta}")
-    if rho < 0.0:
-        raise ValueError(f"rho must be non-negative, got {rho}")
 
 
 def _closed_form_fields(
@@ -239,38 +237,23 @@ def hop_fields(
 
 
 def sample_hop_chunk(
-    stream: np.random.Generator,
-    count: int,
-    rx_antennas: int,
-    tx_antennas: int,
-    eta: float,
-    rho: float,
-    fields: tuple[str, ...],
-    rsi_tx_antennas: int | None = None,
+    hop: HopConfig, stream: np.random.Generator, count: int, fields: tuple[str, ...]
 ) -> tuple[np.ndarray, ...]:
     """The per-hop sampling kernel: draw ``count`` channels, return ``fields``.
 
-    The desired channel is drawn first, then (only if ``rho > 0``) the
-    interference channel, so runs that differ only in the interference
-    level share the desired-channel realizations.
+    The desired channel is drawn first, then (only if the hop has
+    self-interference) the interference channel, so runs that differ only
+    in the interference level share the desired-channel realizations.
     """
-    h = sample_channels(count, rx_antennas, tx_antennas, stream)
+    h = sample_channels(count, hop.rx_antennas, hop.tx_antennas, stream)
     hbar = None
-    if rho > 0.0:
-        m_rsi = rsi_tx_antennas or tx_antennas
-        hbar = sample_channels(count, rx_antennas, m_rsi, stream)
-    return hop_fields(h, hbar, eta, rho, fields)
+    if hop.has_rsi:
+        hbar = sample_channels(count, hop.rx_antennas, hop.interferer_antennas, stream)
+    return hop_fields(h, hbar, hop.eta, hop.rho, fields)
 
 
 def sample_hop_fields(
-    n_samples: int,
-    rx_antennas: int,
-    tx_antennas: int,
-    eta: float,
-    rho: float,
-    rng: np.random.Generator,
-    fields: tuple[str, ...],
-    rsi_tx_antennas: int | None = None,
+    hop: HopConfig, n_samples: int, rng: np.random.Generator, fields: tuple[str, ...]
 ) -> tuple[np.ndarray, ...]:
     """``sample_hop_chunk`` over one substream per chunk of ``CHUNK_SIZE`` draws.
 
@@ -280,17 +263,9 @@ def sample_hop_fields(
     """
     if n_samples < MIN_MOMENT_SAMPLES:
         raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples, got {n_samples}")
-    _check_scales(eta, rho)
-    chunk = functools.partial(
-        sample_hop_chunk,
-        rx_antennas=rx_antennas,
-        tx_antennas=tx_antennas,
-        eta=eta,
-        rho=rho,
-        fields=fields,
-        rsi_tx_antennas=rsi_tx_antennas,
+    return run_chunks(
+        n_samples, rng, lambda stream, count: sample_hop_chunk(hop, stream, count, fields)
     )
-    return run_chunks(n_samples, rng, chunk)
 
 
 def estimate_hop_moments(
@@ -304,16 +279,7 @@ def estimate_hop_moments(
     inside each sample share the same interference spectrum, so their
     correlation is kept intact.
     """
-    midpoint, rsi_logdet = sample_hop_fields(
-        n_samples,
-        hop.rx_antennas,
-        hop.tx_antennas,
-        hop.eta,
-        hop.rho,
-        rng,
-        (MIDPOINT, RSI_LOGDET),
-        hop.rsi_tx_antennas,
-    )
+    midpoint, rsi_logdet = sample_hop_fields(hop, n_samples, rng, (MIDPOINT, RSI_LOGDET))
     samples = midpoint - rsi_logdet
     return HopMoments(
         mean=float(samples.mean()),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -43,7 +43,12 @@ class DuplexMode(Enum):
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Ordered hop configurations plus the duplex mode of the whole chain."""
+    """Ordered hop configurations plus the duplex mode of the whole chain.
+
+    The chain owns the interferer size: an RSI hop's ``rsi_tx_antennas`` is
+    the next hop's ``tx_antennas`` (the terminal hop's own) when omitted, and
+    must equal it when given.  A hop without self-interference keeps none.
+    """
 
     hops: tuple[HopConfig, ...]
     mode: DuplexMode
@@ -51,20 +56,18 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if len(self.hops) < 1:
             raise ValueError("a network needs at least one hop")
-        for k, hop in enumerate(self.hops[:-1]):
-            nxt = self.hops[k + 1]
-            if (
-                hop.has_rsi
-                and hop.rsi_tx_antennas is not None
-                and hop.rsi_tx_antennas != nxt.tx_antennas
-            ):
+        hops = tuple(
+            replace(hop, rsi_tx_antennas=(hop.rsi_tx_antennas or nxt.tx_antennas) if hop.has_rsi else None)
+            for hop, nxt in zip(self.hops, self.hops[1:] + self.hops[-1:])
+        )
+        object.__setattr__(self, "hops", hops)
+        for k, (hop, nxt) in enumerate(zip(hops, hops[1:])):
+            if hop.has_rsi and hop.rsi_tx_antennas != nxt.tx_antennas:
                 raise ValueError(
                     f"hop {k + 1}: rsi_tx_antennas={hop.rsi_tx_antennas} does "
                     f"not match hop {k + 2} tx_antennas={nxt.tx_antennas}"
                 )
-        if self.mode is DuplexMode.HALF_DUPLEX and any(
-            hop.has_rsi for hop in self.hops
-        ):
+        if self.mode is DuplexMode.HALF_DUPLEX and any(hop.has_rsi for hop in hops):
             raise ValueError("half-duplex hops cannot carry self-interference")
 
     @property
@@ -99,9 +102,9 @@ def sample_min_mutual_info(
 ) -> np.ndarray:
     """Weakest-hop exact mutual information per channel realization.
 
-    Every hop (and its self-interference channel, when present) is redrawn
-    independently per realization.  Each hop owns a fixed substream per
-    chunk, drawn desired channel first, so configurations differing only
+    Every hop (and its interference channel, when the hop has RSI) is
+    redrawn independently per realization.  Each hop owns a fixed substream
+    per chunk, drawn desired channel first, so configurations differing only
     in interference level share their desired-channel realizations.
     """
 
@@ -109,16 +112,7 @@ def sample_min_mutual_info(
         hop_streams = stream.spawn(cfg.n_hops)
         min_mi = None
         for hop, hop_stream in zip(cfg.hops, hop_streams):
-            (mi,) = sample_hop_chunk(
-                hop_stream,
-                count,
-                hop.rx_antennas,
-                hop.tx_antennas,
-                hop.eta,
-                hop.rho,
-                (EXACT_MI,),
-                hop.rsi_tx_antennas,
-            )
+            (mi,) = sample_hop_chunk(hop, hop_stream, count, (EXACT_MI,))
             min_mi = mi if min_mi is None else np.minimum(min_mi, mi)
         return (min_mi,)
 

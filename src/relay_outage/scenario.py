@@ -13,7 +13,7 @@ once, with its value parser and default, in ``_SECTIONS`` or (for the hop
 sections) ``_HOP_KEYS``; the accepted key sets come from those tables.
 Unknown sections or keys are errors, as is any malformed value;
 diagnostics carry the source name and the line of the offending key.
-Rules on the chain as a whole belong to
+Rules on the chain as a whole, the interferer size among them, belong to
 :class:`~relay_outage.outage.NetworkConfig` and are reported at the
 ``[network]`` line.  Sample-count minimums are not scenario rules: the
 sampling functions enforce them when a run starts.
@@ -25,7 +25,7 @@ time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -134,6 +134,10 @@ def _integer(minimum: int):
     return parse
 
 
+# The one seed rule, shared by [sampling] seed and every --seed flag.
+parse_seed = _integer(0)
+
+
 def _number(positive: bool = False):
     def parse(text: str, field: str) -> float:
         try:
@@ -169,7 +173,7 @@ _SECTIONS = {
     "sampling": {
         "moment_samples": ("n_moment_samples", _integer(1), 10_000),
         "mc_realizations": ("n_mc_realizations", _integer(1), 10_000),
-        "seed": ("seed", _integer(0), DEFAULT_SEED),
+        "seed": ("seed", parse_seed, DEFAULT_SEED),
     },
     "output": {"directory": ("output_dir", lambda text, field: text, "results")},
     "distribution": {
@@ -260,13 +264,7 @@ def _build_hops(
             for key, (parser, default) in _HOP_KEYS.items()
         }
         hops.append(HopConfig(**fields))
-    # The interferer is the next stage's transmitter (the terminal hop's own).
-    return tuple(
-        replace(
-            hop, rsi_tx_antennas=(hop.rsi_tx_antennas or nxt.tx_antennas) if hop.has_rsi else None
-        )
-        for hop, nxt in zip(hops, hops[1:] + hops[-1:])
-    )
+    return tuple(hops)
 
 
 def parse_scenario_text(text: str, name: str, source: str = "<scenario>") -> Scenario:

@@ -74,6 +74,16 @@ def _timed(fn) -> CheckResult:
     )
 
 
+def hop_at_scales(rx: int, tx: int, eta: float, rho: float = 0.0) -> HopConfig:
+    """A lone hop at the linear scales ``eta`` and ``rho``, to a few ulp."""
+    return HopConfig(
+        tx_antennas=tx,
+        rx_antennas=rx,
+        snr_db=10.0 * math.log10(eta * tx),
+        rsi_snr_db=10.0 * math.log10(rho * tx) if rho > 0.0 else None,
+    )
+
+
 def _normal_tail(x: float) -> float:
     # cut at 40, where the remaining mass is below 1e-300
     return gauss_legendre(lambda t: np.exp(-0.5 * t * t), x, 40.0)[0] / math.sqrt(2.0 * math.pi)
@@ -90,7 +100,7 @@ def check_sandwich_bound(seed: int, n_samples: int) -> tuple[str, float, float, 
     for i, (eta, rho) in enumerate(SANDWICH_PAIRS):
         rng = substream(seed, STREAM_VALIDATION, 0, i)
         exact, lower, upper = sample_hop_fields(
-            n_samples, 2, 2, eta, rho, rng, (EXACT, LOWER, UPPER)
+            hop_at_scales(2, 2, eta, rho), n_samples, rng, (EXACT, LOWER, UPPER)
         )
         worst = max(worst, float((lower - exact).max()), float((exact - upper).max()))
     return (
@@ -146,10 +156,10 @@ def check_logdet_moments(
 ) -> tuple[str, float, float, str]:
     worst = 0.0
     for i, (m, p, scale) in enumerate(cases):
-        params = WishartParams(m, p)
-        analytic = expected_logdet(params, scale)
+        hop = hop_at_scales(m, p, scale)
+        analytic = expected_logdet(WishartParams(m, p), hop.eta)
         rng = substream(seed, STREAM_VALIDATION, 2, i)
-        (values,) = sample_hop_fields(n_samples, m, p, scale, 0.0, rng, (EXACT,))
+        (values,) = sample_hop_fields(hop, n_samples, rng, (EXACT,))
         gap = abs(float(values.mean()) - analytic)
         tolerance = max(
             0.01 * analytic, 3.0 * float(values.std(ddof=1)) / math.sqrt(n_samples)

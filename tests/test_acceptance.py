@@ -101,14 +101,8 @@ def dist_pairs():
         sc = load_preset(name)
         hop = sc.network.hops[sc.dist_hop - 1]
         exact, midpoint, rsi_logdet = sample_hop_fields(
-            sc.dist_samples,
-            hop.rx_antennas,
-            hop.tx_antennas,
-            hop.eta,
-            hop.rho,
-            substream(sc.seed, STREAM_DISTRIBUTION),
+            hop, sc.dist_samples, substream(sc.seed, STREAM_DISTRIBUTION),
             (EXACT, MIDPOINT, RSI_LOGDET),
-            hop.rsi_tx_antennas,
         )
         out[name] = DistFields(exact, midpoint, midpoint - rsi_logdet)
     return out
@@ -161,16 +155,7 @@ def exact_mi_folds():
         streams = substream(sc.seed, STREAM_HOP_MOMENTS).spawn(sc.network.n_hops)
         gaussian_sf, empirical_sf, skews = [], [], []
         for hop, stream in zip(sc.network.hops, streams):
-            (mi,) = sample_hop_fields(
-                N_ACCEPT,
-                hop.rx_antennas,
-                hop.tx_antennas,
-                hop.eta,
-                hop.rho if fd else 0.0,
-                stream,
-                (EXACT_MI,),
-                hop.rsi_tx_antennas,
-            )
+            (mi,) = sample_hop_fields(hop, N_ACCEPT, stream, (EXACT_MI,))
             if not fd:
                 mi = HD_FACTOR * mi
             gaussian_sf.append(stats.norm.sf(sc.rates, loc=mi.mean(), scale=mi.std(ddof=1)))

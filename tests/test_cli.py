@@ -10,6 +10,7 @@ from relay_outage import cli
 from relay_outage.cli import ERROR_PREFIX, ResultTable, _ks_distance, _skewness
 from relay_outage.mutual_info import EXACT, MIDPOINT, sample_hop_fields
 from relay_outage.rng import substream
+from relay_outage.validation import hop_at_scales
 
 SMALL_SCENARIO = """[network]
 mode = fd
@@ -254,6 +255,33 @@ def test_validate_below_minimum_exits_2(flag, value, minimum, capsys):
     assert f"need at least {minimum}" in captured.err
 
 
+@pytest.mark.parametrize("value", ("-1", "abc"))
+@pytest.mark.parametrize("command", ("outage", "distribution", "validate"))
+def test_bad_seed_flag_exits_2_and_names_it(command, value, tmp_path, capsys):
+    # every --seed flag follows the [sampling] seed rule: a non-negative integer
+    source = {"outage": ["--preset", "fig3-hd"], "distribution": ["--preset", "dist-snr20-rsi0"]}
+    out = [] if command == "validate" else ["--out", str(tmp_path)]
+    rc = cli.main([command, *source.get(command, []), "--seed", value, *out])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{ERROR_PREFIX} --seed: ")
+    assert value in captured.err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_distribution_refuses_realizations_flag(tmp_path, capsys):
+    # distribution draws no Monte Carlo realizations, so the flag is not accepted
+    with pytest.raises(SystemExit) as exc:
+        cli.main([
+            "distribution", "--preset", "dist-snr20-rsi0", "--samples", "1000",
+            "--realizations", "5", "--out", str(tmp_path),
+        ])
+    assert exc.value.code == 2
+    assert "--realizations" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bad_scenario_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.scenario"
     path.write_text("[network]\nmode = fd\nhops = zero\n", encoding="utf-8")
@@ -344,7 +372,7 @@ def test_huge_rate_grid_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("n", (5000, 20000))
 def test_distribution_stats_match_scipy(n):
     exact, midpoint = sample_hop_fields(
-        n, 2, 2, 10.0, 1.0, substream(n, 77), (EXACT, MIDPOINT)
+        hop_at_scales(2, 2, 10.0, 1.0), n, substream(n, 77), (EXACT, MIDPOINT)
     )
     # scipy's exact p-value path (max(n1, n2) <= 10000) re-rounds the
     # statistic to a multiple of 1/lcm(n1, n2); its asymptotic path keeps

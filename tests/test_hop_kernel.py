@@ -28,6 +28,7 @@ from relay_outage.mutual_info import (
 )
 from relay_outage.randmat import SmallGram, descending_spectra, receive_gram, sample_channels
 from relay_outage.rng import substream
+from relay_outage.validation import hop_at_scales
 
 SEED = 606
 N_DRAWS = 64
@@ -141,30 +142,35 @@ def test_three_rx_fallback_is_bit_identical_to_eigensolver_route(rho):
 
 @pytest.mark.parametrize("rx", (2, 3))
 def test_kernel_draws_desired_then_interference(rx):
-    got = sample_hop_chunk(substream(SEED, 7), 100, rx, 2, 5.0, 0.5, HOP_FIELDS, 3)
+    hop = HopConfig(
+        tx_antennas=2, rx_antennas=rx, snr_db=10.0, rsi_snr_db=2.0, rsi_tx_antennas=3
+    )
+    got = sample_hop_chunk(hop, substream(SEED, 7), 100, HOP_FIELDS)
     stream = substream(SEED, 7)
     h = sample_channels(100, rx, 2, stream)
     hbar = sample_channels(100, rx, 3, stream)
-    want = hop_fields(h, hbar, 5.0, 0.5, HOP_FIELDS)
+    want = hop_fields(h, hbar, hop.eta, hop.rho, HOP_FIELDS)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
 
 def test_kernel_skips_interference_draw_without_rsi():
-    (got,) = sample_hop_chunk(substream(SEED, 8), 100, 2, 2, 5.0, 0.0, (EXACT,))
+    hop = hop_at_scales(2, 2, 5.0)
+    (got,) = sample_hop_chunk(hop, substream(SEED, 8), 100, (EXACT,))
     h = sample_channels(100, 2, 2, substream(SEED, 8))
-    (want,) = hop_fields(h, None, 5.0, 0.0, (EXACT,))
+    (want,) = hop_fields(h, None, hop.eta, 0.0, (EXACT,))
     assert np.array_equal(got, want)
 
 
 def test_kernel_returns_requested_fields_in_order():
-    out = sample_hop_chunk(substream(SEED, 9), 50, 2, 2, 5.0, 0.5, (RSI_LOGDET, EXACT))
-    full = sample_hop_chunk(substream(SEED, 9), 50, 2, 2, 5.0, 0.5, HOP_FIELDS)
+    hop = hop_at_scales(2, 2, 5.0, 0.5)
+    out = sample_hop_chunk(hop, substream(SEED, 9), 50, (RSI_LOGDET, EXACT))
+    full = sample_hop_chunk(hop, substream(SEED, 9), 50, HOP_FIELDS)
     by_name = dict(zip(HOP_FIELDS, full))
     assert np.array_equal(out[0], by_name[RSI_LOGDET])
     assert np.array_equal(out[1], by_name[EXACT])
     with pytest.raises(ValueError):
-        sample_hop_chunk(substream(SEED, 9), 50, 2, 2, 5.0, 0.5, ("spectrum",))
+        sample_hop_chunk(hop, substream(SEED, 9), 50, ("spectrum",))
 
 
 def test_small_gram_degenerate_channels():
@@ -196,16 +202,7 @@ hop_configs = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(hop=hop_configs, seed=st.integers(0, 2**32 - 1))
 def test_kernel_properties(hop, seed):
-    fields = sample_hop_chunk(
-        substream(seed, 0),
-        256,
-        hop.rx_antennas,
-        hop.tx_antennas,
-        hop.eta,
-        hop.rho,
-        HOP_FIELDS,
-        hop.rsi_tx_antennas,
-    )
+    fields = sample_hop_chunk(hop, substream(seed, 0), 256, HOP_FIELDS)
     values = dict(zip(HOP_FIELDS, fields))
     for name, value in values.items():
         assert np.all(np.isfinite(value)), name

@@ -21,6 +21,7 @@ from relay_outage.mutual_info import (
 from relay_outage.outage import DuplexMode, NetworkConfig
 from relay_outage.randmat import descending_spectra, receive_gram, sample_channels
 from relay_outage.rng import substream
+from relay_outage.validation import hop_at_scales
 from relay_outage.wishart_stats import expected_logdet
 from relay_outage.randmat import WishartParams
 
@@ -139,15 +140,9 @@ def test_fiedler_bounds_degenerate_spectra():
     assert lower[0] == pytest.approx(upper[0])
 
 
-def test_fiedler_bounds_validation():
-    for eta, rho in ((-1.0, 1.0), (1.0, -1.0)):
-        with pytest.raises(ValueError):
-            sample_hop_fields(100, 2, 2, eta, rho, substream(SEED, 16), (LOWER, UPPER))
-
-
 def test_sandwich_property():
     exact, lower, upper = sample_hop_fields(
-        10_000, 2, 2, 10.0, 1.0, substream(SEED, 6), (EXACT, LOWER, UPPER)
+        hop_at_scales(2, 2, 10.0, 1.0), 10_000, substream(SEED, 6), (EXACT, LOWER, UPPER)
     )
     assert np.all(lower <= exact + 1e-9)
     assert np.all(exact <= upper + 1e-9)
@@ -179,7 +174,7 @@ def test_mi_fd_approx_paired_deviation_frozen():
     # The distributions nearly coincide (KS ~ 0.01) but the paired gap is
     # set by the bound width, about 0.11 bits here.
     exact, midpoint, rsi_logdet = sample_hop_fields(
-        10_000, 2, 2, 5.0, 0.5, substream(SEED, 0), (EXACT, MIDPOINT, RSI_LOGDET)
+        hop_at_scales(2, 2, 5.0, 0.5), 10_000, substream(SEED, 0), (EXACT, MIDPOINT, RSI_LOGDET)
     )
     mad = np.abs((midpoint - rsi_logdet) - (exact - rsi_logdet)).mean()
     assert mad == pytest.approx(MAD_ETA5_RHO05, abs=1e-6)
@@ -189,7 +184,7 @@ def test_approx_mi_unclamped_and_nonnegative():
     # every pairing term log2(1 + rho*a + eta*b) dominates log2(1 + rho*a),
     # so the coupled approximation stays >= 0 without any clamp
     midpoint, rsi_logdet = sample_hop_fields(
-        50_000, 2, 2, 0.05, 50.0, substream(SEED, 9), (MIDPOINT, RSI_LOGDET)
+        hop_at_scales(2, 2, 0.05, 50.0), 50_000, substream(SEED, 9), (MIDPOINT, RSI_LOGDET)
     )
     approx_mi = midpoint - rsi_logdet
     assert approx_mi.min() >= 0.0

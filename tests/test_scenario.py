@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relay_outage.outage import DuplexMode
+from relay_outage.mutual_info import HopConfig
+from relay_outage.outage import DuplexMode, NetworkConfig
 from relay_outage.scenario import (
     _HOP_KEYS,
     _SECTIONS,
@@ -93,6 +98,62 @@ def test_last_hop_rsi_requires_override():
     assert s.network.hops[1].rsi_snr_db == 3.0
     # interferer defaults to the next transmitter's antenna count
     assert s.network.hops[0].rsi_tx_antennas == 2
+
+
+def test_chain_sets_the_interferer_from_the_next_transmitter():
+    # a 2x2 RSI hop in front of a 4-antenna transmitter: its interferer has
+    # 4 antennas, whether the chain is built in code or parsed from text
+    library = NetworkConfig(
+        hops=(
+            HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20.0, rsi_snr_db=8.0),
+            HopConfig(tx_antennas=4, rx_antennas=2, snr_db=20.0),
+        ),
+        mode=DuplexMode.FULL_DUPLEX,
+    )
+    text = (
+        "[network]\nmode = fd\nhops = 2\n"
+        "[hop]\ntx_antennas = 2\nrx_antennas = 2\nsnr_db = 20\nrsi_snr_db = 8\n"
+        "[hop.2]\ntx_antennas = 4\n"
+    )
+    parsed = parse_scenario_text(text, name="wide").network
+    for network in (library, parsed):
+        assert network.hops[0].rsi_tx_antennas == 4
+        assert network.hops[0].rho == 10.0**0.8 / 4
+    assert parsed == library
+
+
+@st.composite
+def fd_chains(draw):
+    """A full-duplex chain as ``HopConfig``s and as ``[hop.K]`` scenario text."""
+    n_hops = draw(st.integers(1, 4))
+    hops, lines = [], ["[network]", "mode = fd", f"hops = {n_hops}"]
+    for k in range(1, n_hops + 1):
+        fields = {
+            "tx_antennas": draw(st.integers(1, 4)),
+            "rx_antennas": draw(st.integers(1, 3)),
+            "snr_db": float(draw(st.integers(-10, 40))),
+        }
+        if draw(st.booleans()):
+            fields["rsi_snr_db"] = float(draw(st.integers(-10, 40)))
+            if draw(st.booleans()):
+                fields["rsi_tx_antennas"] = draw(st.integers(1, 4))
+        hops.append(HopConfig(**fields))
+        lines.append(f"[hop.{k}]")
+        lines += [f"{key} = {value}" for key, value in fields.items()]
+    return tuple(hops), "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=fd_chains())
+def test_scenario_text_and_library_build_the_same_chain(chain):
+    hops, text = chain
+    try:
+        library = NetworkConfig(hops, DuplexMode.FULL_DUPLEX)
+    except ValueError as exc:  # a given interferer size that is not the next tx
+        with pytest.raises(ScenarioError, match=re.escape(str(exc))):
+            parse_scenario_text(text, name="chain")
+    else:
+        assert parse_scenario_text(text, name="chain").network == library
 
 
 def test_rsi_none_clears_default():
