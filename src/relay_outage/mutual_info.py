@@ -20,15 +20,18 @@ closed form in :mod:`relay_outage.outage`.
 Every sampled per-hop quantity comes from one chunk kernel,
 :func:`sample_hop_chunk`, which draws a :class:`HopConfig`'s channels (the
 interference channel only when the hop has RSI) and computes only the
-fields its caller names (``HOP_FIELDS``).  Receive Gram forms of at most
-two rows -- every shipped preset -- are evaluated in closed form
-(:class:`~relay_outage.randmat.SmallGram`); larger ones fall back to the
-batched eigensolver and Cholesky routes.
+fields its caller names (``HOP_FIELDS``).  :func:`map_hop_chunks` runs it
+over the chunks of a sample and hands each chunk's fields to the caller's
+reduction, so only what the caller keeps outlives a chunk.  Receive Gram
+forms of at most two rows -- every shipped preset -- are evaluated in
+closed form (:class:`~relay_outage.randmat.SmallGram`); larger ones fall
+back to the batched eigensolver and Cholesky routes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -42,6 +45,8 @@ from .randmat import (
 from .rng import run_chunks
 
 LN2 = math.log(2.0)
+
+T = TypeVar("T")
 
 MIN_MOMENT_SAMPLES = 100
 
@@ -252,20 +257,33 @@ def sample_hop_chunk(
     return hop_fields(h, hbar, hop.eta, hop.rho, fields)
 
 
-def sample_hop_fields(
-    hop: HopConfig, n_samples: int, rng: np.random.Generator, fields: tuple[str, ...]
-) -> tuple[np.ndarray, ...]:
-    """``sample_hop_chunk`` over one substream per chunk of ``CHUNK_SIZE`` draws.
+def map_hop_chunks(
+    hop: HopConfig,
+    n_samples: int,
+    rng: np.random.Generator,
+    fields: tuple[str, ...],
+    reduce: Callable[..., T],
+) -> list[T]:
+    """``reduce(*fields)`` of each chunk of ``sample_hop_chunk`` draws, in chunk order.
 
-    The one entry through which moments, ``distribution`` and ``validate``
-    sample a hop, so it owns their minimum: fewer than
-    ``MIN_MOMENT_SAMPLES`` draws raise ``ValueError``.
+    One substream per chunk of ``CHUNK_SIZE`` draws.  The one entry through
+    which moments, ``distribution`` and ``validate`` sample a hop, so it
+    owns their minimum: fewer than ``MIN_MOMENT_SAMPLES`` draws raise
+    ``ValueError``.
     """
     if n_samples < MIN_MOMENT_SAMPLES:
         raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples, got {n_samples}")
     return run_chunks(
-        n_samples, rng, lambda stream, count: sample_hop_chunk(hop, stream, count, fields)
+        n_samples, rng, lambda stream, count: reduce(*sample_hop_chunk(hop, stream, count, fields))
     )
+
+
+def sample_hop_fields(
+    hop: HopConfig, n_samples: int, rng: np.random.Generator, fields: tuple[str, ...]
+) -> tuple[np.ndarray, ...]:
+    """Every draw of ``fields``: ``map_hop_chunks`` joined in chunk order."""
+    pieces = map_hop_chunks(hop, n_samples, rng, fields, lambda *values: values)
+    return tuple(np.concatenate(field) for field in zip(*pieces))
 
 
 def estimate_hop_moments(
@@ -279,8 +297,9 @@ def estimate_hop_moments(
     inside each sample share the same interference spectrum, so their
     correlation is kept intact.
     """
-    midpoint, rsi_logdet = sample_hop_fields(hop, n_samples, rng, (MIDPOINT, RSI_LOGDET))
-    samples = midpoint - rsi_logdet
+    samples = np.concatenate(
+        map_hop_chunks(hop, n_samples, rng, (MIDPOINT, RSI_LOGDET), np.subtract)
+    )
     return HopMoments(
         mean=float(samples.mean()),
         variance=float(samples.var(ddof=1)),

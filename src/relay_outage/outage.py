@@ -11,6 +11,7 @@ on both the Gaussian assumption and the midpoint approximation.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -98,27 +99,22 @@ def q_function(x):
 
 
 def sample_min_mutual_info(
-    cfg: NetworkConfig, n_realizations: int, rng: np.random.Generator
+    cfg: NetworkConfig, stream: np.random.Generator, count: int
 ) -> np.ndarray:
-    """Weakest-hop exact mutual information per channel realization.
+    """Weakest-hop exact mutual information of one chunk of ``count`` realizations.
 
     Every hop (and its interference channel, when the hop has RSI) is
-    redrawn independently per realization.  Each hop owns a fixed substream
-    per chunk, drawn desired channel first, so configurations differing only
-    in interference level share their desired-channel realizations.
+    redrawn independently per realization.  Each hop owns a fixed child of
+    the chunk's ``stream``, drawn desired channel first, so configurations
+    differing only in interference level share their desired-channel
+    realizations.  Scaled by the chain's time share.
     """
-
-    def chunk(stream: np.random.Generator, count: int):
-        hop_streams = stream.spawn(cfg.n_hops)
-        min_mi = None
-        for hop, hop_stream in zip(cfg.hops, hop_streams):
-            (mi,) = sample_hop_chunk(hop, hop_stream, count, (EXACT_MI,))
-            min_mi = mi if min_mi is None else np.minimum(min_mi, mi)
-        return (min_mi,)
-
-    (samples,) = run_chunks(n_realizations, rng, chunk)
-    samples *= cfg.time_share
-    return samples
+    min_mi = None
+    for hop, hop_stream in zip(cfg.hops, stream.spawn(cfg.n_hops)):
+        (mi,) = sample_hop_chunk(hop, hop_stream, count, (EXACT_MI,))
+        min_mi = mi if min_mi is None else np.minimum(min_mi, mi)
+    min_mi *= cfg.time_share
+    return min_mi
 
 
 def _gaussian_outage(mean, variance, rates: np.ndarray) -> np.ndarray:
@@ -145,19 +141,6 @@ def _gaussian_outage(mean, variance, rates: np.ndarray) -> np.ndarray:
         log_success = np.sum(np.log1p(-p), axis=0)
     # 0.0 - x rather than -x: a chain that never fails reads 0.0, not -0.0
     return 0.0 - np.expm1(log_success)
-
-
-def _empirical_outage(samples: np.ndarray, rate) -> tuple[np.ndarray, np.ndarray]:
-    """Fraction of ``samples`` strictly below each rate, and its binomial SE.
-
-    Counted by binary search in the sorted samples, so memory stays
-    O(samples + rates) instead of O(samples * rates).
-    """
-    rate = np.asarray(rate, dtype=float)
-    below = np.searchsorted(np.sort(samples), rate, side="left")
-    p = below / samples.size
-    se = np.sqrt(p * (1.0 - p) / samples.size)
-    return p, se
 
 
 def _check_rate_grid(rates: np.ndarray) -> np.ndarray:
@@ -199,8 +182,11 @@ def montecarlo_outage(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Empirical chain outage at each rate and its binomial standard error.
 
-    One set of ``n_realizations`` realizations is drawn from ``rng`` and
-    the weakest-hop empirical CDF is read off it at every rate.
+    One set of ``n_realizations`` realizations is drawn from ``rng``; a
+    realization is in outage at a rate its weakest hop falls strictly
+    below.  Each chunk counts its own outages at every rate, by binary
+    search in its sorted samples, and adds them to one integer total, so
+    memory is O(``CHUNK_SIZE``) per running chunk plus O(rates).
     """
     rates = _check_rate_grid(rates)
     if n_realizations < MIN_MC_REALIZATIONS:
@@ -208,4 +194,18 @@ def montecarlo_outage(
             f"need at least {MIN_MC_REALIZATIONS} realizations, got "
             f"{n_realizations}"
         )
-    return _empirical_outage(sample_min_mutual_info(cfg, n_realizations, rng), rates)
+
+    below = np.zeros(rates.size, dtype=np.intp)
+    lock = threading.Lock()  # chunks run on several threads
+
+    def count_below(stream: np.random.Generator, count: int) -> None:
+        samples = sample_min_mutual_info(cfg, stream, count)
+        samples.sort()
+        counts = np.searchsorted(samples, rates, side="left")
+        with lock:
+            np.add(below, counts, out=below)
+
+    run_chunks(n_realizations, rng, count_below)
+    p = below / n_realizations
+    se = np.sqrt(p * (1.0 - p) / n_realizations)
+    return p, se

@@ -54,15 +54,18 @@ def sample_channels(
     """Draw ``n`` independent ``rows x cols`` channel matrices.
 
     Draw order is fixed: one block of real parts, then one block of
-    imaginary parts, each of shape ``(n, rows, cols)``.
+    imaginary parts, each of shape ``(n, rows, cols)``.  Both are drawn in
+    one call and scaled straight into the complex result.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"channel dimensions must be positive, got {rows}x{cols}")
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    real = rng.standard_normal((n, rows, cols))
-    imag = rng.standard_normal((n, rows, cols))
-    return _SQRT_HALF * (real + 1j * imag)
+    parts = rng.standard_normal((2, n, rows, cols))
+    h = np.empty((n, rows, cols), dtype=complex)
+    np.multiply(parts[0], _SQRT_HALF, out=h.real)
+    np.multiply(parts[1], _SQRT_HALF, out=h.imag)
+    return h
 
 
 def receive_gram(h: np.ndarray) -> np.ndarray:

@@ -5,12 +5,17 @@ addressed by ``(seed, path)`` is a PCG64 generator seeded with
 ``numpy.random.SeedSequence(seed, spawn_key=path)``.  Top-level path ids
 are fixed per sampling domain (constants below); chunked samplers spawn
 one child stream per chunk of ``CHUNK_SIZE`` draws, a fixed constant.
-Results therefore depend only on ``(seed, path, n_samples)`` and never on
-how chunks are evaluated.
+Chunks run concurrently on the process's usable CPUs, each on its own
+stream, and their results come back in chunk order, so results depend
+only on ``(seed, path, n_samples)`` and never on how many CPUs there are
+or which of them ran a chunk.
 """
 from __future__ import annotations
 
-from typing import Callable
+import itertools
+import os
+import threading
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -23,6 +28,9 @@ STREAM_VALIDATION = 3
 # Draws per chunk; part of the determinism contract, do not change casually.
 CHUNK_SIZE = 8192
 
+T = TypeVar("T")
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator addressed by ``(seed, path)``.
 
@@ -32,21 +40,55 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_chunks(
     n_total: int,
     rng: np.random.Generator,
-    chunk_fn: Callable[[np.random.Generator, int], tuple[np.ndarray, ...]],
-):
-    """Evaluate ``chunk_fn(stream, count)`` over per-chunk substreams.
+    chunk_fn: Callable[[np.random.Generator, int], T],
+) -> list[T]:
+    """``chunk_fn(stream, count)`` of every chunk, in chunk order.
 
     ``n_total`` draws split into full chunks of ``CHUNK_SIZE`` plus one
-    remainder chunk.  ``chunk_fn`` must return a tuple of 1-d arrays of
-    length ``count``; the tuples are concatenated field-wise in chunk order.
+    remainder chunk, each with its own child stream of ``rng``.  The
+    calling thread and one helper thread per further usable CPU take
+    chunks in turn; numpy releases the GIL while it fills and transforms
+    the arrays, so the chunks overlap.  A failing chunk's exception (the
+    lowest-numbered one, if several fail) is raised here once every
+    thread has stopped.
     """
     if n_total < 1:
         raise ValueError(f"need at least one draw, got {n_total}")
     n_full, rest = divmod(n_total, CHUNK_SIZE)
     sizes = [CHUNK_SIZE] * n_full + ([rest] if rest else [])
     streams = rng.spawn(len(sizes))
-    pieces = [chunk_fn(stream, size) for stream, size in zip(streams, sizes)]
-    return tuple(np.concatenate(field) for field in zip(*pieces))
+    results: list = [None] * len(sizes)
+    errors: dict[int, BaseException] = {}
+    turns = itertools.count()  # next() is atomic under the GIL
+
+    def work() -> None:
+        for i in turns:
+            if i >= len(sizes) or errors:
+                return
+            try:
+                results[i] = chunk_fn(streams[i], sizes[i])
+            except BaseException as exc:  # re-raised in the caller below
+                errors[i] = exc
+                return
+
+    helpers = [
+        threading.Thread(target=work, daemon=True)
+        for _ in range(min(_usable_cpus(), len(sizes)) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

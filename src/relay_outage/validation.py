@@ -7,7 +7,8 @@ scalar Rayleigh closed form for the half-duplex single-antenna chain, and
 Laguerre quadrature for the sampled log-det means.  All three quadratures
 (normal tail, density mass, log-det mean) use the one Gauss-Legendre rule
 of ``wishart_stats``, on numpy alone.  The sampled sides all come from the
-production per-hop kernel (``sample_hop_chunk``), one substream per chunk.
+production per-hop kernel (``sample_hop_chunk``), one substream per chunk;
+the sandwich check keeps only each chunk's worst bound violation.
 ``relay-outage validate`` runs them all and reports one line per check;
 the acceptance tests call the same check functions at their own sizes
 and cases.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import outage as _outage
-from .mutual_info import EXACT, LOWER, UPPER, HopConfig, sample_hop_fields
+from .mutual_info import EXACT, LOWER, UPPER, HopConfig, map_hop_chunks, sample_hop_fields
 from .outage import DuplexMode, NetworkConfig, montecarlo_outage
 from .randmat import WishartParams
 from .rng import STREAM_VALIDATION, substream
@@ -95,14 +96,21 @@ def check_q_function() -> tuple[str, float, float, str]:
     return "q-function", worst, 1e-12, "max |Q(x) - normal tail quadrature|, |x| <= 8"
 
 
+def _bound_violation(exact: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+    return max(float((lower - exact).max()), float((exact - upper).max()))
+
+
 def check_sandwich_bound(seed: int, n_samples: int) -> tuple[str, float, float, str]:
     worst = -np.inf
     for i, (eta, rho) in enumerate(SANDWICH_PAIRS):
         rng = substream(seed, STREAM_VALIDATION, 0, i)
-        exact, lower, upper = sample_hop_fields(
-            hop_at_scales(2, 2, eta, rho), n_samples, rng, (EXACT, LOWER, UPPER)
+        worst = max(
+            worst,
+            *map_hop_chunks(
+                hop_at_scales(2, 2, eta, rho), n_samples, rng, (EXACT, LOWER, UPPER),
+                _bound_violation,
+            ),
         )
-        worst = max(worst, float((lower - exact).max()), float((exact - upper).max()))
     return (
         "sandwich-bound",
         worst,

@@ -1,12 +1,14 @@
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from relay_outage import cli
+from relay_outage import cli, outage
 from relay_outage.cli import ERROR_PREFIX, ResultTable, _ks_distance, _skewness
 from relay_outage.mutual_info import EXACT, MIDPOINT, sample_hop_fields
 from relay_outage.rng import substream
@@ -325,6 +327,34 @@ def test_numerical_failure_exits_3(scenario_file, tmp_path, monkeypatch, capsys)
     rc = cli.main(["outage", "--scenario", str(scenario_file), "--out", str(tmp_path)])
     assert rc == 3
     assert ERROR_PREFIX in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [(ValueError, 2), (FloatingPointError, 3)])
+def test_error_in_a_helper_thread_keeps_its_exit_code(
+    error, code, scenario_file, tmp_path, monkeypatch, capsys
+):
+    # five Monte Carlo chunks on four threads; the caller's chunks wait
+    # until a helper's chunk has failed
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    helper_failed = threading.Event()
+    kernel = outage.sample_hop_chunk
+
+    def failing_kernel(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_failed.wait(timeout=10.0), "no helper thread ran a chunk"
+            return kernel(*args)
+        helper_failed.set()
+        raise error("broken chunk")
+
+    monkeypatch.setattr(outage, "sample_hop_chunk", failing_kernel)
+    rc = cli.main([
+        "outage", "--scenario", str(scenario_file), "--realizations", "40000",
+        "--out", str(tmp_path),
+    ])
+    assert helper_failed.is_set()
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith(ERROR_PREFIX) and "broken chunk" in err
 
 
 def test_scenario_and_preset_are_exclusive(scenario_file, capsys):

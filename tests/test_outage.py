@@ -11,14 +11,13 @@ from relay_outage.mutual_info import HopConfig, HopMoments, estimate_hop_moments
 from relay_outage.outage import (
     DuplexMode,
     NetworkConfig,
-    _empirical_outage,
     _gaussian_outage,
     analytical_outage,
     montecarlo_outage,
     q_function,
     sample_min_mutual_info,
 )
-from relay_outage.rng import substream
+from relay_outage.rng import run_chunks, substream
 from relay_outage.scenario import load_preset
 
 SEED = 505
@@ -193,10 +192,12 @@ def test_network_config_validation():
 
 
 def test_min_mutual_info_extreme_rates():
-    cfg = _chain(3)
-    samples = sample_min_mutual_info(cfg, 2000, substream(SEED, 0))
+    samples = sample_min_mutual_info(_chain(3), substream(SEED, 0), 2000)
+    assert samples.shape == (2000,)
     assert np.all(samples > 0.0)  # rate 0 never in outage
     assert np.all(samples < 1000.0)  # absurd rate always in outage
+    p, se = montecarlo_outage(_chain(3), np.array([0.0, 1000.0]), substream(SEED, 0), 2000)
+    assert np.array_equal(p, [0.0, 1.0]) and np.array_equal(se, [0.0, 0.0])
 
 
 def _montecarlo_point(cfg, rate, n_realizations, rng):
@@ -235,29 +236,35 @@ def test_montecarlo_unbiased_against_high_precision_run():
 
 
 def test_fd_without_rsi_equals_twice_hd():
-    # common random numbers: identical draws, only the prefactor differs
-    fd = sample_min_mutual_info(_chain(2), 4000, substream(SEED, 6))
-    hd = sample_min_mutual_info(
-        _chain(2, mode=DuplexMode.HALF_DUPLEX), 4000, substream(SEED, 6)
+    # common random numbers: identical draws, only the prefactor differs,
+    # and halving both the samples and the rate is exact in binary floating
+    # point, so the half-duplex curve at R/2 is the full-duplex curve at R
+    rates = np.arange(0.25, 20.01, 0.25)
+    fd, fd_se = montecarlo_outage(_chain(2), rates, substream(SEED, 6), 20_000)
+    hd, hd_se = montecarlo_outage(
+        _chain(2, mode=DuplexMode.HALF_DUPLEX), rates / 2.0, substream(SEED, 6), 20_000
     )
-    assert np.abs(fd - 2.0 * hd).max() <= 1e-9
+    assert np.array_equal(fd, hd) and np.array_equal(fd_se, hd_se)
+    assert np.any((fd > 0.0) & (fd < 1.0))
 
 
 def test_empirical_outage_matches_broadcast_compare():
-    # ties in the samples and rates equal to sample values: "in outage"
-    # means strictly below the rate, as in the broadcast compare
-    samples = np.round(
-        sample_min_mutual_info(_chain(2), 3000, substream(SEED, 12)), 1
+    # rates equal to sample values: "in outage" means strictly below the
+    # rate, as in the broadcast compare over every sample; the per-chunk
+    # counts (three chunks here) add up to the same fraction bit for bit
+    cfg = _chain(2)
+    n = 20_000
+    samples = np.concatenate(
+        run_chunks(n, substream(SEED, 12), lambda s, c: sample_min_mutual_info(cfg, s, c))
     )
-    rates = np.concatenate(
-        ([-1.0, 0.0], np.unique(samples)[::7], [samples.max() + 1.0])
-    )
+    rates = np.concatenate(([-1.0, 0.0], np.unique(samples)[::97], [samples.max() + 1.0]))
     rates.sort()
-    p, se = _empirical_outage(samples, rates)
+    p, se = montecarlo_outage(cfg, rates, substream(SEED, 12), n)
     want = np.mean(samples[np.newaxis, :] < rates[:, np.newaxis], axis=-1)
     assert np.array_equal(p, want)
-    assert np.array_equal(se, np.sqrt(want * (1.0 - want) / samples.size))
+    assert np.array_equal(se, np.sqrt(want * (1.0 - want) / n))
     assert p[0] == 0.0 and p[-1] == 1.0
+    assert np.all(p[2:-1] == np.arange(0, n, 97)[: rates.size - 3] / n)
 
 
 def test_montecarlo_outage_single_point():
