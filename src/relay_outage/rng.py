@@ -5,10 +5,10 @@ addressed by ``(seed, path)`` is a PCG64 generator seeded with
 ``numpy.random.SeedSequence(seed, spawn_key=path)``.  Top-level path ids
 are fixed per sampling domain (constants below); chunked samplers spawn
 one child stream per chunk of ``CHUNK_SIZE`` draws, a fixed constant.
-Chunks run concurrently on the process's usable CPUs, each on its own
-stream, and their results come back in chunk order, so results depend
-only on ``(seed, path, n_samples)`` and never on how many CPUs there are
-or which of them ran a chunk.
+Chunks run concurrently on up to ``MAX_WORKERS`` of the process's usable
+CPUs, each on its own stream, and their results come back in chunk order,
+so results depend only on ``(seed, path, n_samples)`` and never on how
+many CPUs there are or which of them ran a chunk.
 """
 from __future__ import annotations
 
@@ -28,6 +28,13 @@ STREAM_VALIDATION = 3
 # Draws per chunk; part of the determinism contract, do not change casually.
 CHUNK_SIZE = 8192
 
+# Most threads that run chunks at once, the caller included.  The affinity
+# set can list more CPUs than a CPU quota grants, and each running chunk
+# holds about 2.6 MB of draws and fields.  Only 2 CPUs have been measured:
+# 2 threads beat 1, while 4 and 8 threads on those 2 CPUs were slower than 2
+# and raised peak RSS by 2.6 MB per thread (BENCH_chunk_pool.json, "workers").
+MAX_WORKERS = 2
+
 T = TypeVar("T")
 
 
@@ -40,10 +47,20 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
-def _usable_cpus() -> int:
+def _workers(chunk_fn: Callable, n_chunks: int) -> int:
+    """Threads for ``n_chunks`` chunks: usable CPUs, capped by ``MAX_WORKERS``.
+
+    A chunk function that wraps another (``functools.wraps`` sets
+    ``__wrapped__``) gets one thread: wrappers are how call tracers and
+    counters hook in, and they keep one span stack and unlocked tallies.
+    """
+    if hasattr(chunk_fn, "__wrapped__"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS, n_chunks)
 
 
 def run_chunks(
@@ -55,8 +72,8 @@ def run_chunks(
 
     ``n_total`` draws split into full chunks of ``CHUNK_SIZE`` plus one
     remainder chunk, each with its own child stream of ``rng``.  The
-    calling thread and one helper thread per further usable CPU take
-    chunks in turn; numpy releases the GIL while it fills and transforms
+    calling thread and one helper thread per further worker (``_workers``)
+    take chunks in turn; numpy releases the GIL while it fills and transforms
     the arrays, so the chunks overlap.  A failing chunk's exception (the
     lowest-numbered one, if several fail) is raised here once every
     thread has stopped.
@@ -82,7 +99,7 @@ def run_chunks(
 
     helpers = [
         threading.Thread(target=work, daemon=True)
-        for _ in range(min(_usable_cpus(), len(sizes)) - 1)
+        for _ in range(_workers(chunk_fn, len(sizes)) - 1)
     ]
     for helper in helpers:
         helper.start()

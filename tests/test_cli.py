@@ -333,9 +333,9 @@ def test_numerical_failure_exits_3(scenario_file, tmp_path, monkeypatch, capsys)
 def test_error_in_a_helper_thread_keeps_its_exit_code(
     error, code, scenario_file, tmp_path, monkeypatch, capsys
 ):
-    # five Monte Carlo chunks on four threads; the caller's chunks wait
-    # until a helper's chunk has failed
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    # five Monte Carlo chunks on two threads; the caller's chunks wait
+    # until the helper's chunk has failed
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     helper_failed = threading.Event()
     kernel = outage.sample_hop_chunk
 

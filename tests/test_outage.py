@@ -7,6 +7,7 @@ import pytest
 from scipy.special import erfc
 from scipy.stats import norm
 
+from relay_outage import outage
 from relay_outage.mutual_info import HopConfig, HopMoments, estimate_hop_moments
 from relay_outage.outage import (
     DuplexMode,
@@ -248,23 +249,46 @@ def test_fd_without_rsi_equals_twice_hd():
     assert np.any((fd > 0.0) & (fd < 1.0))
 
 
-def test_empirical_outage_matches_broadcast_compare():
-    # rates equal to sample values: "in outage" means strictly below the
-    # rate, as in the broadcast compare over every sample; the per-chunk
-    # counts (three chunks here) add up to the same fraction bit for bit
+def test_empirical_outage_matches_broadcast_compare(monkeypatch):
+    # ties in the samples and rates equal to sample values: "in outage"
+    # means strictly below the rate, as in the broadcast compare over every
+    # sample, also when equal samples fall in different chunks
     cfg = _chain(2)
-    n = 20_000
-    samples = np.concatenate(
-        run_chunks(n, substream(SEED, 12), lambda s, c: sample_min_mutual_info(cfg, s, c))
+    n = 20_000  # three chunks
+    kernel = outage.sample_min_mutual_info
+
+    def rounded(cfg, stream, count):
+        return np.round(kernel(cfg, stream, count), 1)
+
+    chunks = run_chunks(n, substream(SEED, 12), lambda s, c: rounded(cfg, s, c))
+    assert len(chunks) == 3
+    assert np.intersect1d(chunks[0], chunks[1]).size > 0  # ties across chunks
+    samples = np.concatenate(chunks)
+    rates = np.concatenate(
+        ([-1.0, 0.0], np.unique(samples)[::7], [samples.max() + 1.0])
     )
-    rates = np.concatenate(([-1.0, 0.0], np.unique(samples)[::97], [samples.max() + 1.0]))
     rates.sort()
+    monkeypatch.setattr(outage, "sample_min_mutual_info", rounded)
     p, se = montecarlo_outage(cfg, rates, substream(SEED, 12), n)
     want = np.mean(samples[np.newaxis, :] < rates[:, np.newaxis], axis=-1)
     assert np.array_equal(p, want)
     assert np.array_equal(se, np.sqrt(want * (1.0 - want) / n))
     assert p[0] == 0.0 and p[-1] == 1.0
-    assert np.all(p[2:-1] == np.arange(0, n, 97)[: rates.size - 3] / n)
+
+
+def test_montecarlo_counts_add_up_across_chunks():
+    # distinct samples: at the k-th smallest sample exactly k realizations
+    # lie strictly below, so the per-chunk counts (three chunks here) must
+    # add up to k / n bit for bit
+    cfg = _chain(2)
+    n = 20_000
+    samples = np.concatenate(
+        run_chunks(n, substream(SEED, 12), lambda s, c: sample_min_mutual_info(cfg, s, c))
+    )
+    assert np.unique(samples).size == n
+    rates = np.sort(samples)[::97]
+    p, _ = montecarlo_outage(cfg, rates, substream(SEED, 12), n)
+    assert np.array_equal(p, np.arange(0, n, 97) / n)
 
 
 def test_montecarlo_outage_single_point():

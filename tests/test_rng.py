@@ -1,3 +1,4 @@
+import functools
 import os
 import sys
 import threading
@@ -8,6 +9,7 @@ import pytest
 
 from relay_outage.mutual_info import EXACT, EXACT_MI, MIDPOINT, HopConfig, sample_hop_fields
 from relay_outage.outage import DuplexMode, NetworkConfig, analytical_outage, montecarlo_outage
+from relay_outage import rng
 from relay_outage.rng import CHUNK_SIZE, run_chunks, substream
 
 SEED = 606
@@ -27,10 +29,11 @@ RSI_CHAIN = NetworkConfig(
 
 @pytest.fixture()
 def cpus(monkeypatch):
-    """Set how many CPUs the process may use, as the runner reads it."""
+    """Set how many CPUs the process may use, and let the runner use them all."""
 
     def use(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(rng, "MAX_WORKERS", max(n, rng.MAX_WORKERS))
 
     return use
 
@@ -98,9 +101,36 @@ def test_run_chunks_returns_results_in_chunk_order(cpus, n_cpus):
     assert [count for count, _, _ in results] == [CHUNK_SIZE] * 3 + [1234]
     serial = [int(s.integers(2**62)) for s in substream(SEED, 3).spawn(4)]
     assert [draw for _, draw, _ in results] == serial
-    threads = {thread for _, _, thread in results}
+    threads = _threads(results)
     assert threading.get_ident() in threads  # the caller runs its share
     assert len(threads) == n_cpus
+
+
+def _threads(results):
+    return {thread for _, _, thread in results}
+
+
+def test_threads_are_capped_at_max_workers(monkeypatch):
+    # a process may list more CPUs than it gets (a CPU quota does not shrink
+    # the affinity set); the runner never starts more than MAX_WORKERS threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    results = run_chunks(8 * CHUNK_SIZE, substream(SEED, 8), _recorder(rng.MAX_WORKERS))
+    assert len(_threads(results)) == rng.MAX_WORKERS
+
+
+def test_wrapped_chunk_function_runs_on_the_calling_thread(cpus):
+    # a tracer's wrapper keeps unlocked state, so its chunks are not shared out
+    cpus(4)
+    inner = _recorder(1)
+
+    @functools.wraps(inner)
+    def traced(stream, count):
+        return inner(stream, count)
+
+    results = run_chunks(N_DRAWS, substream(SEED, 3), traced)
+    assert _threads(results) == {threading.get_ident()}
+    plain = run_chunks(N_DRAWS, substream(SEED, 3), _recorder(1))
+    assert [r[:2] for r in results] == [r[:2] for r in plain]
 
 
 def test_single_chunk_starts_no_helper(cpus):
