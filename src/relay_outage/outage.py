@@ -11,7 +11,6 @@ on both the Gaussian assumption and the midpoint approximation.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -185,8 +184,9 @@ def montecarlo_outage(
     One set of ``n_realizations`` realizations is drawn from ``rng``; a
     realization is in outage at a rate its weakest hop falls strictly
     below.  Each chunk counts its own outages at every rate, by binary
-    search in its sorted samples, and adds them to one integer total, so
-    memory is O(``CHUNK_SIZE``) per running chunk plus O(rates).
+    search in its sorted samples, and the counts are added into one integer
+    total as chunks finish, so memory is O(``CHUNK_SIZE``) per running chunk
+    plus O(rates).
     """
     rates = _check_rate_grid(rates)
     if n_realizations < MIN_MC_REALIZATIONS:
@@ -195,17 +195,12 @@ def montecarlo_outage(
             f"{n_realizations}"
         )
 
-    below = np.zeros(rates.size, dtype=np.intp)
-    lock = threading.Lock()  # chunks run on several threads
-
-    def count_below(stream: np.random.Generator, count: int) -> None:
+    def count_below(stream: np.random.Generator, count: int) -> np.ndarray:
         samples = sample_min_mutual_info(cfg, stream, count)
         samples.sort()
-        counts = np.searchsorted(samples, rates, side="left")
-        with lock:
-            np.add(below, counts, out=below)
+        return np.searchsorted(samples, rates, side="left")
 
-    run_chunks(n_realizations, rng, count_below)
+    below = run_chunks(n_realizations, rng, count_below, np.add)
     p = below / n_realizations
     se = np.sqrt(p * (1.0 - p) / n_realizations)
     return p, se

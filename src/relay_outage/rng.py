@@ -5,17 +5,21 @@ addressed by ``(seed, path)`` is a PCG64 generator seeded with
 ``numpy.random.SeedSequence(seed, spawn_key=path)``.  Top-level path ids
 are fixed per sampling domain (constants below); chunked samplers spawn
 one child stream per chunk of ``CHUNK_SIZE`` draws, a fixed constant.
-Chunks run concurrently on up to ``MAX_WORKERS`` of the process's usable
-CPUs, each on its own stream, and their results come back in chunk order,
-so results depend only on ``(seed, path, n_samples)`` and never on how
-many CPUs there are or which of them ran a chunk.
+When the process may use two or more CPUs, a forked helper process runs
+chunks from the back while the caller runs them from the front.  Each chunk
+draws only from its own stream, so results depend only on
+``(seed, path, n_samples)`` and never on how many CPUs there are or which
+process ran a chunk.
 """
 from __future__ import annotations
 
-import itertools
+import contextlib
+import functools
 import os
-import threading
-from typing import Callable, TypeVar
+import pickle
+import signal
+import sys
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -28,12 +32,8 @@ STREAM_VALIDATION = 3
 # Draws per chunk; part of the determinism contract, do not change casually.
 CHUNK_SIZE = 8192
 
-# Most threads that run chunks at once, the caller included.  The affinity
-# set can list more CPUs than a CPU quota grants, and each running chunk
-# holds about 2.6 MB of draws and fields.  Only 2 CPUs have been measured:
-# 2 threads beat 1, while 4 and 8 threads on those 2 CPUs were slower than 2
-# and raised peak RSS by 2.6 MB per thread (BENCH_chunk_pool.json, "workers").
-MAX_WORKERS = 2
+# Bytes of the length that precedes each pickled result the helper sends.
+_LENGTH_BYTES = 8
 
 T = TypeVar("T")
 
@@ -47,65 +47,121 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
-def _workers(chunk_fn: Callable, n_chunks: int) -> int:
-    """Threads for ``n_chunks`` chunks: usable CPUs, capped by ``MAX_WORKERS``.
+def _use_helper(chunk_fn: Callable, n_chunks: int) -> bool:
+    """Whether a forked helper process shares the ``n_chunks`` chunks.
 
+    Only on Linux (``os.sched_getaffinity``), with two or more usable CPUs.
     A chunk function that wraps another (``functools.wraps`` sets
-    ``__wrapped__``) gets one thread: wrappers are how call tracers and
-    counters hook in, and they keep one span stack and unlocked tallies.
+    ``__wrapped__``) runs every chunk in the calling process: wrappers are
+    how call tracers and counters hook in, and their tallies live there.
     """
-    if hasattr(chunk_fn, "__wrapped__"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, MAX_WORKERS, n_chunks)
+    if n_chunks < 2 or hasattr(chunk_fn, "__wrapped__"):
+        return False
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 def run_chunks(
     n_total: int,
     rng: np.random.Generator,
     chunk_fn: Callable[[np.random.Generator, int], T],
-) -> list[T]:
-    """``chunk_fn(stream, count)`` of every chunk, in chunk order.
+    fold: Callable[[T, T], T] | None = None,
+):
+    """``chunk_fn(stream, count)`` of every chunk, in chunk order, or their ``fold``.
 
     ``n_total`` draws split into full chunks of ``CHUNK_SIZE`` plus one
-    remainder chunk, each with its own child stream of ``rng``.  The
-    calling thread and one helper thread per further worker (``_workers``)
-    take chunks in turn; numpy releases the GIL while it fills and transforms
-    the arrays, so the chunks overlap.  A failing chunk's exception (the
-    lowest-numbered one, if several fail) is raised here once every
-    thread has stopped.
+    remainder chunk, each with its own child stream of ``rng``.  With a
+    helper (``_use_helper``), the helper's results come back pickled, so
+    they must be picklable, and a chunk's side effects stay in the process
+    that ran it.  Given ``fold``, results are combined as they finish,
+    which is out of chunk order, so ``fold`` must be associative and
+    commutative (integer ``np.add``, say); only the running fold is kept.
+    An exception in a chunk is raised here.
     """
     if n_total < 1:
         raise ValueError(f"need at least one draw, got {n_total}")
     n_full, rest = divmod(n_total, CHUNK_SIZE)
     sizes = [CHUNK_SIZE] * n_full + ([rest] if rest else [])
-    streams = rng.spawn(len(sizes))
-    results: list = [None] * len(sizes)
-    errors: dict[int, BaseException] = {}
-    turns = itertools.count()  # next() is atomic under the GIL
+    chunks = list(zip(rng.spawn(len(sizes)), sizes))
+    with contextlib.closing(_finished(chunk_fn, chunks)) as finished:
+        if fold is not None:
+            return functools.reduce(fold, (value for _, value in finished))
+        results: list = [None] * len(chunks)
+        for i, value in finished:
+            results[i] = value
+        return results
 
-    def work() -> None:
-        for i in turns:
-            if i >= len(sizes) or errors:
-                return
-            try:
-                results[i] = chunk_fn(streams[i], sizes[i])
-            except BaseException as exc:  # re-raised in the caller below
-                errors[i] = exc
-                return
 
-    helpers = [
-        threading.Thread(target=work, daemon=True)
-        for _ in range(_workers(chunk_fn, len(sizes)) - 1)
-    ]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+def _finished(chunk_fn: Callable, chunks: list) -> Iterator[tuple[int, object]]:
+    """Each ``(index, chunk_fn(*chunk))`` once, in the order the chunks finish.
+
+    With a helper, this process runs chunks 0, 1, ... and the helper runs
+    chunks n - 1, n - 2, ..., sending each result as it finishes, until
+    the two meet.  Two processes share no interpreter lock, and this one
+    never waits for the helper: it reads what has arrived between chunks,
+    so at the meeting point both may run a chunk, which is kept once.  The
+    helper exits on any error; this process then runs the chunks it did not
+    send, so a failing chunk fails here.  The helper is killed once every
+    chunk is in, or when this process stops early.
+    """
+    if not _use_helper(chunk_fn, len(chunks)):
+        for i, chunk in enumerate(chunks):
+            yield i, chunk_fn(*chunk)
+        return
+    for stream in (sys.stdout, sys.stderr):  # the helper must not repeat buffered output
+        if stream is not None:
+            stream.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            _send_from_the_back(chunk_fn, chunks, write_fd)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    os.set_blocking(read_fd, False)
+    try:
+        inbox = bytearray()
+        sent_from = len(chunks)  # the helper has sent chunks sent_from, ..., n - 1
+        i = 0
+        while i < sent_from:
+            yield i, chunk_fn(*chunks[i])
+            i += 1
+            for j, value in _received(read_fd, inbox):
+                if j >= i:  # a chunk both ran is kept once
+                    sent_from = j
+                    yield j, value
+    finally:
+        os.close(read_fd)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _send_from_the_back(chunk_fn: Callable, chunks: list, write_fd: int) -> None:
+    """In the helper: run chunks last first, and send each ``(index, result)``."""
+    with open(write_fd, "wb") as pipe:
+        for j in range(len(chunks) - 1, -1, -1):
+            message = pickle.dumps((j, chunk_fn(*chunks[j])), pickle.HIGHEST_PROTOCOL)
+            pipe.write(len(message).to_bytes(_LENGTH_BYTES, "little"))
+            pipe.write(message)
+            pipe.flush()
+
+
+def _received(read_fd: int, inbox: bytearray) -> list[tuple[int, object]]:
+    """The helper's results that have fully arrived, read without waiting."""
+    while True:
+        try:
+            data = os.read(read_fd, 1 << 16)
+        except BlockingIOError:
+            break
+        if not data:  # the helper has exited
+            break
+        inbox += data
+    messages = []
+    while len(inbox) >= _LENGTH_BYTES:
+        end = _LENGTH_BYTES + int.from_bytes(inbox[:_LENGTH_BYTES], "little")
+        if len(inbox) < end:
+            break
+        messages.append(pickle.loads(inbox[_LENGTH_BYTES:end]))
+        del inbox[:end]
+    return messages

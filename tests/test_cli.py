@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,7 @@ from scipy import stats
 from relay_outage import cli, outage
 from relay_outage.cli import ERROR_PREFIX, ResultTable, _ks_distance, _skewness
 from relay_outage.mutual_info import EXACT, MIDPOINT, sample_hop_fields
-from relay_outage.rng import substream
+from relay_outage.rng import CHUNK_SIZE, substream
 from relay_outage.validation import hop_at_scales
 
 SMALL_SCENARIO = """[network]
@@ -330,28 +329,25 @@ def test_numerical_failure_exits_3(scenario_file, tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("error, code", [(ValueError, 2), (FloatingPointError, 3)])
-def test_error_in_a_helper_thread_keeps_its_exit_code(
+def test_error_in_a_shared_chunk_keeps_its_exit_code(
     error, code, scenario_file, tmp_path, monkeypatch, capsys
 ):
-    # five Monte Carlo chunks on two threads; the caller's chunks wait
-    # until the helper's chunk has failed
+    # five Monte Carlo chunks shared with a helper process; the short last
+    # chunk fails, the helper meets it first and exits, and the caller
+    # raises the error when it reaches that chunk
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    helper_failed = threading.Event()
     kernel = outage.sample_hop_chunk
 
-    def failing_kernel(*args):
-        if threading.current_thread() is threading.main_thread():
-            assert helper_failed.wait(timeout=10.0), "no helper thread ran a chunk"
-            return kernel(*args)
-        helper_failed.set()
-        raise error("broken chunk")
+    def failing_kernel(hop, stream, count, fields):
+        if count != CHUNK_SIZE:
+            raise error("broken chunk")
+        return kernel(hop, stream, count, fields)
 
     monkeypatch.setattr(outage, "sample_hop_chunk", failing_kernel)
     rc = cli.main([
         "outage", "--scenario", str(scenario_file), "--realizations", "40000",
         "--out", str(tmp_path),
     ])
-    assert helper_failed.is_set()
     assert rc == code
     err = capsys.readouterr().err
     assert err.startswith(ERROR_PREFIX) and "broken chunk" in err

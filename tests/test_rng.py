@@ -1,7 +1,8 @@
 import functools
+import operator
 import os
-import sys
-import threading
+import select
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 from relay_outage.mutual_info import EXACT, EXACT_MI, MIDPOINT, HopConfig, sample_hop_fields
 from relay_outage.outage import DuplexMode, NetworkConfig, analytical_outage, montecarlo_outage
-from relay_outage import rng
 from relay_outage.rng import CHUNK_SIZE, run_chunks, substream
 
 SEED = 606
@@ -29,11 +29,10 @@ RSI_CHAIN = NetworkConfig(
 
 @pytest.fixture()
 def cpus(monkeypatch):
-    """Set how many CPUs the process may use, and let the runner use them all."""
+    """Set how many CPUs the process may use."""
 
     def use(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        monkeypatch.setattr(rng, "MAX_WORKERS", max(n, rng.MAX_WORKERS))
 
     return use
 
@@ -50,113 +49,144 @@ def _outputs():
 def test_outputs_do_not_depend_on_cpu_count(cpus):
     cpus(1)
     serial = _outputs()
-    for n in (2, 4):
-        cpus(n)
-        pooled = _outputs()
-        assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+    cpus(2)
+    shared = _outputs()
+    assert all(np.array_equal(a, b) for a, b in zip(serial, shared))
 
 
-def test_pool_under_frequent_thread_switches(cpus):
-    # more threads than cores and a switch every microsecond: a chunk run
-    # twice or skipped, or a lost update of the shared outage counts, would
-    # move the estimate off the one-thread result.  The long rate grid makes
-    # the count updates long enough (numpy releases the GIL while it adds)
-    # that with the lock removed this test fails in about half its runs
-    cfg = NetworkConfig(hops=(HopConfig(1, 1, 10.0),), mode=DuplexMode.FULL_DUPLEX)
-    rates = np.linspace(0.0, 8.0, 100_000)
-    cpus(1)
-    serial = montecarlo_outage(cfg, rates, substream(SEED, 7), 40 * CHUNK_SIZE)
-    assert 0.0 < serial[0][50_000] < 1.0
-    cpus(8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            pooled = montecarlo_outage(cfg, rates, substream(SEED, 7), 40 * CHUNK_SIZE)
-            assert np.array_equal(serial[0], pooled[0])
-            assert np.array_equal(serial[1], pooled[1])
-    finally:
-        sys.setswitchinterval(interval)
+def _assert_no_child_processes():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def _recorder(n_threads):
-    """A chunk function that reports its count, a draw and its thread.
+def _recorder():
+    """A chunk function that reports its count, a draw and its process.
 
-    Every call waits until ``n_threads`` calls are running, so each of the
-    first ``n_threads`` chunks must run on a thread of its own.
+    Each chunk in the calling process waits until the helper has started
+    one more chunk, so the caller runs the first chunk and the helper the
+    last: the helper sends a result before it starts its next chunk.
     """
-    barrier = threading.Barrier(n_threads)
+    caller = os.getpid()
+    started, starting = os.pipe()
 
     def chunk(stream, count):
-        barrier.wait(timeout=10.0)
-        return count, int(stream.integers(2**62)), threading.get_ident()
+        if os.getpid() == caller:
+            assert select.select([started], [], [], 10.0)[0], "no helper ran a chunk"
+            os.read(started, 1)
+        else:
+            os.write(starting, b"x")
+        return count, int(stream.integers(2**62)), os.getpid()
 
     return chunk
 
 
-@pytest.mark.parametrize("n_cpus", [1, 4])
-def test_run_chunks_returns_results_in_chunk_order(cpus, n_cpus):
-    cpus(n_cpus)
-    results = run_chunks(N_DRAWS, substream(SEED, 3), _recorder(n_cpus))
+def test_run_chunks_shares_chunks_with_a_helper_in_chunk_order(cpus):
+    cpus(2)
+    results = run_chunks(N_DRAWS, substream(SEED, 3), _recorder())
     assert [count for count, _, _ in results] == [CHUNK_SIZE] * 3 + [1234]
     serial = [int(s.integers(2**62)) for s in substream(SEED, 3).spawn(4)]
     assert [draw for _, draw, _ in results] == serial
-    threads = _threads(results)
-    assert threading.get_ident() in threads  # the caller runs its share
-    assert len(threads) == n_cpus
+    pids = [pid for _, _, pid in results]
+    assert pids[0] == os.getpid() and pids[-1] != os.getpid()  # caller from the front
+    assert len(set(pids)) == 2
+    _assert_no_child_processes()  # the helper is gone
 
 
-def _threads(results):
-    return {thread for _, _, thread in results}
+def _pids(results):
+    return {pid for _, pid in results}
 
 
-def test_threads_are_capped_at_max_workers(monkeypatch):
-    # a process may list more CPUs than it gets (a CPU quota does not shrink
-    # the affinity set); the runner never starts more than MAX_WORKERS threads
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    results = run_chunks(8 * CHUNK_SIZE, substream(SEED, 8), _recorder(rng.MAX_WORKERS))
-    assert len(_threads(results)) == rng.MAX_WORKERS
+def _count_and_pid(stream, count):
+    return count, os.getpid()
 
 
-def test_wrapped_chunk_function_runs_on_the_calling_thread(cpus):
-    # a tracer's wrapper keeps unlocked state, so its chunks are not shared out
+def test_one_cpu_runs_every_chunk_in_the_caller(cpus):
+    cpus(1)
+    assert _pids(run_chunks(N_DRAWS, substream(SEED, 3), _count_and_pid)) == {os.getpid()}
+
+
+def test_wrapped_chunk_function_runs_in_the_calling_process(cpus):
+    # a tracer's wrapper counts in this process, so its chunks are not shared out
     cpus(4)
-    inner = _recorder(1)
 
-    @functools.wraps(inner)
+    @functools.wraps(_count_and_pid)
     def traced(stream, count):
-        return inner(stream, count)
+        return _count_and_pid(stream, count)
 
     results = run_chunks(N_DRAWS, substream(SEED, 3), traced)
-    assert _threads(results) == {threading.get_ident()}
-    plain = run_chunks(N_DRAWS, substream(SEED, 3), _recorder(1))
-    assert [r[:2] for r in results] == [r[:2] for r in plain]
+    assert _pids(results) == {os.getpid()}
 
 
 def test_single_chunk_starts_no_helper(cpus):
     cpus(4)
-    before = threading.active_count()
-    results = run_chunks(100, substream(SEED, 4), _recorder(1))
-    assert [(count, thread) for count, _, thread in results] == [(100, threading.get_ident())]
-    assert threading.active_count() == before
+    results = run_chunks(100, substream(SEED, 4), _count_and_pid)
+    assert results == [(100, os.getpid())]
 
 
-def test_helper_thread_error_reaches_the_caller(cpus):
-    cpus(4)
-    helper_failed = threading.Event()
+def test_fold_counts_every_chunk_once(cpus):
+    # both processes may run the chunk where they meet; it is folded once
+    cpus(2)
+    for n_chunks in (2, 3, 40):
+        total = run_chunks(n_chunks * CHUNK_SIZE, substream(SEED, 9), lambda s, c: c, operator.add)
+        assert total == n_chunks * CHUNK_SIZE
+    _assert_no_child_processes()
+
+
+def test_chunk_run_by_both_processes_is_kept_once(cpus):
+    # the helper runs every chunk while the caller runs its first; the
+    # caller then receives a result for the chunk it has run too, and
+    # counts that chunk once
+    cpus(2)
+    caller = os.getpid()
+    ran, running = os.pipe()
+    n_chunks = 4
 
     def chunk(stream, count):
-        if threading.current_thread() is threading.main_thread():
-            assert helper_failed.wait(timeout=10.0), "no helper thread ran a chunk"
-            return count
-        helper_failed.set()
-        raise FloatingPointError("chunk failed in a helper thread")
+        if os.getpid() == caller:
+            for _ in range(n_chunks):
+                assert select.select([ran], [], [], 10.0)[0], "the helper stopped"
+                os.read(ran, 1)
+            time.sleep(0.1)  # the helper's last result reaches the pipe
+        else:
+            os.write(running, b"x")
+        return 1
 
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="helper thread"):
-        run_chunks(8 * CHUNK_SIZE, substream(SEED, 5), chunk)
-    assert helper_failed.is_set()
-    assert threading.active_count() == before  # every helper has stopped
+    assert run_chunks(n_chunks * CHUNK_SIZE, substream(SEED, 9), chunk, operator.add) == n_chunks
+    _assert_no_child_processes()
+
+
+def test_chunk_that_fails_in_the_helper_is_rerun_in_the_caller(cpus):
+    # the helper fails on its first chunk, the last, and exits; the caller
+    # runs every chunk itself
+    cpus(2)
+    caller = os.getpid()
+    failed, failing = os.pipe()
+
+    def chunk(stream, count):
+        if os.getpid() != caller:
+            os.write(failing, b"x")
+            raise FloatingPointError("chunk failed in the helper")
+        assert select.select([failed], [], [], 10.0)[0], "no helper ran a chunk"
+        return count, int(stream.integers(2**62))
+
+    results = run_chunks(N_DRAWS, substream(SEED, 5), chunk)
+    assert [r[1] for r in results] == [int(s.integers(2**62)) for s in substream(SEED, 5).spawn(4)]
+    _assert_no_child_processes()
+
+
+def test_failing_chunk_raises_in_the_caller(cpus):
+    # the short last chunk fails: the helper meets it first and exits, and
+    # the caller raises the error when it reaches that chunk
+    cpus(2)
+
+    def chunk(stream, count):
+        if count != CHUNK_SIZE:
+            raise FloatingPointError("short chunk failed")
+        return count
+
+    with pytest.raises(FloatingPointError, match="short chunk"):
+        run_chunks(N_DRAWS, substream(SEED, 5), chunk)
+    _assert_no_child_processes()
 
 
 def _peak_bytes(fn):
@@ -170,8 +200,8 @@ def _peak_bytes(fn):
 
 def test_montecarlo_memory_does_not_grow_with_realizations(cpus):
     # each running chunk counts its own outages and drops its samples, so the
-    # peak stays flat from 10^5 to 10^6; on one thread it is also repeatable
-    # (with helpers it varies with how the chunks' peaks overlap)
+    # peak stays flat from 10^5 to 10^6 (tracemalloc sees this process only,
+    # so the test runs every chunk here)
     cpus(1)
     cfg = NetworkConfig(hops=(HopConfig(2, 2, 20.0),), mode=DuplexMode.FULL_DUPLEX)
     rates = np.arange(0.0, 14.01, 0.05)
