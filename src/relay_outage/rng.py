@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import mmap
 import os
 import pickle
 import signal
@@ -99,32 +100,28 @@ def _finished(chunk_fn: Callable, chunks: list) -> Iterator[tuple[int, object]]:
     the two meet.  Two processes share no interpreter lock, and this one
     never waits for the helper: it reads what has arrived between chunks,
     so at the meeting point both may run a chunk, which is kept once.  The
-    helper exits on any error; this process then runs the chunks it did not
-    send, so a failing chunk fails here.  The helper is killed once every
-    chunk is in, or when this process stops early.
+    helper stops at the first chunk this process has started.  It exits on
+    any error; this process then runs the chunks it did not send, so a
+    failing chunk fails here.  The helper is killed once every chunk is in,
+    or when this process stops early.
     """
-    if not _use_helper(chunk_fn, len(chunks)):
+    helper = None
+    if _use_helper(chunk_fn, len(chunks)):
+        # How many chunks this process has started; the helper reads it and
+        # stops once it reaches them.  An aligned 8-byte store is not torn.
+        started = memoryview(mmap.mmap(-1, 8)).cast("q")
+        helper = _start_helper(chunk_fn, chunks, started)
+    if helper is None:
         for i, chunk in enumerate(chunks):
             yield i, chunk_fn(*chunk)
         return
-    for stream in (sys.stdout, sys.stderr):  # the helper must not repeat buffered output
-        if stream is not None:
-            stream.flush()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            _send_from_the_back(chunk_fn, chunks, write_fd)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    os.set_blocking(read_fd, False)
+    pid, read_fd = helper
     try:
         inbox = bytearray()
         sent_from = len(chunks)  # the helper has sent chunks sent_from, ..., n - 1
         i = 0
         while i < sent_from:
+            started[0] = i + 1
             yield i, chunk_fn(*chunks[i])
             i += 1
             for j, value in _received(read_fd, inbox):
@@ -137,10 +134,38 @@ def _finished(chunk_fn: Callable, chunks: list) -> Iterator[tuple[int, object]]:
         os.waitpid(pid, 0)
 
 
-def _send_from_the_back(chunk_fn: Callable, chunks: list, write_fd: int) -> None:
-    """In the helper: run chunks last first, and send each ``(index, result)``."""
+def _start_helper(chunk_fn: Callable, chunks: list, started) -> tuple[int, int] | None:
+    """Fork the helper: its pid and the read end of its pipe, or None if the fork fails."""
+    for stream in (sys.stdout, sys.stderr):  # the helper must not repeat buffered output
+        if stream is not None:
+            stream.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller runs every chunk
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            _send_from_the_back(chunk_fn, chunks, started, write_fd)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    os.set_blocking(read_fd, False)
+    return pid, read_fd
+
+
+def _send_from_the_back(chunk_fn: Callable, chunks: list, started, write_fd: int) -> None:
+    """In the helper: run chunks last first, and send each ``(index, result)``.
+
+    Stops at the first chunk the caller has started (``started[0]``).
+    """
     with open(write_fd, "wb") as pipe:
         for j in range(len(chunks) - 1, -1, -1):
+            if j < started[0]:
+                return
             message = pickle.dumps((j, chunk_fn(*chunks[j])), pickle.HIGHEST_PROTOCOL)
             pipe.write(len(message).to_bytes(_LENGTH_BYTES, "little"))
             pipe.write(message)

@@ -1,15 +1,18 @@
 import functools
+import mmap
 import operator
 import os
 import select
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from relay_outage.mutual_info import EXACT, EXACT_MI, MIDPOINT, HopConfig, sample_hop_fields
 from relay_outage.outage import DuplexMode, NetworkConfig, analytical_outage, montecarlo_outage
+from relay_outage import rng
 from relay_outage.rng import CHUNK_SIZE, run_chunks, substream
 
 SEED = 606
@@ -105,6 +108,17 @@ def test_one_cpu_runs_every_chunk_in_the_caller(cpus):
     assert _pids(run_chunks(N_DRAWS, substream(SEED, 3), _count_and_pid)) == {os.getpid()}
 
 
+def test_failed_fork_runs_every_chunk_in_the_caller(cpus, monkeypatch):
+    cpus(2)
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    results = run_chunks(N_DRAWS, substream(SEED, 3), _count_and_pid)
+    assert results == [(CHUNK_SIZE, os.getpid())] * 3 + [(1234, os.getpid())]
+
+
 def test_wrapped_chunk_function_runs_in_the_calling_process(cpus):
     # a tracer's wrapper counts in this process, so its chunks are not shared out
     cpus(4)
@@ -132,26 +146,47 @@ def test_fold_counts_every_chunk_once(cpus):
     _assert_no_child_processes()
 
 
-def test_chunk_run_by_both_processes_is_kept_once(cpus):
-    # the helper runs every chunk while the caller runs its first; the
-    # caller then receives a result for the chunk it has run too, and
-    # counts that chunk once
-    cpus(2)
+def _helper_runs(n_chunks):
+    """A chunk function that returns 1, and the pipe end the helper's chunks tick.
+
+    Each chunk in the caller waits until the helper has run ``n_chunks``
+    chunks, then lets the last result reach the pipe.
+    """
     caller = os.getpid()
     ran, running = os.pipe()
-    n_chunks = 4
 
     def chunk(stream, count):
         if os.getpid() == caller:
             for _ in range(n_chunks):
                 assert select.select([ran], [], [], 10.0)[0], "the helper stopped"
                 os.read(ran, 1)
-            time.sleep(0.1)  # the helper's last result reaches the pipe
+            time.sleep(0.1)
         else:
             os.write(running, b"x")
         return 1
 
-    assert run_chunks(n_chunks * CHUNK_SIZE, substream(SEED, 9), chunk, operator.add) == n_chunks
+    return chunk, ran
+
+
+def test_helper_stops_at_the_chunks_the_caller_has_started(cpus):
+    # the caller's first chunk outlasts the helper's other three; the
+    # helper then finds chunk 0 started and runs no fourth chunk
+    cpus(2)
+    chunk, ran = _helper_runs(3)
+    assert run_chunks(4 * CHUNK_SIZE, substream(SEED, 9), chunk, operator.add) == 4
+    assert not select.select([ran], [], [], 0.0)[0]
+    _assert_no_child_processes()
+
+
+def test_chunk_run_by_both_processes_is_kept_once(cpus, monkeypatch):
+    # with the caller's progress private to it, the helper runs every chunk
+    # while the caller runs its first; the caller then receives a result for
+    # the chunk it has run too, and counts that chunk once
+    cpus(2)
+    private = types.SimpleNamespace(mmap=lambda fd, size: mmap.mmap(fd, size, flags=mmap.MAP_PRIVATE))
+    monkeypatch.setattr(rng, "mmap", private)
+    chunk, _ = _helper_runs(4)
+    assert run_chunks(4 * CHUNK_SIZE, substream(SEED, 9), chunk, operator.add) == 4
     _assert_no_child_processes()
 
 
