@@ -18,14 +18,16 @@ used for moment estimation; sampled moments feed the Gaussian outage
 closed form in :mod:`relay_outage.outage`.
 
 Every sampled per-hop quantity comes from one chunk kernel,
-:func:`sample_hop_chunk`, which draws a :class:`HopConfig`'s channels (the
-interference channel only when the hop has RSI) and computes only the
-fields its caller names (``HOP_FIELDS``).  :func:`map_hop_chunks` runs it
-over the chunks of a sample and hands each chunk's fields to the caller's
-reduction, so only what the caller keeps outlives a chunk.  Receive Gram
-forms of at most two rows -- every shipped preset -- are evaluated in
-closed form (:class:`~relay_outage.randmat.SmallGram`); larger ones fall
-back to the batched eigensolver and Cholesky routes.
+:func:`sample_hop_chunk`, which draws a :class:`HopConfig`'s receive Gram
+forms (the interference one only when the hop has RSI) and computes only
+the fields its caller names (``HOP_FIELDS``).  :func:`map_hop_chunks` runs
+it over the chunks of a sample and hands each chunk's fields to the
+caller's reduction, so only what the caller keeps outlives a chunk.  Every
+field depends on the channels only through their Gram forms.  Those of at
+most two rows -- every shipped preset -- are drawn entry by entry and
+evaluated in closed form (:class:`~relay_outage.randmat.SmallGram`);
+larger ones are formed from drawn channels and go through the batched
+eigensolver and Cholesky routes.
 """
 from __future__ import annotations
 
@@ -148,7 +150,7 @@ def logdet_from_spectrum(spectrum: np.ndarray, scale: float):
 
 
 def _closed_form_fields(
-    h: np.ndarray, hbar: np.ndarray | None, eta: float, rho: float, wanted: set
+    gram: SmallGram, rsi: SmallGram | None, eta: float, rho: float, wanted: set
 ) -> dict[str, np.ndarray]:
     """Hop fields for receive Gram forms of at most two rows.
 
@@ -157,13 +159,11 @@ def _closed_form_fields(
     The pairing bounds replace ``det M`` by the product of paired
     eigenvalue sums, so all three share the ``1 + tr M`` part.
     """
-    gram = SmallGram.of(h)
-    if hbar is None:
+    if rsi is None:
         exact = np.log1p(eta * gram.trace + eta * eta * gram.det) / LN2
         return dict.fromkeys((EXACT, LOWER, UPPER, MIDPOINT, EXACT_MI), exact) | {
             RSI_LOGDET: np.zeros_like(exact)
         }
-    rsi = SmallGram.of(hbar)
     rsi_growth = rho * rsi.trace + rho * rho * rsi.det  # det(I + rho*Wbar) - 1
     out = {}
     if RSI_LOGDET in wanted:
@@ -177,7 +177,7 @@ def _closed_form_fields(
             out[EXACT_MI] = np.log1p(gain / (1.0 + rsi_growth)) / LN2
     if wanted & {LOWER, UPPER, MIDPOINT}:
         trace_m = rho * rsi.trace + eta * gram.trace
-        if h.shape[-2] == 1:  # one eigenvalue each: both pairings are exact
+        if gram.rows == 1:  # one eigenvalue each: both pairings are exact
             same = opposite = 0.0
         else:
             beta_max, beta_min = gram.spectrum()
@@ -191,21 +191,19 @@ def _closed_form_fields(
 
 
 def _lapack_fields(
-    h: np.ndarray, hbar: np.ndarray | None, eta: float, rho: float, wanted: set
+    w: np.ndarray, wbar: np.ndarray | None, eta: float, rho: float, wanted: set
 ) -> dict[str, np.ndarray]:
     """Hop fields through batched eigensolver and Cholesky calls (any size)."""
-    w = receive_gram(h)
     base = np.eye(w.shape[-1])
-    if hbar is not None:
-        wbar = receive_gram(hbar)
+    if wbar is not None:
         base = base + rho * wbar
     out = {}
     if wanted & {EXACT, EXACT_MI}:
         out[EXACT] = logdet2_psd(base + eta * w)
-        out[EXACT_MI] = out[EXACT] - logdet2_psd(base) if hbar is not None else out[EXACT]
+        out[EXACT_MI] = out[EXACT] - logdet2_psd(base) if wbar is not None else out[EXACT]
     if wanted & {LOWER, UPPER, MIDPOINT, RSI_LOGDET}:
         beta = descending_spectra(w)
-        alpha = descending_spectra(wbar) if hbar is not None else np.zeros_like(beta)
+        alpha = descending_spectra(wbar) if wbar is not None else np.zeros_like(beta)
         # same-rank pairing gives the lower bound, opposite-rank the upper
         out[LOWER] = np.log1p(rho * alpha + eta * beta).sum(axis=-1) / LN2
         out[UPPER] = np.log1p(rho * alpha + eta * beta[..., ::-1]).sum(axis=-1) / LN2
@@ -215,46 +213,54 @@ def _lapack_fields(
 
 
 def hop_fields(
-    h: np.ndarray,
-    hbar: np.ndarray | None,
+    w: SmallGram | np.ndarray,
+    wbar: SmallGram | np.ndarray | None,
     eta: float,
     rho: float,
     fields: tuple[str, ...],
 ) -> tuple[np.ndarray, ...]:
-    """Per-draw hop fields from stacked desired and interference channels.
+    """Per-draw hop fields from stacked desired and interference Gram forms.
 
-    ``h`` holds the ``(n, rx, tx)`` desired channels and ``hbar`` the
-    ``(n, rx, rsi_tx)`` interference channels, or ``None`` when there is
-    no self-interference (``rho`` is then ignored).  Returns one length-``n``
-    array per name in ``fields`` (see ``HOP_FIELDS``), in that order.
-    Receive dimensions up to ``MAX_CLOSED_FORM_RX`` use the closed form;
-    larger ones the eigensolver and Cholesky routes.
+    ``w`` holds the ``n`` desired and ``wbar`` the ``n`` interference Gram
+    forms, or ``wbar`` is ``None`` when there is no self-interference
+    (``rho`` is then ignored): :class:`~relay_outage.randmat.SmallGram`
+    entries up to ``MAX_CLOSED_FORM_RX`` receive antennas, evaluated in
+    closed form, and dense ``(n, rx, rx)`` arrays above, through the
+    eigensolver and Cholesky routes.  Returns one length-``n`` array per
+    name in ``fields`` (see ``HOP_FIELDS``), in that order.
     """
     wanted = set(fields)
     unknown = wanted.difference(HOP_FIELDS)
     if unknown:
         raise ValueError(f"unknown hop fields {sorted(unknown)}; expected {HOP_FIELDS}")
-    if h.shape[-2] <= MAX_CLOSED_FORM_RX:
-        out = _closed_form_fields(h, hbar, eta, rho, wanted)
+    if isinstance(w, SmallGram):
+        out = _closed_form_fields(w, wbar, eta, rho, wanted)
     else:
-        out = _lapack_fields(h, hbar, eta, rho, wanted)
+        out = _lapack_fields(w, wbar, eta, rho, wanted)
     return tuple(out[name] for name in fields)
+
+
+def _sample_gram(count: int, rows: int, cols: int, stream: np.random.Generator):
+    """``count`` receive Gram forms of ``rows x cols`` channels, as ``hop_fields`` takes them."""
+    if rows <= MAX_CLOSED_FORM_RX:
+        return SmallGram.sample(count, rows, cols, stream)
+    return receive_gram(sample_channels(count, rows, cols, stream))
 
 
 def sample_hop_chunk(
     hop: HopConfig, stream: np.random.Generator, count: int, fields: tuple[str, ...]
 ) -> tuple[np.ndarray, ...]:
-    """The per-hop sampling kernel: draw ``count`` channels, return ``fields``.
+    """The per-hop sampling kernel: draw ``count`` Gram forms, return ``fields``.
 
-    The desired channel is drawn first, then (only if the hop has
-    self-interference) the interference channel, so runs that differ only
-    in the interference level share the desired-channel realizations.
+    The desired Gram form is drawn first, then (only if the hop has
+    self-interference) the interference one, so runs that differ only in
+    the interference level share the desired-link realizations.
     """
-    h = sample_channels(count, hop.rx_antennas, hop.tx_antennas, stream)
-    hbar = None
+    w = _sample_gram(count, hop.rx_antennas, hop.tx_antennas, stream)
+    wbar = None
     if hop.has_rsi:
-        hbar = sample_channels(count, hop.rx_antennas, hop.interferer_antennas, stream)
-    return hop_fields(h, hbar, hop.eta, hop.rho, fields)
+        wbar = _sample_gram(count, hop.rx_antennas, hop.interferer_antennas, stream)
+    return hop_fields(w, wbar, hop.eta, hop.rho, fields)
 
 
 def map_hop_chunks(

@@ -102,10 +102,10 @@ def sample_min_mutual_info(
 ) -> np.ndarray:
     """Weakest-hop exact mutual information of one chunk of ``count`` realizations.
 
-    Every hop (and its interference channel, when the hop has RSI) is
+    Every hop (and its interference link, when the hop has RSI) is
     redrawn independently per realization.  Each hop owns a fixed child of
-    the chunk's ``stream``, drawn desired channel first, so configurations
-    differing only in interference level share their desired-channel
+    the chunk's ``stream``, drawn desired link first, so configurations
+    differing only in interference level share their desired-link
     realizations.  Scaled by the chain's time share.
     """
     min_mi = None
@@ -185,8 +185,7 @@ def montecarlo_outage(
     realization is in outage at a rate its weakest hop falls strictly
     below.  Each chunk counts its own outages at every rate, by binary
     search in its sorted samples, and the counts are added into one integer
-    total as chunks finish, so memory is O(``CHUNK_SIZE``) per running chunk
-    plus O(rates).
+    total chunk by chunk, so memory is O(``CHUNK_SIZE``) plus O(rates).
     """
     rates = _check_rate_grid(rates)
     if n_realizations < MIN_MC_REALIZATIONS:

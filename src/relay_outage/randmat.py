@@ -1,14 +1,15 @@
-"""Complex Gaussian channel sampling and Wishart eigen-spectra.
+"""Wishart Gram forms of complex Gaussian channels, and their eigen-spectra.
 
-Channel matrices are dense complex arrays whose entries are i.i.d.
-circularly symmetric complex Gaussian with zero mean and unit total
-variance (real and imaginary parts each have variance 1/2), so the mean
-squared magnitude of an entry is 1.  All sampling is a pure function of
-the generator handed in; see :mod:`relay_outage.rng` for the stream
-addressing scheme.
+Channel entries are i.i.d. circularly symmetric complex Gaussian with zero
+mean and unit total variance (real and imaginary parts each have variance
+1/2), so the mean squared magnitude of an entry is 1.  All sampling is a
+pure function of the generator handed in; see :mod:`relay_outage.rng` for
+the stream addressing scheme.
 
-Receive Gram forms of at most two rows have a closed form
-(:class:`SmallGram`); larger ones go through ``receive_gram`` and the
+Receive Gram forms of at most two rows are drawn directly, entry by entry,
+by Bartlett's decomposition (:meth:`SmallGram.sample`), and their spectra
+have a closed form; no channel is drawn for them.  Larger ones draw the
+channels (``sample_channels``), form ``receive_gram`` and go through the
 batched LAPACK eigensolver in ``descending_spectra``.
 """
 from __future__ import annotations
@@ -99,52 +100,54 @@ def descending_spectra(ws: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmallGram:
-    """Closed-form receive Gram ``W = H H^+`` of stacked channels with <= 2 rows.
+    """Entries of stacked receive Gram forms ``W = H H^+`` with ``rows <= 2``.
 
-    ``a`` and ``d`` are the diagonal entries, ``b_re`` and ``b_im`` the
-    real and imaginary parts of ``W[0, 1]``, and ``det`` is ``det W``.  For
-    single-row channels ``W`` is the scalar ``a`` and the other entries are
-    the plain float ``0.0``, which broadcasts against the stacked arrays.
+    ``rows`` is 1 or 2.  ``a`` and ``d`` are the diagonal entries, ``b_re``
+    and ``b_im`` the real and imaginary parts of ``W[0, 1]``, and ``det`` is
+    ``det W``.  For one row ``W`` is the scalar ``a`` and the other entries
+    are the plain float ``0.0``, which broadcasts against the stacked arrays.
     """
 
+    rows: int
     a: np.ndarray
-    d: np.ndarray | float
-    b_re: np.ndarray | float
-    b_im: np.ndarray | float
-    det: np.ndarray | float
+    d: np.ndarray | float = 0.0
+    b_re: np.ndarray | float = 0.0
+    b_im: np.ndarray | float = 0.0
+    det: np.ndarray | float = 0.0
 
     @classmethod
-    def of(cls, h: np.ndarray) -> "SmallGram":
-        """Gram entries of ``(n, rows, cols)`` channels, ``rows <= 2``.
+    def sample(cls, n: int, rows: int, cols: int, rng: np.random.Generator) -> "SmallGram":
+        """Draw the Gram forms of ``n`` independent ``rows x cols`` channels, ``rows <= 2``.
 
-        Entries come straight from the real and imaginary parts.  ``det``
-        is the Cauchy-Binet sum of the squared 2x2 minors of ``H``, a sum
-        of non-negative terms, so it never cancels below zero.
+        Bartlett's decomposition ``W = L L^+`` (Goodman, Ann. Math. Stat.
+        34, 1963) with ``|L00|^2 = g1 ~ Gamma(cols)``, ``L10 = z ~ CN(0, 1)``
+        and ``|L11|^2 = g2 ~ Gamma(cols - 1)`` gives ``a = g1``,
+        ``W[0, 1] = sqrt(g1) z``, ``d = |z|^2 + g2`` and ``det = g1 g2``, the
+        law of ``H H^+`` for unit-power complex Gaussian ``H``.  The draw
+        order is fixed: g1, then z (real part, then imaginary part), then g2,
+        which is exactly 0 and not drawn at ``cols = 1``.  ``det`` is a
+        product, so it is 0 at rank one and never cancels.  With one row, ``W``
+        is the single ``Gamma(cols)`` draw.
         """
-        rows, cols = h.shape[-2:]
         if rows > MAX_CLOSED_FORM_RX:
             raise ValueError(
                 f"closed-form Gram needs at most {MAX_CLOSED_FORM_RX} rows, got {rows}"
             )
-        hr, hi = h.real, h.imag
-        r0, i0 = hr[..., 0, :], hi[..., 0, :]
+        g1 = rng.standard_gamma(cols, n)
         if rows == 1:
-            return cls(a=(r0 * r0 + i0 * i0).sum(axis=-1), d=0.0, b_re=0.0, b_im=0.0, det=0.0)
-        r1, i1 = hr[..., 1, :], hi[..., 1, :]
-        a = d = b_re = b_im = det = 0.0
-        for j in range(cols):
-            a = a + (r0[..., j] * r0[..., j] + i0[..., j] * i0[..., j])
-            d = d + (r1[..., j] * r1[..., j] + i1[..., j] * i1[..., j])
-            b_re = b_re + (r0[..., j] * r1[..., j] + i0[..., j] * i1[..., j])
-            b_im = b_im + (i0[..., j] * r1[..., j] - r0[..., j] * i1[..., j])
-            for k in range(j + 1, cols):
-                # minor h0j h1k - h0k h1j
-                m_re = (r0[..., j] * r1[..., k] - i0[..., j] * i1[..., k]
-                        - r0[..., k] * r1[..., j] + i0[..., k] * i1[..., j])
-                m_im = (r0[..., j] * i1[..., k] + i0[..., j] * r1[..., k]
-                        - r0[..., k] * i1[..., j] - i0[..., k] * r1[..., j])
-                det = det + (m_re * m_re + m_im * m_im)
-        return cls(a=a, d=d, b_re=b_re, b_im=b_im, det=det)
+            return cls(rows=1, a=g1)
+        z = rng.standard_normal((2, n))
+        z *= _SQRT_HALF
+        g2 = rng.standard_gamma(cols - 1, n) if cols > 1 else 0.0
+        root = np.sqrt(g1)
+        return cls(
+            rows=2,
+            a=g1,
+            d=z[0] * z[0] + z[1] * z[1] + g2,
+            b_re=root * z[0],
+            b_im=root * z[1],
+            det=g1 * g2,
+        )
 
     @property
     def trace(self) -> np.ndarray:
@@ -167,7 +170,7 @@ class SmallGram:
 
         The smaller one is ``det / largest`` rather than a difference, so
         it keeps full relative precision when ``W`` is near singular.  For
-        single-row channels the smaller one is 0.
+        one row the smaller one is 0.
         """
         half_gap = 0.5 * (self.a - self.d)
         largest = 0.5 * self.trace + np.sqrt(

@@ -1,4 +1,5 @@
-import os
+import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from relay_outage import cli, outage
+from relay_outage import __version__, cli, outage
 from relay_outage.cli import ERROR_PREFIX, ResultTable, _ks_distance, _skewness
 from relay_outage.mutual_info import EXACT, MIDPOINT, sample_hop_fields
 from relay_outage.rng import CHUNK_SIZE, substream
@@ -88,6 +89,50 @@ def test_outage_output_is_byte_stable(scenario_file, tmp_path):
     assert cli.main(["outage", "--scenario", str(scenario_file), "--out", str(first)]) == 0
     assert cli.main(["outage", "--scenario", str(scenario_file), "--out", str(second)]) == 0
     assert (first / "smoke-outage.csv").read_bytes() == (second / "smoke-outage.csv").read_bytes()
+
+
+# sha256 of every preset's CSV at its default sizes and of `validate`'s
+# output with its timings stripped.  Bytes may move only with the package
+# version, so a new version re-pins them; they hold on one numpy version.
+PINNED_VERSION, PINNED_NUMPY = "0.4.0", "2.4.6"
+PINNED_SHA256 = {
+    "fig3-fd-norsi-outage.csv": "6aa24921d80b51e86aafea89ab51630d870a4ac418ea15a2788e9a188e70e09e",
+    "fig3-fd-rsi12-outage.csv": "249e0ac5d8325331e92f7d967de50120fa8592a241a07898e37a0dd1e5fa21cd",
+    "fig3-fd-rsi12-last17-outage.csv": "d1b74e6e1bcba93982b08a0f37bdab7298c8f25f4fdfa8e567309071a82a8151",
+    "fig3-fd-rsi35-outage.csv": "66c01f54090afca49ff9b1516fd45dd1c7ab3ea33c208585132880979692cff8",
+    "fig3-fd-rsi5-outage.csv": "1403f558fdcfa0e6cf3b2dca433d5f0ede0f58d396ea2e5901e87a703cc69ec6",
+    "fig3-fd-rsi5-last17-outage.csv": "db6c3b6856d3d9638568ac02feff78c4e35920da1c7d38a93659f9476af50e2a",
+    "fig3-hd-outage.csv": "b8197357776e000a8679436173a5f79ce4d517d9bbde644af44411249cff8bfd",
+    "dist-snr10-rsi0-distribution.csv": "e49970f111979ab1d9f7b7ca8618d7437d77c218d9d498865636f73d0312eebd",
+    "dist-snr10-rsineg10-distribution.csv": "547220b1ccb44124f31af704026b920f42db66cb68e1f45275591a6caf8f05a2",
+    "dist-snr20-rsi0-distribution.csv": "b10a584bcb693ad86ab48119cf21de25c35b745c6d608b496f9d2fbc36485522",
+    "dist-snr30-rsi15-distribution.csv": "695bc5bc7f2d61e012d965f64c624d065b535b804af3be43647a92db203895d6",
+    "validate": "c1509164ace76018d2f429d1f68e30c661c5fb2128f1f605a72b59a64fc14d64",
+}
+OUTAGE_PRESETS = (
+    "fig3-fd-norsi", "fig3-fd-rsi12", "fig3-fd-rsi12-last17", "fig3-fd-rsi35",
+    "fig3-fd-rsi5", "fig3-fd-rsi5-last17", "fig3-hd",
+)
+DISTRIBUTION_PRESETS = ("dist-snr10-rsi0", "dist-snr10-rsineg10", "dist-snr20-rsi0", "dist-snr30-rsi15")
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_default_outputs_keep_their_pinned_bytes(tmp_path, capsys):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"bytes pinned on numpy {PINNED_NUMPY}, running {np.__version__}")
+    assert __version__ == PINNED_VERSION, "a new version re-pins PINNED_SHA256"
+    got = {}
+    for command, names in (("outage", OUTAGE_PRESETS), ("distribution", DISTRIBUTION_PRESETS)):
+        for name in names:
+            assert cli.main([command, "--preset", name, "--out", str(tmp_path)]) == 0
+            got[f"{name}-{command}.csv"] = _sha256((tmp_path / f"{name}-{command}.csv").read_bytes())
+    capsys.readouterr()
+    assert cli.main(["validate"]) == 0
+    got["validate"] = _sha256(re.sub(r"[0-9.]+ s\b", "_ s", capsys.readouterr().out).encode())
+    assert got == PINNED_SHA256
 
 
 def test_seed_override_changes_mc_column(scenario_file, tmp_path):
@@ -332,10 +377,8 @@ def test_numerical_failure_exits_3(scenario_file, tmp_path, monkeypatch, capsys)
 def test_error_in_a_shared_chunk_keeps_its_exit_code(
     error, code, scenario_file, tmp_path, monkeypatch, capsys
 ):
-    # five Monte Carlo chunks shared with a helper process; the short last
-    # chunk fails, the helper meets it first and exits, and the caller
-    # raises the error when it reaches that chunk
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # five Monte Carlo chunks; the short last chunk fails, and its error
+    # reaches the command's exit code
     kernel = outage.sample_hop_chunk
 
     def failing_kernel(hop, stream, count, fields):

@@ -1,15 +1,21 @@
 """The per-hop sampling kernel against the eigensolver/Cholesky oracles.
 
 The closed-form fields for receive Gram forms of at most two rows are
-checked on identical channels against ``descending_spectra`` and
-``logdet2_psd``, with the pairing bounds and the exact mutual information
-written out below; the fallback for three or more rows must reproduce that
-route bit for bit.
+checked on identical Gram forms (the dense matrices built from the drawn
+entries) against ``descending_spectra`` and ``logdet2_psd``, with the
+pairing bounds and the exact mutual information written out below; the
+fallback for three or more rows must reproduce that route bit for bit.
+The Bartlett draw itself is checked in law against the channel route.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+
+from conftest import dense_gram
 
 from relay_outage.mutual_info import (
     EXACT,
@@ -25,9 +31,10 @@ from relay_outage.mutual_info import (
     logdet2_psd,
     logdet_from_spectrum,
     sample_hop_chunk,
+    sample_hop_fields,
 )
 from relay_outage.randmat import SmallGram, descending_spectra, receive_gram, sample_channels
-from relay_outage.rng import substream
+from relay_outage.rng import run_chunks, substream
 from relay_outage.validation import hop_at_scales
 
 SEED = 606
@@ -37,18 +44,17 @@ LOGDET_ATOL = 1e-9  # bits
 SPECTRUM_RTOL = 1e-9  # relative to max(1, largest eigenvalue)
 
 
-def _channels(rx, tx, rsi_tx, *path):
+def _grams(rx, tx, rsi_tx, *path):
     stream = substream(SEED, *path)
     return (
-        sample_channels(N_DRAWS, rx, tx, stream),
-        sample_channels(N_DRAWS, rx, rsi_tx, stream),
+        SmallGram.sample(N_DRAWS, rx, tx, stream),
+        SmallGram.sample(N_DRAWS, rx, rsi_tx, stream),
     )
 
 
-def _assert_spectrum_matches(h):
-    rx = h.shape[-2]
-    got = np.stack(SmallGram.of(h).spectrum(), axis=-1)[:, :rx]
-    want = descending_spectra(receive_gram(h))
+def _assert_spectrum_matches(gram):
+    got = np.stack(gram.spectrum(), axis=-1)[:, :gram.rows]
+    want = descending_spectra(dense_gram(gram))
     assert np.all(got >= 0.0)
     assert np.all(np.diff(got, axis=-1) <= 0.0)
     scale = np.maximum(want[:, :1], 1.0)
@@ -62,15 +68,13 @@ def _pairing_bounds(alpha, beta, eta, rho):
     return lower, upper
 
 
-def _reference_fields(h, hbar, eta, rho):
-    rx = h.shape[-2]
-    w = receive_gram(h)
+def _reference_fields(w, wbar, eta, rho):
+    rx = w.shape[-1]
     beta = descending_spectra(w)
-    if hbar is None:
+    if wbar is None:
         wbar = np.zeros_like(w)
         alpha = np.zeros_like(beta)
     else:
-        wbar = receive_gram(hbar)
         alpha = descending_spectra(wbar)
     lower, upper = _pairing_bounds(alpha, beta, eta, rho)
     base = np.eye(rx) + rho * wbar
@@ -88,14 +92,15 @@ def _reference_fields(h, hbar, eta, rho):
 @pytest.mark.parametrize("tx", (1, 2, 3, 4))
 @pytest.mark.parametrize("rx", (1, 2))
 def test_closed_form_matches_reference(rx, tx, rsi_tx):
-    h, hbar = _channels(rx, tx, rsi_tx, rx, tx, rsi_tx)
-    _assert_spectrum_matches(h)
-    _assert_spectrum_matches(hbar)
+    gram, rsi_gram = _grams(rx, tx, rsi_tx, rx, tx, rsi_tx)
+    _assert_spectrum_matches(gram)
+    _assert_spectrum_matches(rsi_gram)
+    w, wbar = dense_gram(gram), dense_gram(rsi_gram)
     for eta in SCALES:
         for rho in (0.0,) + SCALES:
-            rsi = hbar if rho > 0.0 else None
-            got = dict(zip(HOP_FIELDS, hop_fields(h, rsi, eta, rho, HOP_FIELDS)))
-            want = _reference_fields(h, rsi, eta, rho)
+            rsi = rsi_gram if rho > 0.0 else None
+            got = dict(zip(HOP_FIELDS, hop_fields(gram, rsi, eta, rho, HOP_FIELDS)))
+            want = _reference_fields(w, wbar if rho > 0.0 else None, eta, rho)
             for name in HOP_FIELDS:
                 assert got[name].shape == (N_DRAWS,)
                 np.testing.assert_allclose(
@@ -104,17 +109,15 @@ def test_closed_form_matches_reference(rx, tx, rsi_tx):
                 )
 
 
-def _eigensolver_route(h, hbar, eta, rho):
+def _eigensolver_route(w, wbar, eta, rho):
     """Eigensolver/Cholesky route of every field, written out step by step."""
-    eye = np.eye(h.shape[-2])
-    w = receive_gram(h)
+    eye = np.eye(w.shape[-1])
     beta = descending_spectra(w)
-    if hbar is None:
+    if wbar is None:
         alpha = np.zeros_like(beta)
         exact = logdet2_psd(eye + eta * w)
         exact_mi = logdet2_psd(eye + eta * w)
     else:
-        wbar = receive_gram(hbar)
         alpha = descending_spectra(wbar)
         exact = logdet2_psd(eye + rho * wbar + eta * w)
         base = eye + rho * wbar
@@ -132,10 +135,11 @@ def _eigensolver_route(h, hbar, eta, rho):
 
 @pytest.mark.parametrize("rho", (0.0, 6.3))
 def test_three_rx_fallback_is_bit_identical_to_eigensolver_route(rho):
-    h, hbar = _channels(3, 3, 2, 3, 3, 2)
-    hbar = hbar if rho > 0.0 else None
-    got = dict(zip(HOP_FIELDS, hop_fields(h, hbar, 50.0, rho, HOP_FIELDS)))
-    want = _eigensolver_route(h, hbar, 50.0, rho)
+    stream = substream(SEED, 3, 3, 2)
+    w = receive_gram(sample_channels(N_DRAWS, 3, 3, stream))
+    wbar = receive_gram(sample_channels(N_DRAWS, 3, 2, stream)) if rho > 0.0 else None
+    got = dict(zip(HOP_FIELDS, hop_fields(w, wbar, 50.0, rho, HOP_FIELDS)))
+    want = _eigensolver_route(w, wbar, 50.0, rho)
     for name in HOP_FIELDS:
         assert np.array_equal(got[name], want[name]), name
 
@@ -147,9 +151,13 @@ def test_kernel_draws_desired_then_interference(rx):
     )
     got = sample_hop_chunk(hop, substream(SEED, 7), 100, HOP_FIELDS)
     stream = substream(SEED, 7)
-    h = sample_channels(100, rx, 2, stream)
-    hbar = sample_channels(100, rx, 3, stream)
-    want = hop_fields(h, hbar, hop.eta, hop.rho, HOP_FIELDS)
+    if rx == 2:  # Bartlett entries, the desired link's then the interferer's
+        w = SmallGram.sample(100, rx, 2, stream)
+        wbar = SmallGram.sample(100, rx, 3, stream)
+    else:  # channels, formed into dense Gram matrices
+        w = receive_gram(sample_channels(100, rx, 2, stream))
+        wbar = receive_gram(sample_channels(100, rx, 3, stream))
+    want = hop_fields(w, wbar, hop.eta, hop.rho, HOP_FIELDS)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
@@ -157,8 +165,8 @@ def test_kernel_draws_desired_then_interference(rx):
 def test_kernel_skips_interference_draw_without_rsi():
     hop = hop_at_scales(2, 2, 5.0)
     (got,) = sample_hop_chunk(hop, substream(SEED, 8), 100, (EXACT,))
-    h = sample_channels(100, 2, 2, substream(SEED, 8))
-    (want,) = hop_fields(h, None, hop.eta, 0.0, (EXACT,))
+    w = SmallGram.sample(100, 2, 2, substream(SEED, 8))
+    (want,) = hop_fields(w, None, hop.eta, 0.0, (EXACT,))
     assert np.array_equal(got, want)
 
 
@@ -176,17 +184,62 @@ def test_kernel_returns_requested_fields_in_order():
 def test_small_gram_degenerate_channels():
     # rank one (single transmit antenna): determinant and smaller eigenvalue
     # are exactly zero, never a negative round-off residue
-    h = sample_channels(200, 2, 1, substream(SEED, 10))
-    gram = SmallGram.of(h)
+    gram = SmallGram.sample(200, 2, 1, substream(SEED, 10))
     _, smallest = gram.spectrum()
     assert np.all(gram.det == 0.0)
     assert np.all(smallest == 0.0)
-    # an all-zero channel has an all-zero spectrum, not NaN
-    largest, smallest = SmallGram.of(np.zeros((3, 2, 2), dtype=complex)).spectrum()
-    assert np.array_equal(largest, np.zeros(3))
-    assert np.array_equal(smallest, np.zeros(3))
-    with pytest.raises(ValueError):
-        SmallGram.of(np.zeros((1, 3, 2), dtype=complex))
+    # an all-zero Gram form has an all-zero spectrum, not NaN
+    zeros = np.zeros(3)
+    largest, smallest = SmallGram(rows=2, a=zeros, d=zeros, det=zeros).spectrum()
+    assert np.array_equal(largest, zeros)
+    assert np.array_equal(smallest, zeros)
+
+
+# (rx, tx, interferer tx): square, rank-one (rx > tx), wide, and one-row links
+LAW_CASES = ((1, 1, 1), (2, 2, 2), (2, 1, 3), (2, 4, 2), (1, 3, 2))
+LAW_DRAWS = 1_000_000
+# family-wise level of the law test over every field of every case (3 sigma)
+LAW_ALPHA = 0.0027
+
+
+def _channel_route_fields(hop, n, rng):
+    """Every hop field of ``n`` draws through channels, ``receive_gram`` and LAPACK."""
+
+    def chunk(stream, count):
+        w = receive_gram(sample_channels(count, hop.rx_antennas, hop.tx_antennas, stream))
+        wbar = receive_gram(
+            sample_channels(count, hop.rx_antennas, hop.interferer_antennas, stream)
+        )
+        return hop_fields(w, wbar, hop.eta, hop.rho, HOP_FIELDS)
+
+    return tuple(np.concatenate(field) for field in zip(*run_chunks(n, rng, chunk)))
+
+
+def _ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov distance ``sup |F_a - F_b|``.
+
+    Each one-sided supremum is reached at a jump of the leading CDF.
+    """
+    a, b = np.sort(a), np.sort(b)
+    above = np.arange(1, a.size + 1) / a.size - np.searchsorted(b, a, side="right") / b.size
+    below = np.arange(1, b.size + 1) / b.size - np.searchsorted(a, b, side="right") / a.size
+    return max(above.max(), below.max())
+
+
+@pytest.mark.parametrize("rx, tx, rsi_tx", LAW_CASES)
+def test_bartlett_draw_has_the_channel_law(rx, tx, rsi_tx):
+    # Two-sample KS distance of each field, Bartlett draw against channel
+    # route, 10^6 draws a side.  Sidak over fields x cases holds the
+    # family-wise false-alarm rate at LAW_ALPHA; the limit is the asymptotic
+    # Kolmogorov quantile at the per-test level, over sqrt(n m / (n + m)).
+    hop = HopConfig(tx, rx, snr_db=10.0, rsi_snr_db=5.0, rsi_tx_antennas=rsi_tx)
+    per_test = 1.0 - (1.0 - LAW_ALPHA) ** (1.0 / (len(HOP_FIELDS) * len(LAW_CASES)))
+    limit = stats.kstwobign.isf(per_test) / math.sqrt(LAW_DRAWS / 2.0)
+    bartlett = sample_hop_fields(hop, LAW_DRAWS, substream(SEED, 11, 0), HOP_FIELDS)
+    channels = _channel_route_fields(hop, LAW_DRAWS, substream(SEED, 11, 1))
+    for name, a, b in zip(HOP_FIELDS, bartlett, channels):
+        distance = _ks_distance(a, b)
+        assert distance <= limit, f"{name}: KS {distance:.2e} > {limit:.2e}"
 
 
 hop_configs = st.builds(

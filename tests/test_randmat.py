@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from relay_outage.randmat import (
+    SmallGram,
     WishartParams,
     descending_spectra,
     receive_gram,
@@ -104,3 +105,25 @@ def test_descending_spectra_batched_matches_single():
     batched = descending_spectra(ws)
     singles = np.stack([descending_spectra(w) for w in ws])
     np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("cols", (1, 3))
+def test_small_gram_draws_g1_then_z_then_g2(cols):
+    got = SmallGram.sample(50, 2, cols, substream(SEED, 8))
+    stream = substream(SEED, 8)
+    g1 = stream.standard_gamma(cols, 50)
+    z = np.sqrt(0.5) * stream.standard_normal((2, 50))
+    g2 = stream.standard_gamma(cols - 1, 50) if cols > 1 else 0.0
+    assert np.array_equal(got.a, g1)
+    assert np.array_equal(got.b_re, np.sqrt(g1) * z[0])
+    assert np.array_equal(got.b_im, np.sqrt(g1) * z[1])
+    assert np.array_equal(got.d, z[0] * z[0] + z[1] * z[1] + g2)
+    assert np.array_equal(got.det, g1 * g2)
+    # a single row is the one Gamma(cols) draw
+    single = SmallGram.sample(50, 1, cols, substream(SEED, 8))
+    assert single.rows == 1 and np.array_equal(single.a, g1)
+
+
+def test_small_gram_rejects_more_than_two_rows():
+    with pytest.raises(ValueError, match="at most 2 rows"):
+        SmallGram.sample(10, 3, 3, substream(SEED, 9))

@@ -1,4 +1,5 @@
 import pytest
+from scipy import stats
 
 from relay_outage import validation
 
@@ -41,3 +42,9 @@ def test_check_failure_reports_measurement(monkeypatch):
     name, measured, limit, _ = validation.check_q_function()
     assert name == "q-function"
     assert measured > limit
+
+
+def test_siso_limit_is_the_sidak_quantile():
+    # family-wise 0.27 % over the check's 10 rates, two-sided at each rate
+    per_rate = 1.0 - 0.9973 ** (1 / 10)
+    assert validation.SISO_Z_LIMIT == pytest.approx(stats.norm.isf(per_rate / 2.0), abs=5e-4)
