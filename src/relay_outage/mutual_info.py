@@ -23,11 +23,11 @@ forms (the interference one only when the hop has RSI) and computes only
 the fields its caller names (``HOP_FIELDS``).  :func:`map_hop_chunks` runs
 it over the chunks of a sample and hands each chunk's fields to the
 caller's reduction, so only what the caller keeps outlives a chunk.  Every
-field depends on the channels only through their Gram forms.  Those of at
-most two rows -- every shipped preset -- are drawn entry by entry and
-evaluated in closed form (:class:`~relay_outage.randmat.SmallGram`);
-larger ones are formed from drawn channels and go through the batched
-eigensolver and Cholesky routes.
+field depends on the channels only through their Gram forms, which
+:func:`~relay_outage.randmat.sample_gram` draws directly.  Those of at most
+two rows -- every shipped preset -- come as entries and are evaluated in
+closed form (:class:`~relay_outage.randmat.SmallGram`); larger ones come
+dense and go through the batched eigensolver and Cholesky routes.
 """
 from __future__ import annotations
 
@@ -37,13 +37,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .randmat import (
-    MAX_CLOSED_FORM_RX,
-    SmallGram,
-    descending_spectra,
-    receive_gram,
-    sample_channels,
-)
+from .randmat import SmallGram, descending_spectra, sample_gram
 from .rng import run_chunks
 
 LN2 = math.log(2.0)
@@ -130,8 +124,8 @@ class HopMoments:
 def logdet2_psd(a: np.ndarray) -> np.ndarray | float:
     """``log2 det(A)`` for Hermitian positive definite ``A`` via Cholesky.
 
-    The hop kernel uses it above ``MAX_CLOSED_FORM_RX`` receive antennas,
-    and the tests use it as the reference for the closed form below that.
+    The hop kernel uses it on dense Gram forms, and the tests use it as the
+    reference for the closed form on :class:`~relay_outage.randmat.SmallGram`.
     Stacked matrices allowed.
     """
     chol = np.linalg.cholesky(np.asarray(a))
@@ -223,9 +217,9 @@ def hop_fields(
 
     ``w`` holds the ``n`` desired and ``wbar`` the ``n`` interference Gram
     forms, or ``wbar`` is ``None`` when there is no self-interference
-    (``rho`` is then ignored): :class:`~relay_outage.randmat.SmallGram`
-    entries up to ``MAX_CLOSED_FORM_RX`` receive antennas, evaluated in
-    closed form, and dense ``(n, rx, rx)`` arrays above, through the
+    (``rho`` is then ignored), as :func:`~relay_outage.randmat.sample_gram`
+    returns them: :class:`~relay_outage.randmat.SmallGram` entries,
+    evaluated in closed form, or dense ``(n, rx, rx)`` arrays, through the
     eigensolver and Cholesky routes.  Returns one length-``n`` array per
     name in ``fields`` (see ``HOP_FIELDS``), in that order.
     """
@@ -240,13 +234,6 @@ def hop_fields(
     return tuple(out[name] for name in fields)
 
 
-def _sample_gram(count: int, rows: int, cols: int, stream: np.random.Generator):
-    """``count`` receive Gram forms of ``rows x cols`` channels, as ``hop_fields`` takes them."""
-    if rows <= MAX_CLOSED_FORM_RX:
-        return SmallGram.sample(count, rows, cols, stream)
-    return receive_gram(sample_channels(count, rows, cols, stream))
-
-
 def sample_hop_chunk(
     hop: HopConfig, stream: np.random.Generator, count: int, fields: tuple[str, ...]
 ) -> tuple[np.ndarray, ...]:
@@ -256,10 +243,10 @@ def sample_hop_chunk(
     self-interference) the interference one, so runs that differ only in
     the interference level share the desired-link realizations.
     """
-    w = _sample_gram(count, hop.rx_antennas, hop.tx_antennas, stream)
+    w = sample_gram(count, hop.rx_antennas, hop.tx_antennas, stream)
     wbar = None
     if hop.has_rsi:
-        wbar = _sample_gram(count, hop.rx_antennas, hop.interferer_antennas, stream)
+        wbar = sample_gram(count, hop.rx_antennas, hop.interferer_antennas, stream)
     return hop_fields(w, wbar, hop.eta, hop.rho, fields)
 
 

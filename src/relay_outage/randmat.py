@@ -6,11 +6,12 @@ mean and unit total variance (real and imaginary parts each have variance
 pure function of the generator handed in; see :mod:`relay_outage.rng` for
 the stream addressing scheme.
 
-Receive Gram forms of at most two rows are drawn directly, entry by entry,
-by Bartlett's decomposition (:meth:`SmallGram.sample`), and their spectra
-have a closed form; no channel is drawn for them.  Larger ones draw the
-channels (``sample_channels``), form ``receive_gram`` and go through the
-batched LAPACK eigensolver in ``descending_spectra``.
+Every receive Gram form ``W = H H^+`` is drawn directly, by Bartlett's
+decomposition (:func:`sample_gram`); no channel is ever drawn.  Those of at
+most ``MAX_CLOSED_FORM_RX`` rows come back as their entries
+(:class:`SmallGram`), whose spectra have a closed form; larger ones come
+back dense and go through the batched LAPACK eigensolver in
+``descending_spectra``.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ PSD_RTOL = 1e-8
 
 _SQRT_HALF = np.sqrt(0.5)
 
-# Largest receive dimension handled by the closed-form Gram (SmallGram).
+# Largest receive dimension drawn as a closed-form Gram (SmallGram).
 MAX_CLOSED_FORM_RX = 2
 
 
@@ -47,36 +48,6 @@ class WishartParams:
     def d(self) -> int:
         """Dimension surplus ``p - m``."""
         return self.p - self.m
-
-
-def sample_channels(
-    n: int, rows: int, cols: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``n`` independent ``rows x cols`` channel matrices.
-
-    Draw order is fixed: one block of real parts, then one block of
-    imaginary parts, each of shape ``(n, rows, cols)``.  Both are drawn in
-    one call and scaled straight into the complex result.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"channel dimensions must be positive, got {rows}x{cols}")
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
-    parts = rng.standard_normal((2, n, rows, cols))
-    h = np.empty((n, rows, cols), dtype=complex)
-    np.multiply(parts[0], _SQRT_HALF, out=h.real)
-    np.multiply(parts[1], _SQRT_HALF, out=h.imag)
-    return h
-
-
-def receive_gram(h: np.ndarray) -> np.ndarray:
-    """Receive-side Gram form ``H H^+`` (stacked matrices allowed).
-
-    Always ``N x N`` for an ``N x M`` channel, regardless of which
-    dimension is smaller; rank-deficient when ``N > M``.
-    """
-    h = np.asarray(h)
-    return h @ np.conj(np.swapaxes(h, -1, -2))
 
 
 def descending_spectra(ws: np.ndarray) -> np.ndarray:
@@ -115,40 +86,6 @@ class SmallGram:
     b_im: np.ndarray | float = 0.0
     det: np.ndarray | float = 0.0
 
-    @classmethod
-    def sample(cls, n: int, rows: int, cols: int, rng: np.random.Generator) -> "SmallGram":
-        """Draw the Gram forms of ``n`` independent ``rows x cols`` channels, ``rows <= 2``.
-
-        Bartlett's decomposition ``W = L L^+`` (Goodman, Ann. Math. Stat.
-        34, 1963) with ``|L00|^2 = g1 ~ Gamma(cols)``, ``L10 = z ~ CN(0, 1)``
-        and ``|L11|^2 = g2 ~ Gamma(cols - 1)`` gives ``a = g1``,
-        ``W[0, 1] = sqrt(g1) z``, ``d = |z|^2 + g2`` and ``det = g1 g2``, the
-        law of ``H H^+`` for unit-power complex Gaussian ``H``.  The draw
-        order is fixed: g1, then z (real part, then imaginary part), then g2,
-        which is exactly 0 and not drawn at ``cols = 1``.  ``det`` is a
-        product, so it is 0 at rank one and never cancels.  With one row, ``W``
-        is the single ``Gamma(cols)`` draw.
-        """
-        if rows > MAX_CLOSED_FORM_RX:
-            raise ValueError(
-                f"closed-form Gram needs at most {MAX_CLOSED_FORM_RX} rows, got {rows}"
-            )
-        g1 = rng.standard_gamma(cols, n)
-        if rows == 1:
-            return cls(rows=1, a=g1)
-        z = rng.standard_normal((2, n))
-        z *= _SQRT_HALF
-        g2 = rng.standard_gamma(cols - 1, n) if cols > 1 else 0.0
-        root = np.sqrt(g1)
-        return cls(
-            rows=2,
-            a=g1,
-            d=z[0] * z[0] + z[1] * z[1] + g2,
-            b_re=root * z[0],
-            b_im=root * z[1],
-            det=g1 * g2,
-        )
-
     @property
     def trace(self) -> np.ndarray:
         return self.a + self.d
@@ -180,3 +117,55 @@ class SmallGram:
             self.det, largest, out=np.zeros_like(largest), where=largest > 0.0
         )
         return largest, np.minimum(smallest, largest)
+
+
+def sample_gram(
+    n: int, rows: int, cols: int, rng: np.random.Generator
+) -> SmallGram | np.ndarray:
+    """Receive Gram forms ``W = H H^+`` of ``n`` independent ``rows x cols`` channels.
+
+    Bartlett's decomposition (Goodman, Ann. Math. Stat. 34, 1963) draws the
+    ``rows x min(rows, cols)`` lower-trapezoidal LQ factor ``L`` of ``H``,
+    with ``W = L L^+``: its below-diagonal entries are CN(0, 1) and its
+    diagonal ones satisfy ``|L_ii|^2 ~ Gamma(cols - i)``, all independent.
+    That is the law of ``H H^+`` for unit-power complex Gaussian ``H``, and
+    no channel is drawn.  The draw order is fixed, row by row: the row's
+    below-diagonal entries (a block of real parts, then one of imaginary
+    parts), then, while ``i < cols``, its ``|L_ii|^2``.
+
+    Up to ``MAX_CLOSED_FORM_RX`` rows the result is a :class:`SmallGram`.
+    With ``g1 = |L00|^2``, ``z = L10`` and ``g2 = |L11|^2`` (exactly 0 at
+    ``cols = 1``) it holds ``a = g1``, ``W[0, 1] = sqrt(g1) z``,
+    ``d = |z|^2 + g2`` and ``det = g1 g2``, a product, so it is 0 at rank
+    one and never cancels.  Above, it is the dense ``(n, rows, rows)`` array.
+    """
+    if rows < 1 or cols < 1:
+        raise ValueError(f"channel dimensions must be positive, got {rows}x{cols}")
+    if n < 1:
+        raise ValueError(f"need at least one sample, got {n}")
+    factor_rows = []
+    for i in range(rows):
+        below = rng.standard_normal((2, n, min(i, cols)))
+        below *= _SQRT_HALF
+        factor_rows.append((below, rng.standard_gamma(cols - i, n) if i < cols else 0.0))
+    if rows == 1:
+        return SmallGram(rows=1, a=factor_rows[0][1])
+    if rows <= MAX_CLOSED_FORM_RX:
+        (_, g1), (below, g2) = factor_rows
+        z_re, z_im = below[0, :, 0], below[1, :, 0]
+        root = np.sqrt(g1)
+        return SmallGram(
+            rows=2,
+            a=g1,
+            d=z_re * z_re + z_im * z_im + g2,
+            b_re=root * z_re,
+            b_im=root * z_im,
+            det=g1 * g2,
+        )
+    factor = np.zeros((n, rows, min(rows, cols)), dtype=complex)
+    for i, (below, square) in enumerate(factor_rows):
+        factor[:, i, : below.shape[-1]].real = below[0]
+        factor[:, i, : below.shape[-1]].imag = below[1]
+        if i < cols:
+            factor[:, i, i] = np.sqrt(square)
+    return factor @ np.conj(np.swapaxes(factor, -1, -2))

@@ -45,8 +45,6 @@ class ScenarioError(ValueError):
     def __init__(self, message: str, source: str = "<scenario>", line: int | None = None):
         location = source if line is None else f"{source}:{line}"
         super().__init__(f"{location}: {message}")
-        self.source = source
-        self.line = line
 
 
 @dataclass(frozen=True)

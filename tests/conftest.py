@@ -1,5 +1,6 @@
 """Shared test plumbing: collect acceptance verdicts and print them last,
-and build dense Gram matrices from closed-form entries."""
+build dense Gram matrices from closed-form entries, and draw Gram forms
+through channels, the reference route for the Bartlett draw."""
 import numpy as np
 
 ACCEPTANCE_LINES: list[str] = []
@@ -23,3 +24,16 @@ def dense_gram(gram):
         w[:, 0, 1] = gram.b_re + 1j * gram.b_im
         w[:, 1, 0] = np.conj(w[:, 0, 1])
     return w
+
+
+def draw_channels(n, rows, cols, rng):
+    """``n`` unit-power complex Gaussian ``rows x cols`` channels: a block of
+    real parts, then one of imaginary parts."""
+    parts = np.sqrt(0.5) * rng.standard_normal((2, n, rows, cols))
+    return parts[0] + 1j * parts[1]
+
+
+def channel_grams(n, rows, cols, rng):
+    """Receive Gram forms ``H H^+`` of ``n`` drawn channels, as dense arrays."""
+    h = draw_channels(n, rows, cols, rng)
+    return h @ np.conj(np.swapaxes(h, -1, -2))

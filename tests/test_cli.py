@@ -94,19 +94,19 @@ def test_outage_output_is_byte_stable(scenario_file, tmp_path):
 # sha256 of every preset's CSV at its default sizes and of `validate`'s
 # output with its timings stripped.  Bytes may move only with the package
 # version, so a new version re-pins them; they hold on one numpy version.
-PINNED_VERSION, PINNED_NUMPY = "0.4.0", "2.4.6"
+PINNED_VERSION, PINNED_NUMPY = "0.5.0", "2.4.6"
 PINNED_SHA256 = {
-    "fig3-fd-norsi-outage.csv": "6aa24921d80b51e86aafea89ab51630d870a4ac418ea15a2788e9a188e70e09e",
-    "fig3-fd-rsi12-outage.csv": "249e0ac5d8325331e92f7d967de50120fa8592a241a07898e37a0dd1e5fa21cd",
-    "fig3-fd-rsi12-last17-outage.csv": "d1b74e6e1bcba93982b08a0f37bdab7298c8f25f4fdfa8e567309071a82a8151",
-    "fig3-fd-rsi35-outage.csv": "66c01f54090afca49ff9b1516fd45dd1c7ab3ea33c208585132880979692cff8",
-    "fig3-fd-rsi5-outage.csv": "1403f558fdcfa0e6cf3b2dca433d5f0ede0f58d396ea2e5901e87a703cc69ec6",
-    "fig3-fd-rsi5-last17-outage.csv": "db6c3b6856d3d9638568ac02feff78c4e35920da1c7d38a93659f9476af50e2a",
-    "fig3-hd-outage.csv": "b8197357776e000a8679436173a5f79ce4d517d9bbde644af44411249cff8bfd",
-    "dist-snr10-rsi0-distribution.csv": "e49970f111979ab1d9f7b7ca8618d7437d77c218d9d498865636f73d0312eebd",
-    "dist-snr10-rsineg10-distribution.csv": "547220b1ccb44124f31af704026b920f42db66cb68e1f45275591a6caf8f05a2",
-    "dist-snr20-rsi0-distribution.csv": "b10a584bcb693ad86ab48119cf21de25c35b745c6d608b496f9d2fbc36485522",
-    "dist-snr30-rsi15-distribution.csv": "695bc5bc7f2d61e012d965f64c624d065b535b804af3be43647a92db203895d6",
+    "fig3-fd-norsi-outage.csv": "5996296096d4f97364e0f40543ae9d8e9ef933ed24eeb0cb0e2db628c74c7dd6",
+    "fig3-fd-rsi12-outage.csv": "b8ee77d7f50ca2f9677863bb8c392bacbf4e5bc27c7631bca775142b52e71769",
+    "fig3-fd-rsi12-last17-outage.csv": "4d1383105c98da627d23f53089f520ee139272a1fae1cda0a9d7b44f44bef084",
+    "fig3-fd-rsi35-outage.csv": "cf2854dfa015bd3855a61165f3041053516151da5d3f1f036f7271b72fc73028",
+    "fig3-fd-rsi5-outage.csv": "aeab1ecb55a7ae17e2f803e8f29e1def57f6ce59e16335461990def5760bf1f8",
+    "fig3-fd-rsi5-last17-outage.csv": "043a25d0aa99efdabd3376a69f78d87af1eb449137f884905388314c42a255a6",
+    "fig3-hd-outage.csv": "bfa381ed54f3023fae6c6990e692fb4906edf8092c09a7d16347f596a182d0c7",
+    "dist-snr10-rsi0-distribution.csv": "9eee908e3d5d8bc3567ef1741ab5f7b31410525a316eb0a768780496c4e6a081",
+    "dist-snr10-rsineg10-distribution.csv": "2d432f7836df06a257b35872cbe956d63af03affb96fcd8ffd6cf1fc22abbb4c",
+    "dist-snr20-rsi0-distribution.csv": "15e6f747d579f66ad036c7e6c24d554001a618a45f6e9ecb955172666b18a226",
+    "dist-snr30-rsi15-distribution.csv": "447b388f942fac1c680cb3eaf8f79b8c7d93a7022bdae43d1a57c749edd1b7cc",
     "validate": "c1509164ace76018d2f429d1f68e30c661c5fb2128f1f605a72b59a64fc14d64",
 }
 OUTAGE_PRESETS = (
@@ -133,6 +133,19 @@ def test_default_outputs_keep_their_pinned_bytes(tmp_path, capsys):
     assert cli.main(["validate"]) == 0
     got["validate"] = _sha256(re.sub(r"[0-9.]+ s\b", "_ s", capsys.readouterr().out).encode())
     assert got == PINNED_SHA256
+
+
+def test_version_has_one_owner():
+    # the build reads the version from relay_outage.__version__, so a
+    # version bump edits one line
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert config["project"]["dynamic"] == ["version"]
+    assert "version" not in config["project"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "relay_outage.__version__"
+    }
 
 
 def test_seed_override_changes_mc_column(scenario_file, tmp_path):

@@ -4,7 +4,7 @@ The closed-form fields for receive Gram forms of at most two rows are
 checked on identical Gram forms (the dense matrices built from the drawn
 entries) against ``descending_spectra`` and ``logdet2_psd``, with the
 pairing bounds and the exact mutual information written out below; the
-fallback for three or more rows must reproduce that route bit for bit.
+dense route for three or more rows must reproduce that route bit for bit.
 The Bartlett draw itself is checked in law against the channel route.
 """
 import math
@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import dense_gram
+from conftest import channel_grams, dense_gram
 
+from relay_outage.cli import _ks_distance
 from relay_outage.mutual_info import (
     EXACT,
     EXACT_MI,
@@ -33,7 +34,7 @@ from relay_outage.mutual_info import (
     sample_hop_chunk,
     sample_hop_fields,
 )
-from relay_outage.randmat import SmallGram, descending_spectra, receive_gram, sample_channels
+from relay_outage.randmat import SmallGram, descending_spectra, sample_gram
 from relay_outage.rng import run_chunks, substream
 from relay_outage.validation import hop_at_scales
 
@@ -47,8 +48,8 @@ SPECTRUM_RTOL = 1e-9  # relative to max(1, largest eigenvalue)
 def _grams(rx, tx, rsi_tx, *path):
     stream = substream(SEED, *path)
     return (
-        SmallGram.sample(N_DRAWS, rx, tx, stream),
-        SmallGram.sample(N_DRAWS, rx, rsi_tx, stream),
+        sample_gram(N_DRAWS, rx, tx, stream),
+        sample_gram(N_DRAWS, rx, rsi_tx, stream),
     )
 
 
@@ -136,8 +137,8 @@ def _eigensolver_route(w, wbar, eta, rho):
 @pytest.mark.parametrize("rho", (0.0, 6.3))
 def test_three_rx_fallback_is_bit_identical_to_eigensolver_route(rho):
     stream = substream(SEED, 3, 3, 2)
-    w = receive_gram(sample_channels(N_DRAWS, 3, 3, stream))
-    wbar = receive_gram(sample_channels(N_DRAWS, 3, 2, stream)) if rho > 0.0 else None
+    w = sample_gram(N_DRAWS, 3, 3, stream)
+    wbar = sample_gram(N_DRAWS, 3, 2, stream) if rho > 0.0 else None
     got = dict(zip(HOP_FIELDS, hop_fields(w, wbar, 50.0, rho, HOP_FIELDS)))
     want = _eigensolver_route(w, wbar, 50.0, rho)
     for name in HOP_FIELDS:
@@ -151,12 +152,8 @@ def test_kernel_draws_desired_then_interference(rx):
     )
     got = sample_hop_chunk(hop, substream(SEED, 7), 100, HOP_FIELDS)
     stream = substream(SEED, 7)
-    if rx == 2:  # Bartlett entries, the desired link's then the interferer's
-        w = SmallGram.sample(100, rx, 2, stream)
-        wbar = SmallGram.sample(100, rx, 3, stream)
-    else:  # channels, formed into dense Gram matrices
-        w = receive_gram(sample_channels(100, rx, 2, stream))
-        wbar = receive_gram(sample_channels(100, rx, 3, stream))
+    w = sample_gram(100, rx, 2, stream)
+    wbar = sample_gram(100, rx, 3, stream)
     want = hop_fields(w, wbar, hop.eta, hop.rho, HOP_FIELDS)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -165,7 +162,7 @@ def test_kernel_draws_desired_then_interference(rx):
 def test_kernel_skips_interference_draw_without_rsi():
     hop = hop_at_scales(2, 2, 5.0)
     (got,) = sample_hop_chunk(hop, substream(SEED, 8), 100, (EXACT,))
-    w = SmallGram.sample(100, 2, 2, substream(SEED, 8))
+    w = sample_gram(100, 2, 2, substream(SEED, 8))
     (want,) = hop_fields(w, None, hop.eta, 0.0, (EXACT,))
     assert np.array_equal(got, want)
 
@@ -184,7 +181,7 @@ def test_kernel_returns_requested_fields_in_order():
 def test_small_gram_degenerate_channels():
     # rank one (single transmit antenna): determinant and smaller eigenvalue
     # are exactly zero, never a negative round-off residue
-    gram = SmallGram.sample(200, 2, 1, substream(SEED, 10))
+    gram = sample_gram(200, 2, 1, substream(SEED, 10))
     _, smallest = gram.spectrum()
     assert np.all(gram.det == 0.0)
     assert np.all(smallest == 0.0)
@@ -195,35 +192,23 @@ def test_small_gram_degenerate_channels():
     assert np.array_equal(smallest, zeros)
 
 
-# (rx, tx, interferer tx): square, rank-one (rx > tx), wide, and one-row links
-LAW_CASES = ((1, 1, 1), (2, 2, 2), (2, 1, 3), (2, 4, 2), (1, 3, 2))
+# (rx, tx, interferer tx): square, rank-one (rx > tx), wide, and one-row
+# links, and three rows with a tall desired and a wide interference link
+LAW_CASES = ((1, 1, 1), (2, 2, 2), (2, 1, 3), (2, 4, 2), (1, 3, 2), (3, 2, 4))
 LAW_DRAWS = 1_000_000
 # family-wise level of the law test over every field of every case (3 sigma)
 LAW_ALPHA = 0.0027
 
 
 def _channel_route_fields(hop, n, rng):
-    """Every hop field of ``n`` draws through channels, ``receive_gram`` and LAPACK."""
+    """Every hop field of ``n`` draws through drawn channels and LAPACK."""
 
     def chunk(stream, count):
-        w = receive_gram(sample_channels(count, hop.rx_antennas, hop.tx_antennas, stream))
-        wbar = receive_gram(
-            sample_channels(count, hop.rx_antennas, hop.interferer_antennas, stream)
-        )
+        w = channel_grams(count, hop.rx_antennas, hop.tx_antennas, stream)
+        wbar = channel_grams(count, hop.rx_antennas, hop.interferer_antennas, stream)
         return hop_fields(w, wbar, hop.eta, hop.rho, HOP_FIELDS)
 
     return tuple(np.concatenate(field) for field in zip(*run_chunks(n, rng, chunk)))
-
-
-def _ks_distance(a, b):
-    """Two-sample Kolmogorov-Smirnov distance ``sup |F_a - F_b|``.
-
-    Each one-sided supremum is reached at a jump of the leading CDF.
-    """
-    a, b = np.sort(a), np.sort(b)
-    above = np.arange(1, a.size + 1) / a.size - np.searchsorted(b, a, side="right") / b.size
-    below = np.arange(1, b.size + 1) / b.size - np.searchsorted(a, b, side="right") / a.size
-    return max(above.max(), below.max())
 
 
 @pytest.mark.parametrize("rx, tx, rsi_tx", LAW_CASES)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_gram
+from conftest import channel_grams, dense_gram
 from relay_outage.mutual_info import (
     EXACT,
     EXACT_MI,
@@ -21,7 +21,7 @@ from relay_outage.mutual_info import (
     sample_hop_fields,
 )
 from relay_outage.outage import DuplexMode, NetworkConfig
-from relay_outage.randmat import SmallGram, descending_spectra, receive_gram, sample_channels
+from relay_outage.randmat import SmallGram, descending_spectra, sample_gram
 from relay_outage.rng import substream
 from relay_outage.validation import hop_at_scales
 from relay_outage.wishart_stats import expected_logdet
@@ -36,7 +36,7 @@ MAD_ETA5_RHO05 = 0.113471448559215
 
 
 def _gram_pair(n, rng, rx=2, tx=2):
-    return SmallGram.sample(n, rx, tx, rng), SmallGram.sample(n, rx, tx, rng)
+    return sample_gram(n, rx, tx, rng), sample_gram(n, rx, tx, rng)
 
 
 def _fields(w, wbar, eta, rho, *names):
@@ -124,8 +124,8 @@ def test_mi_fd_exact_scale_consistency():
 def test_logdet_routes_agree():
     # Cholesky production path vs eigenvalue reference path
     stream = substream(SEED, 5)
-    h, hbar = sample_channels(128, 3, 3, stream), sample_channels(128, 3, 3, stream)
-    arg = np.eye(3) + 2.0 * receive_gram(h) + 0.7 * receive_gram(hbar)
+    w, wbar = channel_grams(128, 3, 3, stream), channel_grams(128, 3, 3, stream)
+    arg = np.eye(3) + 2.0 * w + 0.7 * wbar
     eig_route = np.log(np.linalg.eigvalsh(arg)).sum(axis=-1) / LN2
     np.testing.assert_allclose(logdet2_psd(arg), eig_route, atol=1e-9)
 
@@ -156,7 +156,7 @@ def test_sandwich_property():
 
 
 def test_midpoint_exact_when_rho_zero():
-    w = SmallGram.sample(32, 2, 2, substream(SEED, 7))
+    w = sample_gram(32, 2, 2, substream(SEED, 7))
     beta = descending_spectra(dense_gram(w))
     got = _fields(w, None, 6.0, 0.0, MIDPOINT)
     np.testing.assert_allclose(got, np.log2(1 + 6.0 * beta).sum(axis=-1), atol=1e-12)
@@ -165,7 +165,7 @@ def test_midpoint_exact_when_rho_zero():
 def test_mi_fd_approx_reductions():
     # approximate MI = midpoint - RSI log-det; without RSI it is the exact
     # log-det, and with one receive antenna it is the exact MI
-    w = SmallGram.sample(16, 2, 2, substream(SEED, 8))
+    w = sample_gram(16, 2, 2, substream(SEED, 8))
     beta = descending_spectra(dense_gram(w))
     midpoint, rsi_logdet = _fields(w, None, 6.0, 0.0, MIDPOINT, RSI_LOGDET)
     np.testing.assert_allclose(

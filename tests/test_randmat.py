@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import draw_channels
 from relay_outage.randmat import (
     SmallGram,
     WishartParams,
     descending_spectra,
-    receive_gram,
-    sample_channels,
+    sample_gram,
 )
 from relay_outage.rng import substream
 
@@ -22,52 +22,65 @@ def test_wishart_params_validation():
         WishartParams(0, 1)
 
 
-def test_sample_channel_deterministic():
-    a = sample_channels(1, 1, 1, substream(SEED, 0))
-    b = sample_channels(1, 1, 1, substream(SEED, 0))
-    assert np.array_equal(a, b)
-    # disjoint stream ids give different draws
-    c = sample_channels(1, 1, 1, substream(SEED, 1))
-    assert not np.array_equal(a, c)
+def test_sample_gram_deterministic():
+    for rows in (1, 2, 3):
+        a = sample_gram(4, rows, 2, substream(SEED, 0))
+        b = sample_gram(4, rows, 2, substream(SEED, 0))
+        c = sample_gram(4, rows, 2, substream(SEED, 1))
+        if isinstance(a, SmallGram):
+            a, b, c = a.trace, b.trace, c.trace
+        assert np.array_equal(a, b)
+        # disjoint stream ids give different draws
+        assert not np.array_equal(a, c)
 
 
-def test_sample_channel_rejects_zero_dims():
+def test_sample_gram_rejects_zero_dims():
     with pytest.raises(ValueError):
-        sample_channels(1, 0, 2, substream(SEED, 0))
+        sample_gram(1, 0, 2, substream(SEED, 0))
     with pytest.raises(ValueError):
-        sample_channels(0, 2, 2, substream(SEED, 0))
+        sample_gram(1, 3, 0, substream(SEED, 0))
+    with pytest.raises(ValueError):
+        sample_gram(0, 2, 2, substream(SEED, 0))
 
 
-def test_sample_channel_unit_power():
-    h = sample_channels(100_000, 1, 1, substream(SEED, 2)).ravel()
-    assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.02
-    assert abs(h.real.mean()) < 0.02
-    assert abs(h.imag.mean()) < 0.02
+def test_sample_gram_unit_power():
+    # E[tr W] = rows * cols for unit-power channel entries
+    for rows, cols in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        gram = sample_gram(100_000, rows, cols, substream(SEED, 2, rows, cols))
+        if isinstance(gram, SmallGram):
+            traces = gram.trace
+        else:
+            traces = np.trace(gram, axis1=-2, axis2=-1).real
+        assert abs(traces.mean() / (rows * cols) - 1.0) < 0.02, (rows, cols)
 
 
 def test_wishart_scalar():
-    np.testing.assert_allclose(receive_gram(np.array([[2.0]])), [[4.0]])
+    # one receive antenna: W = |h|^2 summed over 3 transmit antennas, Gamma(3)
+    gram = sample_gram(100_000, 1, 3, substream(SEED, 3))
+    assert gram.rows == 1
+    assert abs(gram.a.mean() - 3.0) < 0.05
+    assert abs(gram.a.var() - 3.0) < 0.15
 
 
 def test_wishart_trace_mean():
-    # E[tr W] = m * p for unit-power entries
-    h = sample_channels(100_000, 2, 2, substream(SEED, 4))
-    traces = np.trace(receive_gram(h), axis1=-2, axis2=-1).real
-    assert abs(traces.mean() - 4.0) < 0.05
+    # E[W] = cols * I, also with more receive rows than transmit columns
+    w = sample_gram(100_000, 3, 2, substream(SEED, 4))
+    np.testing.assert_allclose(w.mean(axis=0), 2.0 * np.eye(3), atol=0.03)
 
 
 def test_transpose_gives_same_spectrum():
     # H H^+ (3x3) and H^+ H (5x5, rank 3) share the nonzero eigenvalues
-    h = sample_channels(1, 3, 5, substream(SEED, 5))
-    wide = descending_spectra(receive_gram(h))
-    tall = descending_spectra(receive_gram(np.conj(np.swapaxes(h, -1, -2))))
+    h = draw_channels(1, 3, 5, substream(SEED, 5))
+    h_adj = np.conj(np.swapaxes(h, -1, -2))
+    wide = descending_spectra(h @ h_adj)
+    tall = descending_spectra(h_adj @ h)
     np.testing.assert_allclose(wide, tall[:, :3], rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(tall[:, 3:], 0.0, atol=1e-12)
 
 
 def test_spectrum_sums_to_trace():
     for i in range(20):
-        w = receive_gram(sample_channels(1, 3, 3, substream(SEED, 6, i)))[0]
+        w = sample_gram(1, 3, 3, substream(SEED, 6, i))[0]
         spectrum = descending_spectra(w)
         assert np.all(np.diff(spectrum) <= 0)
         assert np.all(spectrum >= 0)
@@ -85,8 +98,8 @@ def test_hermitian_spectrum_descending():
 
 
 def test_diagonal_gram_spectrum():
-    w = receive_gram(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    np.testing.assert_allclose(descending_spectra(w), [4.0, 1.0])
+    h = np.diag([1.0, 2.0])
+    np.testing.assert_allclose(descending_spectra(h @ h.T), [4.0, 1.0])
 
 
 def test_psd_clamping_tolerance():
@@ -101,7 +114,7 @@ def test_psd_clamping_tolerance():
 
 
 def test_descending_spectra_batched_matches_single():
-    ws = receive_gram(sample_channels(64, 2, 2, substream(SEED, 7)))
+    ws = sample_gram(64, 3, 2, substream(SEED, 7))
     batched = descending_spectra(ws)
     singles = np.stack([descending_spectra(w) for w in ws])
     np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-12)
@@ -109,7 +122,8 @@ def test_descending_spectra_batched_matches_single():
 
 @pytest.mark.parametrize("cols", (1, 3))
 def test_small_gram_draws_g1_then_z_then_g2(cols):
-    got = SmallGram.sample(50, 2, cols, substream(SEED, 8))
+    drawn = substream(SEED, 8)
+    got = sample_gram(50, 2, cols, drawn)
     stream = substream(SEED, 8)
     g1 = stream.standard_gamma(cols, 50)
     z = np.sqrt(0.5) * stream.standard_normal((2, 50))
@@ -119,11 +133,31 @@ def test_small_gram_draws_g1_then_z_then_g2(cols):
     assert np.array_equal(got.b_im, np.sqrt(g1) * z[1])
     assert np.array_equal(got.d, z[0] * z[0] + z[1] * z[1] + g2)
     assert np.array_equal(got.det, g1 * g2)
+    assert drawn.standard_normal() == stream.standard_normal()
     # a single row is the one Gamma(cols) draw
-    single = SmallGram.sample(50, 1, cols, substream(SEED, 8))
+    single = sample_gram(50, 1, cols, substream(SEED, 8))
     assert single.rows == 1 and np.array_equal(single.a, g1)
 
 
-def test_small_gram_rejects_more_than_two_rows():
-    with pytest.raises(ValueError, match="at most 2 rows"):
-        SmallGram.sample(10, 3, 3, substream(SEED, 9))
+@pytest.mark.parametrize("cols", (2, 4))
+def test_dense_gram_draws_row_by_row(cols):
+    # row i of the Bartlett factor: below-diagonal real parts, imaginary
+    # parts, then |L_ii|^2 ~ Gamma(cols - i) while i < cols
+    drawn = substream(SEED, 9)
+    got = sample_gram(50, 3, cols, drawn)
+    stream = substream(SEED, 9)
+    factor = np.zeros((50, 3, min(3, cols)), dtype=complex)
+    for i in range(3):
+        below = np.sqrt(0.5) * stream.standard_normal((2, 50, min(i, cols)))
+        factor[:, i, : min(i, cols)] = below[0] + 1j * below[1]
+        if i < cols:
+            factor[:, i, i] = np.sqrt(stream.standard_gamma(cols - i, 50))
+    assert np.array_equal(got, factor @ np.conj(np.swapaxes(factor, -1, -2)))
+    assert drawn.standard_normal() == stream.standard_normal()
+
+
+def test_sample_gram_is_dense_above_two_rows():
+    assert isinstance(sample_gram(10, 2, 3, substream(SEED, 10)), SmallGram)
+    w = sample_gram(10, 3, 3, substream(SEED, 10))
+    assert isinstance(w, np.ndarray) and w.shape == (10, 3, 3)
+    np.testing.assert_allclose(w, np.conj(np.swapaxes(w, -1, -2)), rtol=0.0, atol=1e-12)

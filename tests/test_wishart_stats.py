@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, exp1
 
+from conftest import channel_grams
 from relay_outage.mutual_info import logdet_from_spectrum
-from relay_outage.randmat import WishartParams, descending_spectra, receive_gram, sample_channels
+from relay_outage.randmat import WishartParams, descending_spectra
 from relay_outage.rng import substream
 from relay_outage.wishart_stats import (
     WEIGHT_FLOOR,
@@ -87,9 +88,7 @@ def test_density_rejects_negative_lambda():
 def test_density_matches_sampled_eigenvalues():
     # pooled unordered 2x2 eigenvalues against the marginal, bin-averaged
     params = WishartParams(2, 2)
-    lam = descending_spectra(
-        receive_gram(sample_channels(100_000, 2, 2, substream(SEED, 0)))
-    ).ravel()
+    lam = descending_spectra(channel_grams(100_000, 2, 2, substream(SEED, 0))).ravel()
     width = 0.5
     edges = np.arange(0.0, 10.0 + width, width)
     hist = np.histogram(lam, bins=edges)[0] / (lam.size * width)
@@ -148,9 +147,7 @@ def test_expected_logdet_matches_adaptive_quadrature(m, p, scale):
 def test_expected_logdet_matches_monte_carlo():
     params = WishartParams(2, 2)
     analytic = expected_logdet(params, 10.0)
-    spectra = descending_spectra(
-        receive_gram(sample_channels(100_000, 2, 2, substream(SEED, 1)))
-    )
+    spectra = descending_spectra(channel_grams(100_000, 2, 2, substream(SEED, 1)))
     empirical = logdet_from_spectrum(spectra, 10.0).mean()
     assert abs(empirical - analytic) / analytic < 0.01
 
@@ -173,8 +170,7 @@ def test_logdet_from_spectrum_direct():
 
 
 def test_logdet_from_spectrum_is_determinant():
-    h = sample_channels(32, 2, 2, substream(SEED, 2))
-    ws = receive_gram(h)
+    ws = channel_grams(32, 2, 2, substream(SEED, 2))
     spectra = descending_spectra(ws)
     for scale in (0.3, 1.0, 25.0):
         direct = np.log2(
