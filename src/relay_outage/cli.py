@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .mutual_info import EXACT, MIDPOINT, HopConfig, sample_hop_fields
-from .outage import analytical_outage, montecarlo_outage
+from .outage import chain_moments, gaussian_chain_outage, montecarlo_outage
 from .rng import (
     STREAM_DISTRIBUTION,
     STREAM_HOP_MOMENTS,
@@ -35,9 +35,11 @@ from .rng import (
 )
 from .scenario import (
     DEFAULT_SEED,
+    MAX_DRAWS,
     Scenario,
     ScenarioError,
     load_preset,
+    parse_draws,
     parse_scenario,
     parse_seed,
     preset_names,
@@ -46,6 +48,9 @@ from .scenario import (
 ERROR_PREFIX = "relay-outage: error:"
 
 OUTAGE_COLUMNS = ("rate", "analytical_outage", "mc_outage", "mc_std_error")
+# A hop whose Gaussian law puts more mass than this below zero mutual
+# information gets a warning header line in the outage CSV.
+NEGATIVE_MASS_WARNING = 1e-3
 DISTRIBUTION_COLUMNS = (
     "bin_lo",
     "bin_hi",
@@ -177,15 +182,33 @@ plot '{csv}' using (($1+$2)/2):4 with lines title 'midpoint approximation', \\
 """
 
 
+def _moment_header(moments) -> list[str]:
+    """One line per hop's (time-share scaled) moments, and a warning per misfit hop."""
+    lines, warnings = [], []
+    for k, hop in enumerate(moments, start=1):
+        below_zero = float(gaussian_chain_outage([hop], np.zeros(1))[0])
+        lines.append(
+            f"hop {k} moments: mean={hop.mean!r} variance={hop.variance!r} "
+            f"source={hop.source} gaussian_p_below_0={below_zero!r}"
+        )
+        if below_zero > NEGATIVE_MASS_WARNING:
+            warnings.append(
+                f"warning: hop {k} Gaussian law puts {below_zero:.3g} of its mass "
+                f"below zero mutual information, where the true law puts none "
+                f"(warning level {NEGATIVE_MASS_WARNING:g})"
+            )
+    return lines + warnings
+
+
 def cmd_outage(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
     rates = scenario.rates
-    analytical = analytical_outage(
+    moments = chain_moments(
         scenario.network,
-        rates,
         substream(scenario.seed, STREAM_HOP_MOMENTS),
         scenario.n_moment_samples,
     )
+    analytical = gaussian_chain_outage(moments, rates)
     montecarlo, std_errors = montecarlo_outage(
         scenario.network,
         rates,
@@ -194,8 +217,9 @@ def cmd_outage(args: argparse.Namespace) -> int:
     )
 
     header = _scenario_header(scenario, "outage")
-    header.append(f"moment_samples: {scenario.n_moment_samples}")
+    header.append(f"moment_samples: {scenario.n_moment_samples} (sampled hops only)")
     header.append(f"mc_realizations: {scenario.n_mc_realizations}")
+    header += _moment_header(moments)
     header.append(
         f"rates: start={scenario.rate_start!r} stop={scenario.rate_stop!r} "
         f"step={scenario.rate_step!r} points={rates.size}"
@@ -320,9 +344,12 @@ def _add_scenario_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", metavar="SEED", help="override the scenario seed")
     parser.add_argument(
         "--samples",
-        type=int,
         metavar="N",
-        help="override per-hop moment / distribution sample count",
+        help=(
+            "override the sample count: outage's per-hop moment samples (rx >= 3 "
+            "or non-converged hops only; other hops use quadrature), or "
+            f"distribution's samples; 100 to {MAX_DRAWS:,}"
+        ),
     )
     parser.add_argument("--out", metavar="DIR", help="override the output directory")
     parser.add_argument(
@@ -351,9 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_source(outage)
     outage.add_argument(
         "--realizations",
-        type=int,
         metavar="N",
-        help="override Monte Carlo realization count",
+        help=f"override Monte Carlo realization count (1000 to {MAX_DRAWS:,})",
     )
     outage.set_defaults(func=cmd_outage)
 
@@ -367,12 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     validate = commands.add_parser("validate", help="run the oracle self-checks")
     validate.add_argument("--seed", metavar="SEED", help=f"check seed (default {DEFAULT_SEED})")
     validate.add_argument(
-        "--samples", type=int, metavar="N",
-        help="draws for the sandwich and moment checks",
+        "--samples", metavar="N",
+        help=f"draws for the sandwich and moment checks (100 to {MAX_DRAWS:,})",
     )
     validate.add_argument(
-        "--realizations", type=int, metavar="N",
-        help="realizations for the Monte Carlo oracle checks",
+        "--realizations", metavar="N",
+        help=f"realizations for the Monte Carlo oracle checks (1000 to {MAX_DRAWS:,})",
     )
     validate.set_defaults(func=cmd_validate)
     return parser
@@ -383,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is not None:
             args.seed = parse_seed(args.seed, "--seed")
+        for name in ("samples", "realizations"):
+            if getattr(args, name, None) is not None:
+                setattr(args, name, parse_draws(getattr(args, name), f"--{name}"))
         return args.func(args)
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)

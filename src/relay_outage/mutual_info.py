@@ -14,8 +14,10 @@ The log-determinant of the two-matrix sum admits eigenvalue-pairing
 bounds: with both spectra sorted descending, pairing same ranks gives a
 lower bound and pairing opposite ranks an upper bound on
 ``log2 det(I + rho*Wbar + eta*W)``.  Their midpoint is the approximation
-used for moment estimation; sampled moments feed the Gaussian outage
-closed form in :mod:`relay_outage.outage`.
+whose moments feed the Gaussian outage closed form in
+:mod:`relay_outage.outage`: by quadrature
+(:func:`~relay_outage.wishart_stats.quadrature_hop_moments`) for hops of
+at most two receive antennas, else sampled (:func:`estimate_hop_moments`).
 
 Every sampled per-hop quantity comes from one chunk kernel,
 :func:`sample_hop_chunk`, which draws a :class:`HopConfig`'s receive Gram
@@ -108,17 +110,25 @@ class HopConfig:
 
 @dataclass(frozen=True)
 class HopMoments:
-    """Sample mean and unbiased variance of one hop's mutual information."""
+    """Mean and variance of one hop's mutual information.
+
+    Sample mean and unbiased variance of ``n_samples`` draws, or, with
+    ``n_samples`` left ``None``, deterministic quadrature values.
+    """
 
     mean: float
     variance: float
-    n_samples: int
+    n_samples: int | None = None
 
     def __post_init__(self) -> None:
         if self.variance < 0.0:
             raise ValueError(f"variance must be >= 0, got {self.variance}")
-        if self.n_samples < 1:
+        if self.n_samples is not None and self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+
+    @property
+    def source(self) -> str:
+        return "quadrature" if self.n_samples is None else "sampled"
 
 
 def logdet2_psd(a: np.ndarray) -> np.ndarray | float:
@@ -250,6 +260,16 @@ def sample_hop_chunk(
     return hop_fields(w, wbar, hop.eta, hop.rho, fields)
 
 
+def check_sample_count(n_samples: int) -> None:
+    """The one per-hop sample minimum: fewer than ``MIN_MOMENT_SAMPLES`` raise ``ValueError``.
+
+    Checked by every entry that takes a per-hop sample count, whether or
+    not it ends up sampling.
+    """
+    if n_samples < MIN_MOMENT_SAMPLES:
+        raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples, got {n_samples}")
+
+
 def map_hop_chunks(
     hop: HopConfig,
     n_samples: int,
@@ -261,11 +281,9 @@ def map_hop_chunks(
 
     One substream per chunk of ``CHUNK_SIZE`` draws.  The one entry through
     which moments, ``distribution`` and ``validate`` sample a hop, so it
-    owns their minimum: fewer than ``MIN_MOMENT_SAMPLES`` draws raise
-    ``ValueError``.
+    enforces their minimum (``check_sample_count``).
     """
-    if n_samples < MIN_MOMENT_SAMPLES:
-        raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples, got {n_samples}")
+    check_sample_count(n_samples)
     return run_chunks(
         n_samples, rng, lambda stream, count: reduce(*sample_hop_chunk(hop, stream, count, fields))
     )
@@ -286,7 +304,8 @@ def estimate_hop_moments(
 
     Samples use the midpoint approximation (the quantity whose Gaussian
     moments drive the closed-form outage), in full-duplex form; a chain
-    scales them by its time share.  The midpoint and interference terms
+    scales them by its time share.  The fallback of the closed form for the
+    hops that quadrature does not cover.  The midpoint and interference terms
     inside each sample share the same interference spectrum, so their
     correlation is kept intact.
     """

@@ -3,10 +3,11 @@
 A multi-hop decode-and-forward chain is in outage when any hop's mutual
 information falls below the target rate, so the network outage is
 ``1 - prod_k (1 - p_k)`` with per-hop outage probabilities ``p_k``.  The
-closed form models each hop's mutual information as Gaussian with sampled
-moments; the Monte Carlo path recomputes the exact per-hop mutual
-information per realization and therefore stands as an independent check
-on both the Gaussian assumption and the midpoint approximation.
+closed form models each hop's mutual information as Gaussian, with moments
+by quadrature where that converges and sampled elsewhere
+(:func:`chain_moments`); the Monte Carlo path recomputes the exact per-hop
+mutual information per realization and therefore stands as an independent
+check on both the Gaussian assumption and the midpoint approximation.
 """
 from __future__ import annotations
 
@@ -17,8 +18,16 @@ from enum import Enum
 
 import numpy as np
 
-from .mutual_info import EXACT_MI, HopConfig, estimate_hop_moments, sample_hop_chunk
+from .mutual_info import (
+    EXACT_MI,
+    HopConfig,
+    HopMoments,
+    check_sample_count,
+    estimate_hop_moments,
+    sample_hop_chunk,
+)
 from .rng import run_chunks
+from .wishart_stats import quadrature_hop_moments
 
 MIN_MC_REALIZATIONS = 1000
 
@@ -151,26 +160,45 @@ def _check_rate_grid(rates: np.ndarray) -> np.ndarray:
     return rates
 
 
+def chain_moments(
+    cfg: NetworkConfig, rng: np.random.Generator, n_samples: int
+) -> list[HopMoments]:
+    """Each hop's Gaussian moments, scaled by the chain's time share.
+
+    By quadrature (:func:`~relay_outage.wishart_stats.quadrature_hop_moments`),
+    which needs no draws, wherever it converges; otherwise estimated from
+    ``n_samples`` draws on the hop's own substream of ``rng``.  The sample
+    minimum holds whether or not any hop samples.
+    """
+    check_sample_count(n_samples)
+    share = cfg.time_share
+    moments = []
+    for hop, stream in zip(cfg.hops, rng.spawn(cfg.n_hops)):
+        m = quadrature_hop_moments(hop)
+        if m is None:
+            m = estimate_hop_moments(hop, n_samples, stream)
+        moments.append(replace(m, mean=share * m.mean, variance=share * share * m.variance))
+    return moments
+
+
+def gaussian_chain_outage(moments: list[HopMoments], rates: np.ndarray) -> np.ndarray:
+    """Chain outage at each rate from per-hop Gaussian moments (see ``chain_moments``)."""
+    return _gaussian_outage(
+        [m.mean for m in moments], [m.variance for m in moments], _check_rate_grid(rates)
+    )
+
+
 def analytical_outage(
     cfg: NetworkConfig, rates: np.ndarray, rng: np.random.Generator, n_samples: int
 ) -> np.ndarray:
     """Gaussian closed-form chain outage at each rate.
 
-    Each hop's moments are estimated once from ``n_samples`` draws on its
-    own substream of ``rng``, scaled by the chain's time share, and reused
-    across the grid.
+    Each hop's moments come once from :func:`chain_moments` and are reused
+    across the grid; ``rng`` and ``n_samples`` serve only the hops that
+    fall back to sampling.
     """
     rates = _check_rate_grid(rates)
-    moments = [
-        estimate_hop_moments(hop, n_samples, stream)
-        for hop, stream in zip(cfg.hops, rng.spawn(cfg.n_hops))
-    ]
-    share = cfg.time_share
-    return _gaussian_outage(
-        [share * m.mean for m in moments],
-        [share * share * m.variance for m in moments],
-        rates,
-    )
+    return gaussian_chain_outage(chain_moments(cfg, rng, n_samples), rates)
 
 
 def montecarlo_outage(

@@ -15,8 +15,9 @@ Unknown sections or keys are errors, as is any malformed value;
 diagnostics carry the source name and the line of the offending key.
 Rules on the chain as a whole, the interferer size among them, belong to
 :class:`~relay_outage.outage.NetworkConfig` and are reported at the
-``[network]`` line.  Sample-count minimums are not scenario rules: the
-sampling functions enforce them when a run starts.
+``[network]`` line.  Sample counts are capped at ``MAX_DRAWS`` here, but
+their minimums are not scenario rules: the sampling functions enforce them
+when a run starts.
 
 The last hop is interference-free by default (the terminal node only
 receives); give it a ``[hop.K]`` override to model interference there.
@@ -37,6 +38,9 @@ from .outage import DuplexMode, NetworkConfig
 DEFAULT_SEED = 12345
 # Largest rate grid accepted; the presets use 57 points, the finest benchmark grid 281.
 MAX_RATE_POINTS = 100_000
+# Largest draw count accepted, from a scenario key or a --samples or
+# --realizations flag; the largest benchmark run draws 10^6.
+MAX_DRAWS = 100_000_000
 
 
 class ScenarioError(ValueError):
@@ -119,7 +123,7 @@ def _read_sections(
 _REQUIRED = object()  # the default of a key that must be given
 
 
-def _integer(minimum: int):
+def _integer(minimum: int, maximum: int | None = None):
     def parse(text: str, field: str) -> int:
         try:
             out = int(text)
@@ -127,6 +131,8 @@ def _integer(minimum: int):
             raise ValueError(f"{field}: expected an integer, got {text!r}") from None
         if out < minimum:
             raise ValueError(f"{field}: must be >= {minimum}, got {out}")
+        if maximum is not None and out > maximum:
+            raise ValueError(f"{field}: must be <= {maximum}, got {out}")
         return out
 
     return parse
@@ -134,6 +140,10 @@ def _integer(minimum: int):
 
 # The one seed rule, shared by [sampling] seed and every --seed flag.
 parse_seed = _integer(0)
+# The one draw-count rule, shared by the sample-count keys and every
+# --samples and --realizations flag.  The sampling functions own the
+# minimums of a run (100 samples, 1000 realizations).
+parse_draws = _integer(1, MAX_DRAWS)
 
 
 def _number(positive: bool = False):
@@ -169,15 +179,15 @@ _SECTIONS = {
         "step": ("rate_step", _number(positive=True), 0.25),
     },
     "sampling": {
-        "moment_samples": ("n_moment_samples", _integer(1), 10_000),
-        "mc_realizations": ("n_mc_realizations", _integer(1), 10_000),
+        "moment_samples": ("n_moment_samples", parse_draws, 10_000),
+        "mc_realizations": ("n_mc_realizations", parse_draws, 10_000),
         "seed": ("seed", parse_seed, DEFAULT_SEED),
     },
     "output": {"directory": ("output_dir", lambda text, field: text, "results")},
     "distribution": {
         "hop": ("dist_hop", _integer(1), None),
         "bin_width": ("dist_bin_width", _number(positive=True), 0.1),
-        "samples": ("dist_samples", _integer(1), None),
+        "samples": ("dist_samples", parse_draws, None),
     },
 }
 # [hop] and [hop.K]: HopConfig field -> (value parser, default).

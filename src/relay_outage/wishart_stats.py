@@ -11,6 +11,15 @@ Expectations under it come from one fixed Gauss-Legendre rule
 the validation module maps the same rule onto the normal tail.  These
 quadratures are the independent analytical cross-check on the Monte Carlo
 moment estimates elsewhere in the package.
+
+The same rule, at ``PAIR_NODES`` nodes, carries the unordered eigenvalue
+law of a Gram form of at most two rows (:func:`eigen_weights`), for two
+rows the pair density of James (Ann. Math. Stat. 35, 1964)
+
+    f(a1, a2) = (a1 - a2)^2 (a1 a2)^(p-2) e^(-a1-a2) / (2 (p-1)! (p-2)!),
+
+from which :func:`quadrature_hop_moments` computes a hop's closed-form
+moments without sampling.
 """
 from __future__ import annotations
 
@@ -19,7 +28,7 @@ import math
 
 import numpy as np
 
-from .mutual_info import LN2
+from .mutual_info import LN2, HopConfig, HopMoments
 from .randmat import WishartParams
 
 # Absolute quadrature tolerance for expectations, in bits.
@@ -30,6 +39,19 @@ WEIGHT_FLOOR = 1e-12
 # Gauss-Legendre nodes per integral; the error estimate is the gap to the
 # rule with half as many.
 QUADRATURE_NODES = 256
+# Nodes of the eigenvalue rule behind the quadrature hop moments, with the
+# same error estimate.
+PAIR_NODES = 64
+# Largest receive dimension whose hop moments have the quadrature form: up
+# to two rows the pairing midpoint is the mean over all eigenvalue pairs.
+MAX_QUADRATURE_RX = 2
+# Largest error estimate accepted for quadrature hop moments: in standard
+# deviations for the mean, relative for the variance.  It is 1/sqrt(10^8),
+# the standard error, in the same units, of a mean sampled at the largest
+# draw count a run admits, so no hop trades sampling for a less accurate
+# quadrature; the Gaussian curve then moves by at most
+# (phi(0) + phi(1)/2) * MOMENT_RTOL ~ 5e-5 per hop.
+MOMENT_RTOL = 1e-4
 
 
 @functools.cache
@@ -156,3 +178,109 @@ def expected_logdet(params: WishartParams, scale: float) -> float:
             f"tolerance {QUAD_ABS_TOL}"
         )
     return total
+
+
+def eigen_grid(params: WishartParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the ``n``-node rule for the eigenvalues of ``params``.
+
+    The Gauss-Legendre nodes in ``t = sqrt(x)`` on
+    ``[0, sqrt(integration_cutoff)]``, as points ``x`` with weights for
+    ``dx``, after the point ``x = 0`` of weight 0, which carries the zero
+    eigenvalues of rank-deficient and interference-free links.
+    """
+    nodes, weights = _legendre_rule(n)
+    half = 0.5 * math.sqrt(integration_cutoff(params))
+    t = half * (nodes + 1.0)
+    return (
+        np.concatenate(([0.0], t * t)),
+        np.concatenate(([0.0], 2.0 * half * weights * t)),  # dx = 2t dt
+    )
+
+
+@functools.cache
+def eigen_weights(rows: int, cols: int, n: int = PAIR_NODES) -> tuple[np.ndarray, np.ndarray]:
+    """Unordered eigenvalue law of the ``rows x rows`` Gram form of a ``rows x cols`` channel.
+
+    Returns the points ``x`` of ``eigen_grid`` and the law's weights on
+    them: for one row a vector (``Gamma(cols)``), for two rows the
+    symmetric matrix of the unordered pair ``(a1, a2)``, whose row sums are
+    the law of one eigenvalue.  A rank-one two-row form (``cols = 1``) puts
+    its pairs on ``(0, a)`` and ``(a, 0)``, half each.  Both sum to 1 up to
+    the rule's error.  Read-only and cached.
+    """
+    if rows not in (1, MAX_QUADRATURE_RX):
+        raise ValueError(f"eigenvalue weights need 1 or 2 rows, got {rows}")
+    params = WishartParams(min(rows, cols), max(rows, cols))
+    x, w = eigen_grid(params, n)
+    if params.m == 1:
+        single = w * marginal_eigen_density(params, x)
+        if rows == 1:
+            law = single
+        else:
+            law = np.zeros((x.size, x.size))
+            law[0, :] = law[:, 0] = 0.5 * single
+    else:
+        d = params.d
+        g = w * x**d * np.exp(-x)
+        law = np.subtract.outer(x, x) ** 2 * np.outer(g, g)
+        law /= 2.0 * math.factorial(d + 1) * math.factorial(d)
+    x.flags.writeable = law.flags.writeable = False
+    return x, law
+
+
+def _hop_moments_on_grid(hop: HopConfig, n: int) -> tuple[float, float]:
+    """Mean and variance of ``X = (1/r) sum_ij G(alpha_i, beta_j)`` under the ``n``-node law.
+
+    ``G(a, b) = log2(1 + eta b / (1 + rho a)) >= 0`` over the ``r``
+    eigenvalues ``alpha`` of the interference and ``beta`` of the desired
+    Gram form; for ``r <= 2`` that is exactly the midpoint minus the RSI
+    log-det, a sum with no subtraction and no ordering.  For ``r = 2`` the
+    variance is taken about the mean, with ``C = G - mean/2``:
+    ``Var X = 1/2 sum_ij A_ij (F_ii + F_jj + 2 F_ij)`` with
+    ``F = C diag(m_beta) C^T + C B C^T`` (``A``, ``B`` the pair weights,
+    ``m_beta`` the row sums of ``B``).  Without RSI ``alpha`` is pinned to 0.
+    """
+    rows = hop.rx_antennas
+    x_beta, beta = eigen_weights(rows, hop.tx_antennas, n)
+    if hop.has_rsi:
+        x_alpha, alpha = eigen_weights(rows, hop.interferer_antennas, n)
+    else:
+        x_alpha, alpha = np.zeros(1), np.ones((1,) * rows)
+    g = np.log1p(hop.eta * x_beta / (1.0 + hop.rho * x_alpha[:, np.newaxis])) / LN2
+    # einsum rather than matmul: BLAS would bring its threads and work
+    # buffers into an outage run for these small products (about 0.5 MB
+    # of peak RSS), and numpy's own loops take well under a millisecond
+    if rows == 1:
+        mean = np.einsum("i,ij,j->", alpha, g, beta)
+        c = g - mean
+        return float(mean), float(np.einsum("i,ij,j->", alpha, c * c, beta))
+    m_beta = beta.sum(axis=1)
+    mean = 2.0 * np.einsum("i,ij,j->", alpha.sum(axis=1), g, m_beta)
+    c = g - 0.5 * mean
+    f = np.einsum("ik,jk->ij", c * m_beta + np.einsum("ik,kl->il", c, beta), c)
+    diag = np.diag(f)
+    return float(mean), float(0.5 * np.sum(alpha * (diag[:, np.newaxis] + diag + 2.0 * f)))
+
+
+def quadrature_hop_moments(hop: HopConfig) -> HopMoments | None:
+    """One hop's closed-form moments by quadrature, or ``None`` where that fails.
+
+    The mean and variance of the midpoint-minus-RSI log-det that
+    :func:`~relay_outage.mutual_info.estimate_hop_moments` samples, in
+    full-duplex form, under the exact eigenvalue laws of ``eigen_weights``.
+    ``None`` for more than ``MAX_QUADRATURE_RX`` receive antennas, and
+    where the ``PAIR_NODES`` and ``PAIR_NODES // 2`` rules differ by more
+    than ``MOMENT_RTOL`` (RSI far above the link); an unconverged value is
+    never returned.
+    """
+    if hop.rx_antennas > MAX_QUADRATURE_RX:
+        return None
+    (mean, variance), (coarse_mean, coarse_variance) = (
+        _hop_moments_on_grid(hop, n) for n in (PAIR_NODES, PAIR_NODES // 2)
+    )
+    converged = (
+        variance >= 0.0
+        and abs(mean - coarse_mean) <= MOMENT_RTOL * math.sqrt(variance)
+        and abs(variance - coarse_variance) <= MOMENT_RTOL * variance
+    )
+    return HopMoments(mean=mean, variance=variance) if converged else None

@@ -1,9 +1,15 @@
 """Shared test plumbing: collect acceptance verdicts and print them last,
-build dense Gram matrices from closed-form entries, and draw Gram forms
-through channels, the reference route for the Bartlett draw."""
+name the hop shapes of the law tests, build dense Gram matrices from
+closed-form entries, and draw Gram forms through channels, the reference
+route for the Bartlett draw."""
 import numpy as np
 
 ACCEPTANCE_LINES: list[str] = []
+
+# Hop shapes (rx, tx, interferer tx) of the law tests: square, rank-one
+# (rx > tx), wide, and one-row links, and three rows with a tall desired
+# and a wide interference link
+LAW_CASES = ((1, 1, 1), (2, 2, 2), (2, 1, 3), (2, 4, 2), (1, 3, 2), (3, 2, 4))
 
 
 def pytest_terminal_summary(terminalreporter):

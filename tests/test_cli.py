@@ -2,17 +2,22 @@ import hashlib
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from relay_outage import __version__, cli, outage
 from relay_outage.cli import ERROR_PREFIX, ResultTable, _ks_distance, _skewness
-from relay_outage.mutual_info import EXACT, MIDPOINT, sample_hop_fields
+from relay_outage.mutual_info import EXACT, MIDPOINT, HopConfig, sample_hop_fields
 from relay_outage.rng import CHUNK_SIZE, substream
+from relay_outage.scenario import MAX_DRAWS
 from relay_outage.validation import hop_at_scales
+from relay_outage.wishart_stats import quadrature_hop_moments
 
 SMALL_SCENARIO = """[network]
 mode = fd
@@ -94,19 +99,19 @@ def test_outage_output_is_byte_stable(scenario_file, tmp_path):
 # sha256 of every preset's CSV at its default sizes and of `validate`'s
 # output with its timings stripped.  Bytes may move only with the package
 # version, so a new version re-pins them; they hold on one numpy version.
-PINNED_VERSION, PINNED_NUMPY = "0.5.0", "2.4.6"
+PINNED_VERSION, PINNED_NUMPY = "0.6.0", "2.4.6"
 PINNED_SHA256 = {
-    "fig3-fd-norsi-outage.csv": "5996296096d4f97364e0f40543ae9d8e9ef933ed24eeb0cb0e2db628c74c7dd6",
-    "fig3-fd-rsi12-outage.csv": "b8ee77d7f50ca2f9677863bb8c392bacbf4e5bc27c7631bca775142b52e71769",
-    "fig3-fd-rsi12-last17-outage.csv": "4d1383105c98da627d23f53089f520ee139272a1fae1cda0a9d7b44f44bef084",
-    "fig3-fd-rsi35-outage.csv": "cf2854dfa015bd3855a61165f3041053516151da5d3f1f036f7271b72fc73028",
-    "fig3-fd-rsi5-outage.csv": "aeab1ecb55a7ae17e2f803e8f29e1def57f6ce59e16335461990def5760bf1f8",
-    "fig3-fd-rsi5-last17-outage.csv": "043a25d0aa99efdabd3376a69f78d87af1eb449137f884905388314c42a255a6",
-    "fig3-hd-outage.csv": "bfa381ed54f3023fae6c6990e692fb4906edf8092c09a7d16347f596a182d0c7",
-    "dist-snr10-rsi0-distribution.csv": "9eee908e3d5d8bc3567ef1741ab5f7b31410525a316eb0a768780496c4e6a081",
-    "dist-snr10-rsineg10-distribution.csv": "2d432f7836df06a257b35872cbe956d63af03affb96fcd8ffd6cf1fc22abbb4c",
-    "dist-snr20-rsi0-distribution.csv": "15e6f747d579f66ad036c7e6c24d554001a618a45f6e9ecb955172666b18a226",
-    "dist-snr30-rsi15-distribution.csv": "447b388f942fac1c680cb3eaf8f79b8c7d93a7022bdae43d1a57c749edd1b7cc",
+    "fig3-fd-norsi-outage.csv": "4ae5c8c62be2a8195f6a56ad45e0f519a8addff261095a666f8b1836f408a4cf",
+    "fig3-fd-rsi12-outage.csv": "53c79970089328b5e320a0289cf2b057bf3b6cf24e99d5fe0f9c1566e8fca13d",
+    "fig3-fd-rsi12-last17-outage.csv": "85978f9b1fed4b34d32d45b0001dd504b4a4738f5567a77a7e2e58f9c8e24d35",
+    "fig3-fd-rsi35-outage.csv": "048bc5b7b331ff465f2d33fb55a5669b525f4d34c5e5f0357f1a2377bcfd84ce",
+    "fig3-fd-rsi5-outage.csv": "6fb9384f98c6b704f3a38e11efdfdc691fb035bc80268b20d2803bafd2d1709b",
+    "fig3-fd-rsi5-last17-outage.csv": "761073570aeda17cdd73adb32243c0103276a2014edd0c9ee54a8f2c5024ec95",
+    "fig3-hd-outage.csv": "1cf5a131d54411f41e3b78d22b7dd8c2699a3c0df00662ec698a2dbb1b104db8",
+    "dist-snr10-rsi0-distribution.csv": "f008feb352d5da4b6335fd38f113a1847e070fda5d984cc74a45531366b5e248",
+    "dist-snr10-rsineg10-distribution.csv": "b4bf31f7e2b86ce1119baef4de7625dca4543331332d39ab8c5003548bddd47e",
+    "dist-snr20-rsi0-distribution.csv": "0225af84a97adde7cc31508a221bf799b226d80557ea9ecc24ab9c4716e1e587",
+    "dist-snr30-rsi15-distribution.csv": "6ffe9db1b9f3106e0d4b02f92c27cca7851295da94b9abe1b239f91568eca56d",
     "validate": "c1509164ace76018d2f429d1f68e30c661c5fb2128f1f605a72b59a64fc14d64",
 }
 OUTAGE_PRESETS = (
@@ -283,6 +288,171 @@ def test_distribution_below_minimum_exits_2(source, tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("source", ("flag", "scenario"))
+def test_outage_below_minimum_exits_2(source, tmp_path, capsys):
+    # every hop of both chains has quadrature moments, and the minimum holds
+    if source == "flag":
+        argv = ["--preset", "fig3-fd-rsi12", "--samples", "99"]
+    else:
+        path = tmp_path / "few.scenario"
+        path.write_text(
+            SMALL_SCENARIO.replace("moment_samples = 3000", "moment_samples = 99"),
+            encoding="utf-8",
+        )
+        argv = ["--scenario", str(path)]
+    rc = cli.main(["outage", *argv, "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{ERROR_PREFIX} need at least 100 samples" in captured.err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+CAPPED_FLAGS = (
+    ("outage", "--preset", "fig3-hd", "--samples"),
+    ("outage", "--preset", "fig3-hd", "--realizations"),
+    ("distribution", "--preset", "dist-snr20-rsi0", "--samples"),
+    ("validate", "--samples"),
+    ("validate", "--realizations"),
+)
+
+
+@pytest.mark.parametrize("argv", CAPPED_FLAGS, ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_draw_count_flags_are_capped(argv, tmp_path, capsys):
+    out = [] if argv[0] == "validate" else ["--out", str(tmp_path)]
+    rc = cli.main([*argv, str(MAX_DRAWS + 1), *out])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{ERROR_PREFIX} {argv[-1]}: must be <= {MAX_DRAWS}")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+_MOMENT_LINE = re.compile(
+    r"# hop (\d+) moments: mean=(\S+) variance=(\S+) source=(\w+) gaussian_p_below_0=(\S+)$"
+)
+
+
+def _moment_lines(header):
+    return [_MOMENT_LINE.match(line).groups() for line in header if _MOMENT_LINE.match(line)]
+
+
+@pytest.mark.parametrize("rsi_db", (8.0, 100.0))
+def test_outage_header_reports_each_hops_moments(rsi_db, tmp_path):
+    # 100 dB of RSI on a 20 dB link is far outside the quadrature's reach:
+    # that hop either converges or falls back to sampling, and says which
+    path = tmp_path / "chain.scenario"
+    path.write_text(SMALL_SCENARIO.replace("rsi_snr_db = 8", f"rsi_snr_db = {rsi_db}"), "utf-8")
+    assert cli.main(["outage", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    header, _ = _read_csv(tmp_path / "chain-outage.csv")
+    assert "# moment_samples: 3000 (sampled hops only)" in header
+    lines = _moment_lines(header)
+    assert [k for k, *_ in lines] == ["1", "2"]
+    hops = (
+        HopConfig(2, 2, 20.0, rsi_db, rsi_tx_antennas=2),
+        HopConfig(2, 2, 20.0),
+    )
+    warned = []
+    for hop, (k, mean, variance, source, below_zero) in zip(hops, lines):
+        assert source == ("sampled" if quadrature_hop_moments(hop) is None else "quadrature")
+        assert float(variance) >= 0.0
+        want = stats.norm.cdf(-float(mean) / np.sqrt(float(variance)))
+        assert float(below_zero) == pytest.approx(want, rel=1e-9, abs=1e-300)
+        if float(below_zero) > cli.NEGATIVE_MASS_WARNING:
+            warned.append(k)
+    assert [line.split()[3] for line in header if line.startswith("# warning: ")] == warned
+    assert [source for *_, source, _ in lines] == (
+        ["quadrature", "quadrature"] if rsi_db == 8.0 else ["sampled", "quadrature"]
+    )
+    assert warned == ([] if rsi_db == 8.0 else ["1"])
+
+
+def test_analytical_column_does_not_depend_on_the_seed(scenario_file, tmp_path):
+    # every hop of the 2x2 chain has quadrature moments, so no draw enters
+    # the analytical column, while the Monte Carlo one moves
+    columns = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        rc = cli.main(["outage", "--scenario", str(scenario_file), "--seed", seed, "--out", str(out)])
+        assert rc == 0
+        rows = [
+            line.split(",")
+            for line in (out / "smoke-outage.csv").read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")
+        ]
+        columns.append(([row[1] for row in rows], [row[2] for row in rows]))
+    (analytical_a, mc_a), (analytical_b, mc_b) = columns
+    assert analytical_a == analytical_b
+    assert mc_a != mc_b
+
+
+EXTREME_SCENARIO = """[network]
+mode = fd
+hops = 2
+[hop]
+tx_antennas = 2
+rx_antennas = 2
+snr_db = {snr}
+rsi_snr_db = {rsi}
+[rates]
+start = 0
+stop = 14
+step = 0.5
+[sampling]
+moment_samples = 1000
+mc_realizations = 1000
+[distribution]
+hop = 1
+samples = 1000
+"""
+
+
+@pytest.mark.parametrize("command", ("outage", "distribution"))
+@pytest.mark.parametrize("snr_db", (-100.0, 100.0))
+@pytest.mark.parametrize("rsi_db", (-100.0, 100.0))
+def test_extreme_powers_give_finite_probabilities(command, snr_db, rsi_db, tmp_path):
+    path = tmp_path / "extreme.scenario"
+    path.write_text(EXTREME_SCENARIO.format(snr=snr_db, rsi=rsi_db), encoding="utf-8")
+    assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / f"extreme-{command}.csv")
+    assert rows.size and np.all(np.isfinite(rows))
+    probabilities = rows[:, 1:] if command == "outage" else rows[:, 2:]
+    assert np.all((probabilities >= 0.0) & (probabilities <= 1.0))
+    if command == "outage":
+        for _, _, variance, _, below_zero in _moment_lines(header):
+            assert float(variance) >= 0.0 and 0.0 <= float(below_zero) <= 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_hops=st.integers(1, 3),
+    tx=st.integers(1, 3),
+    rx=st.integers(1, 3),
+    snr_db=st.floats(-30.0, 60.0),
+    rsi_db=st.one_of(st.none(), st.floats(-30.0, 60.0)),
+    half_duplex=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_outage_columns_are_probabilities_rising_with_rate(
+    n_hops, tx, rx, snr_db, rsi_db, half_duplex, seed
+):
+    rsi = "none" if rsi_db is None or half_duplex else repr(rsi_db)
+    text = (
+        f"[network]\nmode = {'hd' if half_duplex else 'fd'}\nhops = {n_hops}\n"
+        f"[hop]\ntx_antennas = {tx}\nrx_antennas = {rx}\nsnr_db = {snr_db!r}\n"
+        f"rsi_snr_db = {rsi}\n[rates]\nstart = 0\nstop = 20\nstep = 0.5\n"
+        f"[sampling]\nmoment_samples = 100\nmc_realizations = 1000\nseed = {seed}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prop.scenario"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["outage", "--scenario", str(path), "--out", tmp]) == 0
+        _, rows = _read_csv(Path(tmp) / "prop-outage.csv")
+    for column in (rows[:, 1], rows[:, 2]):
+        assert np.all((column >= 0.0) & (column <= 1.0))
+        assert np.all(np.diff(column) >= 0.0)
+
+
 def test_validate_command(capsys):
     rc = cli.main(["validate", "--samples", "2000", "--realizations", "4000"])
     assert rc == 0
@@ -377,10 +547,10 @@ def test_unknown_preset_exits_2(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_3(scenario_file, tmp_path, monkeypatch, capsys):
-    def broken_curve(network, rates, rng, n_samples):
+    def broken_curve(moments, rates):
         return np.full(rates.shape, np.nan)
 
-    monkeypatch.setattr("relay_outage.cli.analytical_outage", broken_curve)
+    monkeypatch.setattr("relay_outage.cli.gaussian_chain_outage", broken_curve)
     rc = cli.main(["outage", "--scenario", str(scenario_file), "--out", str(tmp_path)])
     assert rc == 3
     assert ERROR_PREFIX in capsys.readouterr().err
@@ -482,8 +652,7 @@ from relay_outage import cli
 {run}
 loaded = sorted(
     name for name in sys.modules
-    if name.split(".")[0] == "scipy"
-    or name in ("relay_outage.validation", "relay_outage.wishart_stats")
+    if name.split(".")[0] == "scipy" or name == "relay_outage.validation"
 )
 print(loaded)
 """
@@ -513,6 +682,4 @@ def test_commands_other_than_validate_do_not_load_scipy(command, scenario_file, 
 
 def test_validate_does_not_load_scipy():
     run = "assert cli.main(['validate', '--samples', '1000', '--realizations', '2000']) == 0"
-    assert _modules_loaded_by(run) == str(
-        ["relay_outage.validation", "relay_outage.wishart_stats"]
-    )
+    assert _modules_loaded_by(run) == str(["relay_outage.validation"])

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import channel_grams, dense_gram
+from conftest import LAW_CASES, channel_grams, dense_gram
 
 from relay_outage.cli import _ks_distance
 from relay_outage.mutual_info import (
@@ -192,9 +192,6 @@ def test_small_gram_degenerate_channels():
     assert np.array_equal(smallest, zeros)
 
 
-# (rx, tx, interferer tx): square, rank-one (rx > tx), wide, and one-row
-# links, and three rows with a tall desired and a wide interference link
-LAW_CASES = ((1, 1, 1), (2, 2, 2), (2, 1, 3), (2, 4, 2), (1, 3, 2), (3, 2, 4))
 LAW_DRAWS = 1_000_000
 # family-wise level of the law test over every field of every case (3 sigma)
 LAW_ALPHA = 0.0027

@@ -14,6 +14,7 @@ from relay_outage.outage import (
     NetworkConfig,
     _gaussian_outage,
     analytical_outage,
+    chain_moments,
     montecarlo_outage,
     q_function,
     sample_min_mutual_info,
@@ -149,20 +150,19 @@ def test_network_outage_saturates_cleanly():
 
 
 def test_analytical_fold_matches_per_rate_loop():
-    # three hops with distinct moments: the array fold keeps the loop's
-    # arithmetic, clamps and hop order bit for bit
+    # three hops with distinct moments, two by quadrature and one sampled:
+    # the array fold keeps the loop's arithmetic, clamps and hop order bit
+    # for bit
     hops = (
         HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20.0, rsi_snr_db=8.0, rsi_tx_antennas=2),
         HopConfig(tx_antennas=2, rx_antennas=2, snr_db=14.0, rsi_snr_db=3.0, rsi_tx_antennas=1),
-        HopConfig(tx_antennas=1, rx_antennas=2, snr_db=25.0),
+        HopConfig(tx_antennas=1, rx_antennas=3, snr_db=25.0),
     )
     cfg = NetworkConfig(hops=hops, mode=DuplexMode.FULL_DUPLEX)
     rates = np.arange(0.0, 14.01, 0.25)
     got = analytical_outage(cfg, rates, substream(SEED, 30), 3000)
-    moments = [
-        estimate_hop_moments(hop, 3000, stream)
-        for hop, stream in zip(hops, substream(SEED, 30).spawn(3))
-    ]
+    moments = chain_moments(cfg, substream(SEED, 30), 3000)
+    assert [m.source for m in moments] == ["quadrature", "quadrature", "sampled"]
     assert len({m.mean for m in moments}) == 3
     assert np.array_equal(got, _reference_chain_outage(moments, rates))
     assert 0.0 < got[8] < got[-8] < 1.0

@@ -10,6 +10,7 @@ from relay_outage.outage import DuplexMode, NetworkConfig
 from relay_outage.scenario import (
     _HOP_KEYS,
     _SECTIONS,
+    MAX_DRAWS,
     MAX_RATE_POINTS,
     ScenarioError,
     load_preset,
@@ -236,6 +237,25 @@ def test_rate_grid_point_cap():
     for step, stop in ((1, MAX_RATE_POINTS), (1e-9, 14), (1e-320, 14)):
         with pytest.raises(ScenarioError, match=f"more than {MAX_RATE_POINTS} points"):
             parse_scenario_text(base.format(step=step, stop=stop), name="fine")
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    (("sampling", "moment_samples"), ("sampling", "mc_realizations"), ("distribution", "samples")),
+)
+def test_draw_counts_are_capped(section, key):
+    # one cap on every draw count, reported at the key's line; it admits
+    # the largest benchmark run (10^6 draws)
+    assert MAX_DRAWS >= 10**6
+    base = (
+        "[network]\nmode = fd\nhops = 1\n"
+        "[hop]\ntx_antennas = 1\nrx_antennas = 1\nsnr_db = 0\n"
+        f"[{section}]\n{key} = {{count}}\n"
+    )
+    parse_scenario_text(base.format(count=MAX_DRAWS), name="cap")
+    with pytest.raises(ScenarioError, match=f"must be <= {MAX_DRAWS}") as err:
+        parse_scenario_text(base.format(count=MAX_DRAWS + 1), name="cap", source="cap.scenario")
+    assert str(err.value).startswith("cap.scenario:9: ")
 
 
 def test_errors_carry_line_numbers():

@@ -2,19 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, exp1
 
-from conftest import channel_grams
-from relay_outage.mutual_info import logdet_from_spectrum
+from conftest import LAW_CASES, channel_grams
+from relay_outage.mutual_info import (
+    MIDPOINT,
+    RSI_LOGDET,
+    HopConfig,
+    logdet_from_spectrum,
+    sample_hop_fields,
+)
+from relay_outage.outage import DuplexMode, NetworkConfig, chain_moments
 from relay_outage.randmat import WishartParams, descending_spectra
 from relay_outage.rng import substream
+from relay_outage.scenario import MAX_DRAWS
 from relay_outage.wishart_stats import (
+    MAX_QUADRATURE_RX,
+    MOMENT_RTOL,
+    PAIR_NODES,
     WEIGHT_FLOOR,
+    _hop_moments_on_grid,
+    eigen_grid,
+    eigen_weights,
     expected_logdet,
     integration_cutoff,
     laguerre,
     marginal_eigen_density,
+    quadrature_hop_moments,
 )
 
 SEED = 31337
@@ -179,3 +195,95 @@ def test_logdet_from_spectrum_is_determinant():
         np.testing.assert_allclose(
             logdet_from_spectrum(spectra, scale), direct, atol=1e-9
         )
+
+
+@pytest.mark.parametrize("cols", (1, 2, 3, 4))
+def test_pair_weights_row_sums_are_the_marginal_density(cols):
+    # two receive rows: the unordered pair's row sums are the law of one
+    # eigenvalue, the marginal density times the rule's weights; a rank-one
+    # form puts half of it on the zero eigenvalue
+    params = WishartParams(min(2, cols), max(2, cols))
+    x, w = eigen_grid(params, PAIR_NODES)
+    grid, law = eigen_weights(2, cols)
+    assert np.array_equal(grid, x)
+    assert np.array_equal(law, law.T) and np.all(law >= 0.0)
+    row_sums = law.sum(axis=1)
+    share = 0.5 if cols == 1 else 1.0
+    np.testing.assert_allclose(
+        row_sums[1:], share * w[1:] * marginal_eigen_density(params, x[1:]), rtol=1e-12, atol=0.0
+    )
+    assert row_sums[0] == pytest.approx(1.0 - share, abs=1e-14)
+    assert row_sums.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+# Quadrature hop moments against 10^6 sampled draws, on every LAW_CASES
+# shape the quadrature covers, with and without RSI.
+MOMENT_DRAWS = 1_000_000
+MOMENT_HOPS = tuple(
+    HopConfig(tx, rx, snr_db=10.0, rsi_snr_db=rsi_db, rsi_tx_antennas=rsi_tx if rsi_db else None)
+    for rx, tx, rsi_tx in LAW_CASES
+    if rx <= MAX_QUADRATURE_RX
+    for rsi_db in (5.0, None)
+)
+# |z| limit on the sample mean and the sample variance of every hop: a
+# family-wise false-alarm rate of 0.27 % (3 sigma), Sidak over both moments
+# of every hop; about 3.81 for 20 tests
+MOMENT_Z_LIMIT = float(stats.norm.isf((1.0 - 0.9973 ** (1.0 / (2 * len(MOMENT_HOPS)))) / 2.0))
+
+
+@pytest.mark.parametrize(
+    "index, hop",
+    enumerate(MOMENT_HOPS),
+    ids=[f"{h.rx_antennas}x{h.tx_antennas}-rsi{h.rsi_tx_antennas}" for h in MOMENT_HOPS],
+)
+def test_quadrature_moments_match_sampling(index, hop):
+    quadrature = quadrature_hop_moments(hop)
+    assert quadrature is not None and quadrature.source == "quadrature"
+    midpoint, rsi_logdet = sample_hop_fields(
+        hop, MOMENT_DRAWS, substream(SEED, 3, index), (MIDPOINT, RSI_LOGDET)
+    )
+    x = midpoint - rsi_logdet
+    dev = x - x.mean()
+    variance = float(dev @ dev) / (x.size - 1)
+    fourth = float(np.mean(dev**4))
+    z_mean = (x.mean() - quadrature.mean) / math.sqrt(variance / x.size)
+    z_variance = (variance - quadrature.variance) / math.sqrt((fourth - variance**2) / x.size)
+    assert abs(z_mean) <= MOMENT_Z_LIMIT, f"mean z = {z_mean:.2f}"
+    assert abs(z_variance) <= MOMENT_Z_LIMIT, f"variance z = {z_variance:.2f}"
+
+
+def test_moment_tolerance_is_the_se_at_the_draw_cap():
+    # quadrature stands in for sampling only where its error estimate is
+    # below the standard error of the largest sample a run admits
+    assert MOMENT_RTOL == pytest.approx(1.0 / math.sqrt(MAX_DRAWS), rel=1e-12)
+
+
+def test_quadrature_falls_back_far_above_the_link():
+    # 100 dB of RSI on a 20 dB link: the rules with 64 and 32 nodes
+    # disagree, so the hop is sampled, and an interference-free hop is not
+    far = HopConfig(2, 2, snr_db=20.0, rsi_snr_db=100.0, rsi_tx_antennas=2)
+    assert quadrature_hop_moments(far) is None
+    (fine_mean, fine_var), (coarse_mean, coarse_var) = (
+        _hop_moments_on_grid(far, n) for n in (PAIR_NODES, PAIR_NODES // 2)
+    )
+    assert abs(fine_var - coarse_var) > MOMENT_RTOL * fine_var
+    cfg = NetworkConfig(hops=(far, HopConfig(2, 2, snr_db=20.0)), mode=DuplexMode.FULL_DUPLEX)
+    moments = chain_moments(cfg, substream(SEED, 4), 1000)
+    assert [m.source for m in moments] == ["sampled", "quadrature"]
+    assert moments[0].n_samples == 1000 and moments[0].variance >= 0.0
+    assert quadrature_hop_moments(HopConfig(3, 3, snr_db=20.0)) is None  # rx >= 3
+
+
+@pytest.mark.parametrize("rx, tx, rsi_tx", [c for c in LAW_CASES if c[0] <= MAX_QUADRATURE_RX])
+def test_quadrature_variance_is_never_negative(rx, tx, rsi_tx):
+    # G = log2(1 + eta b / (1 + rho a)) has no subtraction, so even at 100 dB
+    # between link and interference no rule yields a negative variance
+    powers = (-100.0, -20.0, 0.0, 20.0, 100.0)
+    for snr_db in powers:
+        for rsi_db in (None, *powers):
+            hop = HopConfig(tx, rx, snr_db, rsi_db, rsi_tx if rsi_db is not None else None)
+            for n in (PAIR_NODES, PAIR_NODES // 2):
+                mean, variance = _hop_moments_on_grid(hop, n)
+                assert mean >= 0.0 and variance >= 0.0, (hop, n)
+            moments = quadrature_hop_moments(hop)
+            assert moments is None or moments.variance >= 0.0
