@@ -25,8 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .mutual_info import EXACT, MIDPOINT, HopConfig, sample_hop_fields
-from .outage import chain_moments, gaussian_chain_outage, montecarlo_outage
+from .mutual_info import EXACT, MIDPOINT, MIN_MOMENT_SAMPLES, HopConfig, sample_hop_fields
+from .outage import (
+    MIN_MC_REALIZATIONS,
+    chain_moments,
+    gaussian_chain_outage,
+    montecarlo_outage,
+)
 from .rng import (
     STREAM_DISTRIBUTION,
     STREAM_HOP_MOMENTS,
@@ -57,28 +62,6 @@ DISTRIBUTION_COLUMNS = (
     "exact_frequency",
     "midpoint_frequency",
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class ResultTable:
-    """Rows plus a header block that fully reproduces the run."""
-
-    header: tuple[str, ...]
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-
-    def render(self) -> str:
-        lines = [f"# {entry}" for entry in self.header]
-        lines.append("# columns: " + ",".join(self.columns))
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row width {len(row)} != {len(self.columns)} columns"
-                )
-            if not all(np.isfinite(value) for value in row):
-                raise ArithmeticError(f"non-finite value in result row {row}")
-            lines.append(",".join(repr(float(value)) for value in row))
-        return "\n".join(lines) + "\n"
 
 
 def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -134,12 +117,6 @@ def _scenario_header(scenario: Scenario, command: str) -> list[str]:
     return lines
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
 def _resolve_scenario(args: argparse.Namespace) -> Scenario:
     if args.preset is not None:
         scenario = load_preset(args.preset)
@@ -148,7 +125,7 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
     overrides: dict[str, object] = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "samples", None) is not None:
+    if args.samples is not None:
         overrides["n_moment_samples"] = args.samples
         overrides["dist_samples"] = args.samples
     if getattr(args, "realizations", None) is not None:
@@ -158,7 +135,9 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
     return dataclasses.replace(scenario, **overrides) if overrides else scenario
 
 
-OUTAGE_GNUPLOT = """\
+# The --gnuplot companion of each command's CSV.
+GNUPLOT_SCRIPTS = {
+    "outage": """\
 set datafile separator ','
 set xlabel 'Target rate (bits/s/Hz)'
 set ylabel 'Outage probability'
@@ -169,9 +148,8 @@ set grid
 plot '{csv}' using 1:2 with lines title 'analytical', \\
      '{csv}' using 1:3:4 with yerrorbars pointtype 7 pointsize 0.5 \\
      title 'Monte Carlo'
-"""
-
-DISTRIBUTION_GNUPLOT = """\
+""",
+    "distribution": """\
 set datafile separator ','
 set xlabel 'log2 det (bits)'
 set ylabel 'Frequency'
@@ -179,7 +157,37 @@ set key left top
 set grid
 plot '{csv}' using (($1+$2)/2):4 with lines title 'midpoint approximation', \\
      '{csv}' using (($1+$2)/2):3 with points pointtype 6 title 'exact'
-"""
+""",
+}
+
+
+def _write_result(
+    scenario: Scenario,
+    command: str,
+    header: list[str],
+    columns: tuple[str, ...],
+    rows: np.ndarray,
+    gnuplot: bool,
+) -> Path:
+    """Write ``<name>-<command>.csv`` (and its gnuplot script) and return the CSV path.
+
+    ``rows`` is a 2-D float array; a non-finite value raises
+    ``ArithmeticError`` before anything is written.
+    """
+    lines = [f"# {entry}" for entry in header]
+    lines.append("# columns: " + ",".join(columns))
+    for row in rows:
+        if not np.isfinite(row).all():
+            raise ArithmeticError(f"non-finite value in result row {tuple(row.tolist())}")
+        lines.append(",".join(repr(float(value)) for value in row))
+    out_dir = Path(scenario.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{scenario.name}-{command}.csv"
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    if gnuplot:
+        script = GNUPLOT_SCRIPTS[command].format(csv=csv_path.name)
+        csv_path.with_suffix(".gp").write_text(script, encoding="utf-8", newline="\n")
+    return csv_path
 
 
 def _moment_header(moments) -> list[str]:
@@ -224,20 +232,8 @@ def cmd_outage(args: argparse.Namespace) -> int:
         f"rates: start={scenario.rate_start!r} stop={scenario.rate_stop!r} "
         f"step={scenario.rate_step!r} points={rates.size}"
     )
-    rows = tuple(
-        (float(rate), float(pa), float(pm), float(se))
-        for rate, pa, pm, se in zip(rates, analytical, montecarlo, std_errors)
-    )
-    table = ResultTable(header=tuple(header), columns=OUTAGE_COLUMNS, rows=rows)
-
-    out_dir = Path(scenario.output_dir)
-    csv_path = out_dir / f"{scenario.name}-outage.csv"
-    _write(csv_path, table.render())
-    if args.gnuplot:
-        _write(
-            out_dir / f"{scenario.name}-outage.gp",
-            OUTAGE_GNUPLOT.format(csv=csv_path.name),
-        )
+    rows = np.column_stack((rates, analytical, montecarlo, std_errors))
+    csv_path = _write_result(scenario, "outage", header, OUTAGE_COLUMNS, rows, args.gnuplot)
 
     deviation = float(np.max(np.abs(analytical - montecarlo)))
     print(
@@ -279,22 +275,10 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     header.append(f"ks_distance: {ks_distance!r}")
     header.append(f"exact_skewness: {exact_skew!r}")
     header.append(f"midpoint_skewness: {midpoint_skew!r}")
-    rows = tuple(
-        (float(edges[i]), float(edges[i + 1]), float(exact_freq[i]), float(midpoint_freq[i]))
-        for i in range(n_bins)
+    rows = np.column_stack((edges[:-1], edges[1:], exact_freq, midpoint_freq))
+    csv_path = _write_result(
+        scenario, "distribution", header, DISTRIBUTION_COLUMNS, rows, args.gnuplot
     )
-    table = ResultTable(
-        header=tuple(header), columns=DISTRIBUTION_COLUMNS, rows=rows
-    )
-
-    out_dir = Path(scenario.output_dir)
-    csv_path = out_dir / f"{scenario.name}-distribution.csv"
-    _write(csv_path, table.render())
-    if args.gnuplot:
-        _write(
-            out_dir / f"{scenario.name}-distribution.gp",
-            DISTRIBUTION_GNUPLOT.format(csv=csv_path.name),
-        )
 
     print(
         f"{scenario.name}: KS distance = {ks_distance:.6g}, "
@@ -348,7 +332,7 @@ def _add_scenario_source(parser: argparse.ArgumentParser) -> None:
         help=(
             "override the sample count: outage's per-hop moment samples (rx >= 3 "
             "or non-converged hops only; other hops use quadrature), or "
-            f"distribution's samples; 100 to {MAX_DRAWS:,}"
+            f"distribution's samples; {MIN_MOMENT_SAMPLES} to {MAX_DRAWS:,}"
         ),
     )
     parser.add_argument("--out", metavar="DIR", help="override the output directory")
@@ -379,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     outage.add_argument(
         "--realizations",
         metavar="N",
-        help=f"override Monte Carlo realization count (1000 to {MAX_DRAWS:,})",
+        help=f"override Monte Carlo realization count ({MIN_MC_REALIZATIONS} to {MAX_DRAWS:,})",
     )
     outage.set_defaults(func=cmd_outage)
 
@@ -394,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--seed", metavar="SEED", help=f"check seed (default {DEFAULT_SEED})")
     validate.add_argument(
         "--samples", metavar="N",
-        help=f"draws for the sandwich and moment checks (100 to {MAX_DRAWS:,})",
+        help=f"draws for the sandwich and moment checks ({MIN_MOMENT_SAMPLES} to {MAX_DRAWS:,})",
     )
     validate.add_argument(
         "--realizations", metavar="N",
-        help=f"realizations for the Monte Carlo oracle checks (1000 to {MAX_DRAWS:,})",
+        help=f"realizations for the Monte Carlo oracle checks ({MIN_MC_REALIZATIONS} to {MAX_DRAWS:,})",
     )
     validate.set_defaults(func=cmd_validate)
     return parser

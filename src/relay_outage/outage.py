@@ -125,32 +125,6 @@ def sample_min_mutual_info(
     return min_mi
 
 
-def _gaussian_outage(mean, variance, rates: np.ndarray) -> np.ndarray:
-    """Chain outage at each rate from per-hop Gaussian moments.
-
-    Hop ``k`` is in outage with the probability ``p_k`` that a normal
-    variable of mean ``mean[k]`` and variance ``variance[k]`` falls below
-    the rate; the chain is in outage with ``1 - prod_k (1 - p_k)``, summed
-    in log space so that probabilities far below 1e-16 survive.  A
-    zero-variance hop is a step at its mean and raises a warning.
-    """
-    mean = np.asarray(mean, dtype=float)[:, np.newaxis]
-    std = np.sqrt(np.asarray(variance, dtype=float))[:, np.newaxis]
-    step = std == 0.0
-    if step.any():
-        warnings.warn(
-            "zero-variance hop moments: outage degenerates to a step function",
-            stacklevel=2,
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.clip(q_function((mean - rates) / std), 0.0, 1.0)
-    p = np.where(step, rates >= mean, p)
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf, folded to exactly 1
-        log_success = np.sum(np.log1p(-p), axis=0)
-    # 0.0 - x rather than -x: a chain that never fails reads 0.0, not -0.0
-    return 0.0 - np.expm1(log_success)
-
-
 def _check_rate_grid(rates: np.ndarray) -> np.ndarray:
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or rates.size < 1:
@@ -182,10 +156,30 @@ def chain_moments(
 
 
 def gaussian_chain_outage(moments: list[HopMoments], rates: np.ndarray) -> np.ndarray:
-    """Chain outage at each rate from per-hop Gaussian moments (see ``chain_moments``)."""
-    return _gaussian_outage(
-        [m.mean for m in moments], [m.variance for m in moments], _check_rate_grid(rates)
-    )
+    """Chain outage at each rate from per-hop Gaussian moments (see ``chain_moments``).
+
+    Hop ``k`` is in outage with the probability ``p_k`` that a normal
+    variable of its mean and variance falls below the rate; the chain is
+    in outage with ``1 - prod_k (1 - p_k)``, summed in log space so that
+    probabilities far below 1e-16 survive.  A zero-variance hop is a step
+    at its mean and raises a warning.
+    """
+    rates = _check_rate_grid(rates)
+    mean = np.array([m.mean for m in moments], dtype=float)[:, np.newaxis]
+    std = np.sqrt(np.array([m.variance for m in moments], dtype=float))[:, np.newaxis]
+    step = std == 0.0
+    if step.any():
+        warnings.warn(
+            "zero-variance hop moments: outage degenerates to a step function",
+            stacklevel=2,
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.clip(q_function((mean - rates) / std), 0.0, 1.0)
+    p = np.where(step, rates >= mean, p)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf, folded to exactly 1
+        log_success = np.sum(np.log1p(-p), axis=0)
+    # 0.0 - x rather than -x: a chain that never fails reads 0.0, not -0.0
+    return 0.0 - np.expm1(log_success)
 
 
 def analytical_outage(
@@ -197,7 +191,6 @@ def analytical_outage(
     across the grid; ``rng`` and ``n_samples`` serve only the hops that
     fall back to sampling.
     """
-    rates = _check_rate_grid(rates)
     return gaussian_chain_outage(chain_moments(cfg, rng, n_samples), rates)
 
 

@@ -142,7 +142,8 @@ def _integer(minimum: int, maximum: int | None = None):
 parse_seed = _integer(0)
 # The one draw-count rule, shared by the sample-count keys and every
 # --samples and --realizations flag.  The sampling functions own the
-# minimums of a run (100 samples, 1000 realizations).
+# minimums of a run (``mutual_info.MIN_MOMENT_SAMPLES`` samples,
+# ``outage.MIN_MC_REALIZATIONS`` realizations).
 parse_draws = _integer(1, MAX_DRAWS)
 
 

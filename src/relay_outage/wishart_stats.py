@@ -149,15 +149,15 @@ def integration_cutoff(params: WishartParams) -> float:
 def eigen_expectation(params: WishartParams, fn) -> tuple[float, float]:
     """``integral fn(x) f(x) dx`` over ``[0, integration_cutoff]``, and its error estimate.
 
-    In ``t = sqrt(x)`` the log-det singularity at ``x = -1/scale`` moves far
-    enough from the interval for the rule to converge up to ``scale ~ 1e6``.
+    On the ``eigen_grid`` rule in ``t = sqrt(x)``, where the log-det
+    singularity at ``x = -1/scale`` moves far enough from the interval for
+    the rule to converge up to ``scale ~ 1e6``.
     """
-
-    def integrand(t):
-        lam = t * t
-        return 2.0 * t * fn(lam) * marginal_eigen_density(params, lam)
-
-    return gauss_legendre(integrand, 0.0, math.sqrt(integration_cutoff(params)))
+    value, coarse = (
+        float(w @ (fn(x) * marginal_eigen_density(params, x)))
+        for x, w in (eigen_grid(params, n) for n in (QUADRATURE_NODES, QUADRATURE_NODES // 2))
+    )
+    return value, abs(value - coarse)
 
 
 def expected_logdet(params: WishartParams, scale: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import subprocess
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from relay_outage import __version__, cli, outage
-from relay_outage.cli import ERROR_PREFIX, ResultTable, _ks_distance, _skewness
+from relay_outage.cli import ERROR_PREFIX, _ks_distance, _skewness, _write_result
 from relay_outage.mutual_info import EXACT, MIDPOINT, HopConfig, sample_hop_fields
 from relay_outage.rng import CHUNK_SIZE, substream
-from relay_outage.scenario import MAX_DRAWS
+from relay_outage.scenario import MAX_DRAWS, load_preset
 from relay_outage.validation import hop_at_scales
 from relay_outage.wishart_stats import quadrature_hop_moments
 
@@ -197,6 +198,22 @@ def test_gnuplot_companion(scenario_file, tmp_path):
     script = (out / "smoke-outage.gp").read_text(encoding="utf-8")
     assert "smoke-outage.csv" in script
     assert "logscale" in script
+
+
+def test_distribution_gnuplot_companion(scenario_file, tmp_path):
+    out = tmp_path / "results"
+    rc = cli.main(
+        ["distribution", "--scenario", str(scenario_file), "--out", str(out), "--gnuplot"]
+    )
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "smoke-distribution.csv", "smoke-distribution.gp",
+    ]
+    script = (out / "smoke-distribution.gp").read_text(encoding="utf-8")
+    plots = script.split("plot ", 1)[1]
+    assert plots.count("'smoke-distribution.csv'") == 2
+    # bin centre against the midpoint (column 4) and the exact (column 3) frequencies
+    assert "using (($1+$2)/2):4" in plots and "using (($1+$2)/2):3" in plots
 
 
 def test_preset_outage_runs(tmp_path):
@@ -593,18 +610,13 @@ def test_outage_requires_source(capsys):
     assert exit_info.value.code == 2
 
 
-def test_render_rejects_non_finite():
-    table = ResultTable(
-        header=("demo",), columns=("a", "b"), rows=((1.0, float("inf")),)
-    )
-    with pytest.raises(ArithmeticError):
-        table.render()
-
-
-def test_render_rejects_ragged_rows():
-    table = ResultTable(header=("demo",), columns=("a", "b"), rows=((1.0,),))
-    with pytest.raises(ValueError):
-        table.render()
+def test_render_rejects_non_finite(tmp_path):
+    scenario = dataclasses.replace(load_preset("fig3-hd"), output_dir=str(tmp_path))
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        rows = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ArithmeticError, match=r"result row \(3\.0, "):
+            _write_result(scenario, "outage", ["demo"], ("a", "b"), rows, gnuplot=True)
+    assert list(tmp_path.iterdir()) == []  # nothing written, not even the script
 
 
 def test_huge_rate_grid_exits_2(tmp_path, capsys):

@@ -12,9 +12,9 @@ from relay_outage.mutual_info import HopConfig, HopMoments, estimate_hop_moments
 from relay_outage.outage import (
     DuplexMode,
     NetworkConfig,
-    _gaussian_outage,
     analytical_outage,
     chain_moments,
+    gaussian_chain_outage,
     montecarlo_outage,
     q_function,
     sample_min_mutual_info,
@@ -58,7 +58,7 @@ def test_q_function_matches_scipy_erfc():
 
 def _hop_outage(moments, rate):
     """Gaussian outage of a single hop at one rate."""
-    return float(_gaussian_outage([moments.mean], [moments.variance], np.array([rate]))[0])
+    return float(gaussian_chain_outage([moments], np.array([rate]))[0])
 
 
 def _reference_chain_outage(moments, rates):
@@ -97,7 +97,7 @@ def test_hop_outage_above_mean():
 
 def test_hop_outage_monotone_in_rate():
     rates = np.linspace(0.0, 10.0, 41)
-    probs = _gaussian_outage([5.0], [1.5], rates)
+    probs = gaussian_chain_outage([HopMoments(mean=5.0, variance=1.5)], rates)
     assert np.all(np.diff(probs) >= 0.0)
 
 
@@ -111,20 +111,20 @@ def test_hop_outage_degenerate_variance_steps():
     other = HopMoments(mean=5.0, variance=1.0, n_samples=1000)
     rates = np.array([2.0, 3.0, 4.0])
     with pytest.warns(UserWarning):
-        got = _gaussian_outage([3.0, 5.0], [0.0, 1.0], rates)
+        got = gaussian_chain_outage([moments, other], rates)
     assert np.array_equal(got, _reference_chain_outage([moments, other], rates))
     assert got[0] < 1.0 and got[1] == got[2] == 1.0
 
 
 def test_network_outage_single_hop_is_hop_outage():
     rates = np.array([2.0, 5.0, 7.5])
-    got = _gaussian_outage([5.0], [1.0], rates)
+    got = gaussian_chain_outage([HopMoments(mean=5.0, variance=1.0)], rates)
     np.testing.assert_allclose(got, q_function(5.0 - rates), rtol=1e-12)
 
 
 def test_network_outage_product_structure():
     # three identical hops at per-hop outage 0.1
-    got = _gaussian_outage([Z_FOR_P01] * 3, [1.0] * 3, np.array([0.0]))[0]
+    got = gaussian_chain_outage([HopMoments(mean=Z_FOR_P01, variance=1.0)] * 3, np.array([0.0]))[0]
     assert got == pytest.approx(1.0 - 0.9 ** 3, abs=1e-9)
 
 
@@ -134,7 +134,7 @@ def test_network_outage_keeps_the_deep_tail():
     z = norm.isf(1e-20)
     p = q_function(z)
     assert p == pytest.approx(1e-20, rel=1e-12, abs=0.0)
-    got = _gaussian_outage([z] * 3, [1.0] * 3, np.array([0.0]))[0]
+    got = gaussian_chain_outage([HopMoments(mean=z, variance=1.0)] * 3, np.array([0.0]))[0]
     assert got == pytest.approx(3e-20, rel=1e-12, abs=0.0)
 
 
@@ -143,8 +143,9 @@ def test_network_outage_saturates_cleanly():
     # chain certain to succeed reads +0.0, never -0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _gaussian_outage([0.0, 5.0], [1.0, 1.0], np.array([40.0]))[0]
-        never = _gaussian_outage([60.0], [1.0], np.array([0.0]))[0]
+        hops = [HopMoments(mean=0.0, variance=1.0), HopMoments(mean=5.0, variance=1.0)]
+        got = gaussian_chain_outage(hops, np.array([40.0]))[0]
+        never = gaussian_chain_outage([HopMoments(mean=60.0, variance=1.0)], np.array([0.0]))[0]
     assert got == 1.0
     assert never == 0.0 and math.copysign(1.0, never) == 1.0
 
@@ -311,10 +312,12 @@ def test_montecarlo_curve_monotone():
 
 
 def test_rate_grid_validation():
-    for outage in (analytical_outage, montecarlo_outage):
-        for rates in ([2.0, 1.0], [1.0, 1.0], [], [[1.0, 2.0]]):
+    for rates in ([2.0, 1.0], [1.0, 1.0], [], [[1.0, 2.0]]):
+        for outage in (analytical_outage, montecarlo_outage):
             with pytest.raises(ValueError, match="rate grid"):
                 outage(_chain(1), np.array(rates), substream(SEED, 10), 2000)
+        with pytest.raises(ValueError, match="rate grid"):
+            gaussian_chain_outage([HopMoments(mean=5.0, variance=1.0)], np.array(rates))
 
 
 def test_norsi_preset_outage_half_at_adjusted_mean_rate():
@@ -329,7 +332,5 @@ def test_norsi_preset_outage_half_at_adjusted_mean_rate():
     sigma = float(np.mean([math.sqrt(m.variance) for m in moments]))
     z_star = norm.isf(1.0 - 0.5 ** (1.0 / sc.network.n_hops))
     rate = mu - z_star * sigma
-    got = _gaussian_outage(
-        [m.mean for m in moments], [m.variance for m in moments], np.array([rate])
-    )
+    got = gaussian_chain_outage(moments, np.array([rate]))
     assert got[0] == pytest.approx(0.5, abs=0.02)
