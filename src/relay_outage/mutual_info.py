@@ -13,9 +13,10 @@ share that :class:`~relay_outage.outage.NetworkConfig` owns.
 The log-determinant of the two-matrix sum admits eigenvalue-pairing
 bounds: with both spectra sorted descending, pairing same ranks gives a
 lower bound and pairing opposite ranks an upper bound on
-``log2 det(I + rho*Wbar + eta*W)``.  Their midpoint is the approximation
-whose moments feed the Gaussian outage closed form in
-:mod:`relay_outage.outage`: by quadrature
+``log2 det(I + rho*Wbar + eta*W)``.  Their midpoint minus
+``log2 det(I + rho*Wbar)``, a sum of :func:`pair_gain` terms, is the
+approximated mutual information whose moments feed the Gaussian outage
+closed form in :mod:`relay_outage.outage`: by quadrature
 (:func:`~relay_outage.wishart_stats.quadrature_hop_moments`) for hops of
 at most two receive antennas, else sampled (:func:`estimate_hop_moments`).
 
@@ -53,9 +54,9 @@ EXACT = "exact"  # log2 det(I + rho*Wbar + eta*W)
 LOWER = "lower"  # same-rank pairing bound on EXACT
 UPPER = "upper"  # opposite-rank pairing bound on EXACT
 MIDPOINT = "midpoint"  # (LOWER + UPPER) / 2
-RSI_LOGDET = "rsi_logdet"  # log2 det(I + rho*Wbar)
-EXACT_MI = "exact_mi"  # EXACT - RSI_LOGDET, the exact mutual information
-HOP_FIELDS = (EXACT, LOWER, UPPER, MIDPOINT, RSI_LOGDET, EXACT_MI)
+EXACT_MI = "exact_mi"  # EXACT - log2 det(I + rho*Wbar), the exact mutual information
+APPROX_MI = "approx_mi"  # MIDPOINT - log2 det(I + rho*Wbar), the approximated one
+HOP_FIELDS = (EXACT, LOWER, UPPER, MIDPOINT, EXACT_MI, APPROX_MI)
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,18 @@ def logdet2_psd(a: np.ndarray) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def logdet_from_spectrum(spectrum: np.ndarray, scale: float):
-    """``sum_i log2(1 + scale * lambda_i)`` along the last axis.
+def pair_gain(alpha, beta, eta: float, rho: float):
+    """``G(a, b) = log2(1 + eta b / (1 + rho a)) >= 0`` of eigenvalue pairs; broadcasts.
 
-    Equals ``log2 det(I + scale W)`` for the matrix the spectrum came
-    from.  Accepts stacked spectra.
+    ``log2(1 + rho a + eta b) = log2(1 + rho a) + G(a, b)``, with no subtraction.
     """
-    return np.log1p(scale * np.asarray(spectrum)).sum(axis=-1) / LN2
+    return np.log1p(eta * beta / (1.0 + rho * alpha)) / LN2
+
+
+def _pairing_mi(alpha: np.ndarray, beta: np.ndarray, eta: float, rho: float) -> np.ndarray:
+    """``APPROX_MI`` of descending spectra: half the sum of ``pair_gain`` over both pairings."""
+    same, opposite = (pair_gain(alpha, b, eta, rho) for b in (beta, beta[..., ::-1]))
+    return 0.5 * (same + opposite).sum(axis=-1)
 
 
 def _closed_form_fields(
@@ -165,13 +171,9 @@ def _closed_form_fields(
     """
     if rsi is None:
         exact = np.log1p(eta * gram.trace + eta * eta * gram.det) / LN2
-        return dict.fromkeys((EXACT, LOWER, UPPER, MIDPOINT, EXACT_MI), exact) | {
-            RSI_LOGDET: np.zeros_like(exact)
-        }
+        return dict.fromkeys(HOP_FIELDS, exact)
     rsi_growth = rho * rsi.trace + rho * rho * rsi.det  # det(I + rho*Wbar) - 1
     out = {}
-    if RSI_LOGDET in wanted:
-        out[RSI_LOGDET] = np.log1p(rsi_growth) / LN2
     if wanted & {EXACT, EXACT_MI}:
         # det(I + M) - det(I + rho*Wbar), a sum of non-negative terms
         gain = eta * gram.trace + eta * eta * gram.det + rho * eta * gram.cross(rsi)
@@ -191,6 +193,9 @@ def _closed_form_fields(
         out[LOWER] = np.log1p(trace_m + same) / LN2
         out[UPPER] = np.log1p(trace_m + opposite) / LN2
         out[MIDPOINT] = 0.5 * (out[LOWER] + out[UPPER])
+    if APPROX_MI in wanted:
+        beta, alpha = (np.stack(g.spectrum()[: g.rows], axis=-1) for g in (gram, rsi))
+        out[APPROX_MI] = _pairing_mi(alpha, beta, eta, rho)
     return out
 
 
@@ -204,15 +209,17 @@ def _lapack_fields(
     out = {}
     if wanted & {EXACT, EXACT_MI}:
         out[EXACT] = logdet2_psd(base + eta * w)
-        out[EXACT_MI] = out[EXACT] - logdet2_psd(base) if wbar is not None else out[EXACT]
-    if wanted & {LOWER, UPPER, MIDPOINT, RSI_LOGDET}:
+    if EXACT_MI in wanted:  # a difference of log-dets: round-off negatives are clamped
+        rsi_logdet = logdet2_psd(base) if wbar is not None else 0.0
+        out[EXACT_MI] = np.maximum(out[EXACT] - rsi_logdet, 0.0)
+    if wanted & {LOWER, UPPER, MIDPOINT, APPROX_MI}:
         beta = descending_spectra(w)
         alpha = descending_spectra(wbar) if wbar is not None else np.zeros_like(beta)
         # same-rank pairing gives the lower bound, opposite-rank the upper
         out[LOWER] = np.log1p(rho * alpha + eta * beta).sum(axis=-1) / LN2
         out[UPPER] = np.log1p(rho * alpha + eta * beta[..., ::-1]).sum(axis=-1) / LN2
         out[MIDPOINT] = 0.5 * (out[LOWER] + out[UPPER])
-        out[RSI_LOGDET] = logdet_from_spectrum(alpha, rho)
+        out[APPROX_MI] = _pairing_mi(alpha, beta, eta, rho)
     return out
 
 
@@ -300,20 +307,10 @@ def sample_hop_fields(
 def estimate_hop_moments(
     hop: HopConfig, n_samples: int, rng: np.random.Generator
 ) -> HopMoments:
-    """Monte Carlo mean and variance of one hop's mutual information.
+    """Sampled mean and variance of one hop's ``APPROX_MI``, in full-duplex form.
 
-    Samples use the midpoint approximation (the quantity whose Gaussian
-    moments drive the closed-form outage), in full-duplex form; a chain
-    scales them by its time share.  The fallback of the closed form for the
-    hops that quadrature does not cover.  The midpoint and interference terms
-    inside each sample share the same interference spectrum, so their
-    correlation is kept intact.
+    The closed form's fallback for the hops that quadrature does not cover;
+    a chain scales them by its time share.
     """
-    samples = np.concatenate(
-        map_hop_chunks(hop, n_samples, rng, (MIDPOINT, RSI_LOGDET), np.subtract)
-    )
-    return HopMoments(
-        mean=float(samples.mean()),
-        variance=float(samples.var(ddof=1)),
-        n_samples=n_samples,
-    )
+    (samples,) = sample_hop_fields(hop, n_samples, rng, (APPROX_MI,))
+    return HopMoments(float(samples.mean()), float(samples.var(ddof=1)), n_samples)

@@ -9,8 +9,8 @@ generalized Laguerre functions for the weight ``x^d e^-x`` with
 Expectations under it come from one fixed Gauss-Legendre rule
 (``QUADRATURE_NODES`` nodes, numpy only) in the variable ``t = sqrt(x)``;
 the validation module maps the same rule onto the normal tail.  These
-quadratures are the independent analytical cross-check on the Monte Carlo
-moment estimates elsewhere in the package.
+quadratures are the analytical cross-check on sampled log-det moments
+(``relay-outage validate``).
 
 The same rule, at ``PAIR_NODES`` nodes, carries the unordered eigenvalue
 law of a Gram form of at most two rows (:func:`eigen_weights`), for two
@@ -18,8 +18,8 @@ rows the pair density of James (Ann. Math. Stat. 35, 1964)
 
     f(a1, a2) = (a1 - a2)^2 (a1 a2)^(p-2) e^(-a1-a2) / (2 (p-1)! (p-2)!),
 
-from which :func:`quadrature_hop_moments` computes a hop's closed-form
-moments without sampling.
+from which :func:`quadrature_hop_moments` computes, without sampling, the
+hop moments that feed the Gaussian closed form wherever it converges.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .mutual_info import LN2, HopConfig, HopMoments
+from .mutual_info import LN2, HopConfig, HopMoments, pair_gain
 from .randmat import WishartParams
 
 # Absolute quadrature tolerance for expectations, in bits.
@@ -231,10 +231,10 @@ def eigen_weights(rows: int, cols: int, n: int = PAIR_NODES) -> tuple[np.ndarray
 def _hop_moments_on_grid(hop: HopConfig, n: int) -> tuple[float, float]:
     """Mean and variance of ``X = (1/r) sum_ij G(alpha_i, beta_j)`` under the ``n``-node law.
 
-    ``G(a, b) = log2(1 + eta b / (1 + rho a)) >= 0`` over the ``r``
+    ``G`` is :func:`~relay_outage.mutual_info.pair_gain` over the ``r``
     eigenvalues ``alpha`` of the interference and ``beta`` of the desired
-    Gram form; for ``r <= 2`` that is exactly the midpoint minus the RSI
-    log-det, a sum with no subtraction and no ordering.  For ``r = 2`` the
+    Gram form; for ``r <= 2`` that is exactly ``APPROX_MI``, a sum with no
+    subtraction and no ordering.  For ``r = 2`` the
     variance is taken about the mean, with ``C = G - mean/2``:
     ``Var X = 1/2 sum_ij A_ij (F_ii + F_jj + 2 F_ij)`` with
     ``F = C diag(m_beta) C^T + C B C^T`` (``A``, ``B`` the pair weights,
@@ -246,7 +246,7 @@ def _hop_moments_on_grid(hop: HopConfig, n: int) -> tuple[float, float]:
         x_alpha, alpha = eigen_weights(rows, hop.interferer_antennas, n)
     else:
         x_alpha, alpha = np.zeros(1), np.ones((1,) * rows)
-    g = np.log1p(hop.eta * x_beta / (1.0 + hop.rho * x_alpha[:, np.newaxis])) / LN2
+    g = pair_gain(x_alpha[:, np.newaxis], x_beta, hop.eta, hop.rho)
     # einsum rather than matmul: BLAS would bring its threads and work
     # buffers into an outage run for these small products (about 0.5 MB
     # of peak RSS), and numpy's own loops take well under a millisecond
@@ -265,7 +265,7 @@ def _hop_moments_on_grid(hop: HopConfig, n: int) -> tuple[float, float]:
 def quadrature_hop_moments(hop: HopConfig) -> HopMoments | None:
     """One hop's closed-form moments by quadrature, or ``None`` where that fails.
 
-    The mean and variance of the midpoint-minus-RSI log-det that
+    The mean and variance of ``APPROX_MI``, which
     :func:`~relay_outage.mutual_info.estimate_hop_moments` samples, in
     full-duplex form, under the exact eigenvalue laws of ``eigen_weights``.
     ``None`` for more than ``MAX_QUADRATURE_RX`` receive antennas, and

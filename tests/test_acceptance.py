@@ -51,7 +51,7 @@ from scipy import stats
 
 from conftest import ACCEPTANCE_LINES
 from relay_outage import cli, validation
-from relay_outage.mutual_info import EXACT, EXACT_MI, MIDPOINT, RSI_LOGDET, sample_hop_fields
+from relay_outage.mutual_info import APPROX_MI, EXACT, EXACT_MI, MIDPOINT, sample_hop_fields
 from relay_outage.outage import DuplexMode, analytical_outage, montecarlo_outage
 from relay_outage.randmat import WishartParams
 from relay_outage.rng import STREAM_DISTRIBUTION, STREAM_HOP_MOMENTS, STREAM_NETWORK_MC, substream
@@ -92,7 +92,7 @@ def record(ok: bool, tag: str, detail: str) -> None:
 class DistFields(NamedTuple):
     exact: np.ndarray  # exact log-det
     midpoint: np.ndarray  # pairing-bound midpoint
-    approx_mi: np.ndarray  # midpoint - RSI log-det
+    approx_mi: np.ndarray  # approximated mutual information
 
 
 @pytest.fixture(scope="module")
@@ -102,11 +102,10 @@ def dist_pairs():
     for name in DIST_PRESETS:
         sc = load_preset(name)
         hop = sc.network.hops[sc.dist_hop - 1]
-        exact, midpoint, rsi_logdet = sample_hop_fields(
+        out[name] = DistFields(*sample_hop_fields(
             hop, sc.dist_samples, substream(sc.seed, STREAM_DISTRIBUTION),
-            (EXACT, MIDPOINT, RSI_LOGDET),
-        )
-        out[name] = DistFields(exact, midpoint, midpoint - rsi_logdet)
+            (EXACT, MIDPOINT, APPROX_MI),
+        ))
     return out
 
 
@@ -163,9 +162,10 @@ def gaussian_outage_and_se(mi: np.ndarray, rates: np.ndarray) -> tuple[np.ndarra
 def exact_mi_folds():
     """Chain folds of exact per-hop mutual information, per curve preset.
 
-    The exact draws come from the analytical path's moment streams, so
-    they are the draws behind its midpoint moments.  The fold and the
-    half-duplex factor are the test's own, not the package's.
+    The exact draws come from the analytical path's moment streams, the
+    streams its moments would be sampled from where quadrature does not
+    converge; on these presets every hop's moments come by quadrature.  The
+    fold and the half-duplex factor are the test's own, not the package's.
     """
     out = {}
     for name in CURVE_PRESETS:

@@ -100,19 +100,19 @@ def test_outage_output_is_byte_stable(scenario_file, tmp_path):
 # sha256 of every preset's CSV at its default sizes and of `validate`'s
 # output with its timings stripped.  Bytes may move only with the package
 # version, so a new version re-pins them; they hold on one numpy version.
-PINNED_VERSION, PINNED_NUMPY = "0.6.0", "2.4.6"
+PINNED_VERSION, PINNED_NUMPY = "0.7.0", "2.4.6"
 PINNED_SHA256 = {
-    "fig3-fd-norsi-outage.csv": "4ae5c8c62be2a8195f6a56ad45e0f519a8addff261095a666f8b1836f408a4cf",
-    "fig3-fd-rsi12-outage.csv": "53c79970089328b5e320a0289cf2b057bf3b6cf24e99d5fe0f9c1566e8fca13d",
-    "fig3-fd-rsi12-last17-outage.csv": "85978f9b1fed4b34d32d45b0001dd504b4a4738f5567a77a7e2e58f9c8e24d35",
-    "fig3-fd-rsi35-outage.csv": "048bc5b7b331ff465f2d33fb55a5669b525f4d34c5e5f0357f1a2377bcfd84ce",
-    "fig3-fd-rsi5-outage.csv": "6fb9384f98c6b704f3a38e11efdfdc691fb035bc80268b20d2803bafd2d1709b",
-    "fig3-fd-rsi5-last17-outage.csv": "761073570aeda17cdd73adb32243c0103276a2014edd0c9ee54a8f2c5024ec95",
-    "fig3-hd-outage.csv": "1cf5a131d54411f41e3b78d22b7dd8c2699a3c0df00662ec698a2dbb1b104db8",
-    "dist-snr10-rsi0-distribution.csv": "f008feb352d5da4b6335fd38f113a1847e070fda5d984cc74a45531366b5e248",
-    "dist-snr10-rsineg10-distribution.csv": "b4bf31f7e2b86ce1119baef4de7625dca4543331332d39ab8c5003548bddd47e",
-    "dist-snr20-rsi0-distribution.csv": "0225af84a97adde7cc31508a221bf799b226d80557ea9ecc24ab9c4716e1e587",
-    "dist-snr30-rsi15-distribution.csv": "6ffe9db1b9f3106e0d4b02f92c27cca7851295da94b9abe1b239f91568eca56d",
+    "fig3-fd-norsi-outage.csv": "96468dbfa69476a4f0d8be996f8dec4c77e775b407339f4e00f21ad054c80216",
+    "fig3-fd-rsi12-outage.csv": "556351e4efe3f3acc8252841d04d8f79c00ab991d90cae5c4cabf688cace9baf",
+    "fig3-fd-rsi12-last17-outage.csv": "9058b14e691e47bd4d9ac4e4fd1855cb1986d487c8b00eb7d5d7f95d53510894",
+    "fig3-fd-rsi35-outage.csv": "22d97c6b932ccb25d1b7270df502ba6d1fd6fa2f529c812d0a6faa372a0c9dc9",
+    "fig3-fd-rsi5-outage.csv": "bafa22466e6758413ef43917e513c5adf54f3b2872ce728c9448b5d2f8c25b1d",
+    "fig3-fd-rsi5-last17-outage.csv": "99ca9b92a4f90d40732b633601043a50ee5c4de9e0f9c03d73c282748cd1463c",
+    "fig3-hd-outage.csv": "00a218018f46698d10fc30e41818d212960c3a857c8e3481986406a00ee9ee61",
+    "dist-snr10-rsi0-distribution.csv": "9249b321f0d8824935cc532219eb0d730d761077aba33caca556d52fed14a326",
+    "dist-snr10-rsineg10-distribution.csv": "86cd6bbc92de2eaf1add3aba26a66b24912f6e66983f99b61eb52163dc719206",
+    "dist-snr20-rsi0-distribution.csv": "9112f786019c0f9226a9ec8ca503175f33296b2a8866692d77ff9dcc365320d9",
+    "dist-snr30-rsi15-distribution.csv": "e13f277a8ca8a198241c2f1e4a8331b45766983d455b7e2084bc86f3338c8040",
     "validate": "c1509164ace76018d2f429d1f68e30c661c5fb2128f1f605a72b59a64fc14d64",
 }
 OUTAGE_PRESETS = (

@@ -3,9 +3,10 @@
 The closed-form fields for receive Gram forms of at most two rows are
 checked on identical Gram forms (the dense matrices built from the drawn
 entries) against ``descending_spectra`` and ``logdet2_psd``, with the
-pairing bounds and the exact mutual information written out below; the
-dense route for three or more rows must reproduce that route bit for bit.
-The Bartlett draw itself is checked in law against the channel route.
+pairing bounds and both mutual informations written out below as
+differences of log-dets; the dense route for three or more rows must
+reproduce its own step-by-step form bit for bit.  The Bartlett draw itself
+is checked in law against the channel route.
 """
 import math
 
@@ -19,18 +20,17 @@ from conftest import LAW_CASES, channel_grams, dense_gram
 
 from relay_outage.cli import _ks_distance
 from relay_outage.mutual_info import (
+    APPROX_MI,
     EXACT,
     EXACT_MI,
     HOP_FIELDS,
     LN2,
     LOWER,
     MIDPOINT,
-    RSI_LOGDET,
     UPPER,
     HopConfig,
     hop_fields,
     logdet2_psd,
-    logdet_from_spectrum,
     sample_hop_chunk,
     sample_hop_fields,
 )
@@ -84,8 +84,8 @@ def _reference_fields(w, wbar, eta, rho):
         LOWER: lower,
         UPPER: upper,
         MIDPOINT: 0.5 * (lower + upper),
-        RSI_LOGDET: logdet2_psd(base),
         EXACT_MI: logdet2_psd(base + eta * w) - logdet2_psd(base),
+        APPROX_MI: 0.5 * (lower + upper) - logdet2_psd(base),
     }
 
 
@@ -111,26 +111,33 @@ def test_closed_form_matches_reference(rx, tx, rsi_tx):
 
 
 def _eigensolver_route(w, wbar, eta, rho):
-    """Eigensolver/Cholesky route of every field, written out step by step."""
+    """Eigensolver/Cholesky route of every field, written out step by step.
+
+    The exact mutual information is clamped at 0 where the two log-dets'
+    round-off takes their difference below it; the approximated one is
+    half the sum of ``G(a, b) = log2(1 + eta b / (1 + rho a))`` over both
+    pairings.
+    """
     eye = np.eye(w.shape[-1])
     beta = descending_spectra(w)
     if wbar is None:
         alpha = np.zeros_like(beta)
         exact = logdet2_psd(eye + eta * w)
-        exact_mi = logdet2_psd(eye + eta * w)
+        exact_mi = np.maximum(exact, 0.0)
     else:
         alpha = descending_spectra(wbar)
         exact = logdet2_psd(eye + rho * wbar + eta * w)
-        base = eye + rho * wbar
-        exact_mi = logdet2_psd(base + eta * w) - logdet2_psd(base)
+        exact_mi = np.maximum(exact - logdet2_psd(eye + rho * wbar), 0.0)
     lower, upper = _pairing_bounds(alpha, beta, eta, rho)
+    same = np.log1p(eta * beta / (1.0 + rho * alpha)) / LN2
+    opposite = np.log1p(eta * beta[..., ::-1] / (1.0 + rho * alpha)) / LN2
     return {
         EXACT: exact,
         LOWER: lower,
         UPPER: upper,
         MIDPOINT: 0.5 * (lower + upper),
-        RSI_LOGDET: logdet_from_spectrum(alpha, rho),
         EXACT_MI: exact_mi,
+        APPROX_MI: 0.5 * (same + opposite).sum(axis=-1),
     }
 
 
@@ -169,10 +176,10 @@ def test_kernel_skips_interference_draw_without_rsi():
 
 def test_kernel_returns_requested_fields_in_order():
     hop = hop_at_scales(2, 2, 5.0, 0.5)
-    out = sample_hop_chunk(hop, substream(SEED, 9), 50, (RSI_LOGDET, EXACT))
+    out = sample_hop_chunk(hop, substream(SEED, 9), 50, (APPROX_MI, EXACT))
     full = sample_hop_chunk(hop, substream(SEED, 9), 50, HOP_FIELDS)
     by_name = dict(zip(HOP_FIELDS, full))
-    assert np.array_equal(out[0], by_name[RSI_LOGDET])
+    assert np.array_equal(out[0], by_name[APPROX_MI])
     assert np.array_equal(out[1], by_name[EXACT])
     with pytest.raises(ValueError):
         sample_hop_chunk(hop, substream(SEED, 9), 50, ("spectrum",))
@@ -206,6 +213,23 @@ def _channel_route_fields(hop, n, rng):
         return hop_fields(w, wbar, hop.eta, hop.rho, HOP_FIELDS)
 
     return tuple(np.concatenate(field) for field in zip(*run_chunks(n, rng, chunk)))
+
+
+MI_DRAWS = 20_000
+
+
+@pytest.mark.parametrize("snr_db, rsi_db", ((-60.0, 100.0), (-100.0, 100.0), (100.0, -100.0)))
+@pytest.mark.parametrize("rx, tx, rsi_tx", LAW_CASES)
+def test_mutual_information_is_never_negative(rx, tx, rsi_tx, snr_db, rsi_db):
+    # a link far below or far above its interference: the exact mutual
+    # information is a difference of log-dets whose round-off must not
+    # read below 0, and the approximated one is a sum of G >= 0 terms
+    hop = HopConfig(tx, rx, snr_db, rsi_db, rsi_tx)
+    exact_mi, approx_mi = sample_hop_fields(
+        hop, MI_DRAWS, substream(SEED, 12), (EXACT_MI, APPROX_MI)
+    )
+    assert exact_mi.min() >= 0.0
+    assert approx_mi.min() >= 0.0
 
 
 @pytest.mark.parametrize("rx, tx, rsi_tx", LAW_CASES)
@@ -243,4 +267,5 @@ def test_kernel_properties(hop, seed):
         assert np.all(np.isfinite(value)), name
     assert np.all(values[LOWER] <= values[EXACT] + 1e-9)
     assert np.all(values[EXACT] <= values[UPPER] + 1e-9)
-    assert np.all(values[EXACT_MI] >= -1e-12)
+    assert np.all(values[EXACT_MI] >= 0.0)
+    assert np.all(values[APPROX_MI] >= 0.0)

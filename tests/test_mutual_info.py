@@ -6,12 +6,12 @@ import pytest
 
 from conftest import channel_grams, dense_gram
 from relay_outage.mutual_info import (
+    APPROX_MI,
     EXACT,
     EXACT_MI,
     LN2,
     LOWER,
     MIDPOINT,
-    RSI_LOGDET,
     UPPER,
     HopConfig,
     HopMoments,
@@ -163,37 +163,34 @@ def test_midpoint_exact_when_rho_zero():
 
 
 def test_mi_fd_approx_reductions():
-    # approximate MI = midpoint - RSI log-det; without RSI it is the exact
-    # log-det, and with one receive antenna it is the exact MI
+    # approximated MI: without RSI it is the exact log-det, and with one
+    # receive antenna it is the exact MI
     w = sample_gram(16, 2, 2, substream(SEED, 8))
     beta = descending_spectra(dense_gram(w))
-    midpoint, rsi_logdet = _fields(w, None, 6.0, 0.0, MIDPOINT, RSI_LOGDET)
-    np.testing.assert_allclose(
-        midpoint - rsi_logdet, np.log2(1 + 6.0 * beta).sum(axis=-1), atol=1e-12
-    )
+    approx_mi = _fields(w, None, 6.0, 0.0, APPROX_MI)
+    np.testing.assert_allclose(approx_mi, np.log2(1 + 6.0 * beta).sum(axis=-1), atol=1e-12)
     w, wbar = _scalar_gram(2.2), _scalar_gram(0.8)
-    midpoint, rsi_logdet, exact_mi = _fields(w, wbar, 3.0, 1.5, MIDPOINT, RSI_LOGDET, EXACT_MI)
-    assert (midpoint - rsi_logdet)[0] == pytest.approx(exact_mi[0], abs=1e-12)
+    approx_mi, exact_mi = _fields(w, wbar, 3.0, 1.5, APPROX_MI, EXACT_MI)
+    assert approx_mi[0] == pytest.approx(exact_mi[0], abs=1e-12)
 
 
 def test_mi_fd_approx_paired_deviation_frozen():
     # Per-sample |approx - exact| at (eta, rho) = (5, 0.5), 2x2, 10^4 pairs.
     # The distributions nearly coincide (KS ~ 0.01) but the paired gap is
     # set by the bound width, about 0.11 bits here.
-    exact, midpoint, rsi_logdet = sample_hop_fields(
-        hop_at_scales(2, 2, 5.0, 0.5), 10_000, substream(SEED, 0), (EXACT, MIDPOINT, RSI_LOGDET)
+    exact_mi, approx_mi = sample_hop_fields(
+        hop_at_scales(2, 2, 5.0, 0.5), 10_000, substream(SEED, 0), (EXACT_MI, APPROX_MI)
     )
-    mad = np.abs((midpoint - rsi_logdet) - (exact - rsi_logdet)).mean()
+    mad = np.abs(approx_mi - exact_mi).mean()
     assert mad == pytest.approx(MAD_ETA5_RHO05, abs=1e-6)
 
 
 def test_approx_mi_unclamped_and_nonnegative():
-    # every pairing term log2(1 + rho*a + eta*b) dominates log2(1 + rho*a),
-    # so the coupled approximation stays >= 0 without any clamp
-    midpoint, rsi_logdet = sample_hop_fields(
-        hop_at_scales(2, 2, 0.05, 50.0), 50_000, substream(SEED, 9), (MIDPOINT, RSI_LOGDET)
+    # every pairing term log2(1 + rho*a + eta*b) is log2(1 + rho*a) plus
+    # G(a, b) >= 0, so the approximation stays >= 0 without any clamp
+    (approx_mi,) = sample_hop_fields(
+        hop_at_scales(2, 2, 0.05, 50.0), 50_000, substream(SEED, 9), (APPROX_MI,)
     )
-    approx_mi = midpoint - rsi_logdet
     assert approx_mi.min() >= 0.0
     # under this extreme interference the statistic crowds against zero
     assert approx_mi.min() < 1e-3

@@ -202,6 +202,18 @@ def test_min_mutual_info_extreme_rates():
     assert np.array_equal(p, [0.0, 1.0]) and np.array_equal(se, [0.0, 0.0])
 
 
+def test_montecarlo_zero_rate_under_extreme_rsi():
+    # a 3x3 first hop at -60 dB SNR under 100 dB RSI: its exact mutual
+    # information, a difference of two dense log-dets of nearly equal size,
+    # must not read below 0, so no realization is in outage at rate 0
+    cfg = NetworkConfig(
+        hops=(HopConfig(3, 3, snr_db=-60.0, rsi_snr_db=100.0), HopConfig(3, 3, snr_db=20.0)),
+        mode=DuplexMode.FULL_DUPLEX,
+    )
+    p, _ = montecarlo_outage(cfg, np.array([0.0]), substream(SEED, 21), 20_000)
+    assert p[0] == 0.0
+
+
 def _montecarlo_point(cfg, rate, n_realizations, rng):
     """Monte Carlo outage and its standard error at a single rate."""
     p, se = montecarlo_outage(cfg, np.array([rate]), rng, n_realizations)
