@@ -30,7 +30,8 @@ field depends on the channels only through their Gram forms, which
 :func:`~relay_outage.randmat.sample_gram` draws directly.  Those of at most
 two rows -- every shipped preset -- come as entries and are evaluated in
 closed form (:class:`~relay_outage.randmat.SmallGram`); larger ones come
-dense and go through the batched eigensolver and Cholesky routes.
+as their factor ``L`` of ``W = L L^+``, which is never formed.  Each form
+supplies only its spectra and exact log-dets to :func:`hop_fields`.
 """
 from __future__ import annotations
 
@@ -86,6 +87,8 @@ class HopConfig:
             raise ValueError(
                 f"rsi_tx_antennas must be >= 1, got {self.rsi_tx_antennas}"
             )
+        if not all(math.isfinite(db) for db in (self.snr_db, self.rsi_snr_db or 0.0)):
+            raise ValueError(f"powers must be finite, got {self.snr_db}, {self.rsi_snr_db} dB")
 
     @property
     def eta(self) -> float:
@@ -132,17 +135,15 @@ class HopMoments:
         return "quadrature" if self.n_samples is None else "sampled"
 
 
-def logdet2_psd(a: np.ndarray) -> np.ndarray | float:
-    """``log2 det(A)`` for Hermitian positive definite ``A`` via Cholesky.
-
-    The hop kernel uses it on dense Gram forms, and the tests use it as the
-    reference for the closed form on :class:`~relay_outage.randmat.SmallGram`.
-    Stacked matrices allowed.
-    """
-    chol = np.linalg.cholesky(np.asarray(a))
+def _log2_det_of_cholesky(chol: np.ndarray) -> np.ndarray:
+    """``log2 det(C C^+)`` of stacked Cholesky factors ``C``."""
     diag = np.diagonal(chol, axis1=-2, axis2=-1).real
-    out = 2.0 * np.log(diag).sum(axis=-1) / LN2
-    return out if out.ndim else float(out)
+    return 2.0 * np.log(diag).sum(axis=-1) / LN2
+
+
+def logdet2_psd(a: np.ndarray) -> np.ndarray:
+    """``log2 det(A)`` of stacked Hermitian positive definite ``A``, via Cholesky."""
+    return _log2_det_of_cholesky(np.linalg.cholesky(a))
 
 
 def pair_gain(alpha, beta, eta: float, rho: float):
@@ -153,73 +154,64 @@ def pair_gain(alpha, beta, eta: float, rho: float):
     return np.log1p(eta * beta / (1.0 + rho * alpha)) / LN2
 
 
-def _pairing_mi(alpha: np.ndarray, beta: np.ndarray, eta: float, rho: float) -> np.ndarray:
-    """``APPROX_MI`` of descending spectra: half the sum of ``pair_gain`` over both pairings."""
-    same, opposite = (pair_gain(alpha, b, eta, rho) for b in (beta, beta[..., ::-1]))
-    return 0.5 * (same + opposite).sum(axis=-1)
-
-
-def _closed_form_fields(
+def _closed_form_exact(
     gram: SmallGram, rsi: SmallGram | None, eta: float, rho: float, wanted: set
 ) -> dict[str, np.ndarray]:
-    """Hop fields for receive Gram forms of at most two rows.
+    """Wanted ``EXACT``/``EXACT_MI`` of Gram forms of at most two rows (``EXACT`` without RSI).
 
     With ``M = rho*Wbar + eta*W``, ``det(I + M) = 1 + tr M + det M`` and
     ``det M = rho^2 det Wbar + eta^2 det W + rho*eta*tr(adj(Wbar) W)``.
-    The pairing bounds replace ``det M`` by the product of paired
-    eigenvalue sums, so all three share the ``1 + tr M`` part.
     """
+    gain = eta * gram.trace + eta * eta * gram.det
     if rsi is None:
-        exact = np.log1p(eta * gram.trace + eta * eta * gram.det) / LN2
-        return dict.fromkeys(HOP_FIELDS, exact)
+        return {EXACT: np.log1p(gain) / LN2}
+    gain = gain + rho * eta * gram.cross(rsi)  # det(I + M) - det(I + rho*Wbar)
     rsi_growth = rho * rsi.trace + rho * rho * rsi.det  # det(I + rho*Wbar) - 1
     out = {}
-    if wanted & {EXACT, EXACT_MI}:
-        # det(I + M) - det(I + rho*Wbar), a sum of non-negative terms
-        gain = eta * gram.trace + eta * eta * gram.det + rho * eta * gram.cross(rsi)
-        if EXACT in wanted:
-            out[EXACT] = np.log1p(rsi_growth + gain) / LN2
-        if EXACT_MI in wanted:
-            out[EXACT_MI] = np.log1p(gain / (1.0 + rsi_growth)) / LN2
-    if wanted & {LOWER, UPPER, MIDPOINT}:
-        trace_m = rho * rsi.trace + eta * gram.trace
-        if gram.rows == 1:  # one eigenvalue each: both pairings are exact
-            same = opposite = 0.0
-        else:
-            beta_max, beta_min = gram.spectrum()
-            alpha_max, alpha_min = rsi.spectrum()
-            same = (rho * alpha_max + eta * beta_max) * (rho * alpha_min + eta * beta_min)
-            opposite = (rho * alpha_max + eta * beta_min) * (rho * alpha_min + eta * beta_max)
-        out[LOWER] = np.log1p(trace_m + same) / LN2
-        out[UPPER] = np.log1p(trace_m + opposite) / LN2
-        out[MIDPOINT] = 0.5 * (out[LOWER] + out[UPPER])
-    if APPROX_MI in wanted:
-        beta, alpha = (np.stack(g.spectrum()[: g.rows], axis=-1) for g in (gram, rsi))
-        out[APPROX_MI] = _pairing_mi(alpha, beta, eta, rho)
+    if EXACT in wanted:
+        out[EXACT] = np.log1p(rsi_growth + gain) / LN2
+    if EXACT_MI in wanted:
+        out[EXACT_MI] = np.log1p(gain / (1.0 + rsi_growth)) / LN2
     return out
 
 
-def _lapack_fields(
-    w: np.ndarray, wbar: np.ndarray | None, eta: float, rho: float, wanted: set
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _factor_spectra(factor: np.ndarray) -> np.ndarray:
+    """Descending ``(n, rows)`` spectra of ``W = L L^+``: the top eigenvalues
+    of the small side ``L^+ L``, padded with exact zeros."""
+    rows, cols = factor.shape[-2:]
+    out = np.zeros(factor.shape[:-2] + (rows,))
+    out[..., : min(rows, cols)] = descending_spectra(_adjoint(factor) @ factor)[..., :rows]
+    return out
+
+
+def _factor_exact(
+    factor: np.ndarray, rsi_factor: np.ndarray | None, eta: float, rho: float, wanted: set
 ) -> dict[str, np.ndarray]:
-    """Hop fields through batched eigensolver and Cholesky calls (any size)."""
-    base = np.eye(w.shape[-1])
-    if wbar is not None:
-        base = base + rho * wbar
-    out = {}
-    if wanted & {EXACT, EXACT_MI}:
-        out[EXACT] = logdet2_psd(base + eta * w)
-    if EXACT_MI in wanted:  # a difference of log-dets: round-off negatives are clamped
-        rsi_logdet = logdet2_psd(base) if wbar is not None else 0.0
-        out[EXACT_MI] = np.maximum(out[EXACT] - rsi_logdet, 0.0)
-    if wanted & {LOWER, UPPER, MIDPOINT, APPROX_MI}:
-        beta = descending_spectra(w)
-        alpha = descending_spectra(wbar) if wbar is not None else np.zeros_like(beta)
-        # same-rank pairing gives the lower bound, opposite-rank the upper
-        out[LOWER] = np.log1p(rho * alpha + eta * beta).sum(axis=-1) / LN2
-        out[UPPER] = np.log1p(rho * alpha + eta * beta[..., ::-1]).sum(axis=-1) / LN2
-        out[MIDPOINT] = 0.5 * (out[LOWER] + out[UPPER])
-        out[APPROX_MI] = _pairing_mi(alpha, beta, eta, rho)
+    """Wanted ``EXACT``/``EXACT_MI`` of ``W = L L^+`` from factors ``L`` (``EXACT`` without RSI).
+
+    By Sylvester's identity ``det(I + eta L L^+) = det(I + eta L^+ L)``.
+    With RSI, ``I + rho*Wbar = C C^+`` and ``M = C^-1 L`` give ``EXACT_MI =
+    log2 det(I + eta M^+ M) >= 0`` with no subtraction; ``EXACT`` adds ``log2 det(C C^+)``.
+    ``M`` comes by forward substitution, row by row over the draws: numpy has
+    no triangular solve, and ``np.linalg.solve`` is slower here.
+    """
+    eye = np.eye(factor.shape[-1])
+    if rsi_factor is None:
+        return {EXACT: logdet2_psd(eye + eta * (_adjoint(factor) @ factor))}
+    chol = np.linalg.cholesky(np.eye(factor.shape[-2]) + rho * (rsi_factor @ _adjoint(rsi_factor)))
+    c, m = np.moveaxis(chol, (-2, -1), (0, 1)), np.moveaxis(factor, -2, 0).copy()
+    for i in range(len(m)):
+        for j in range(i):
+            m[i] -= c[i, j, ..., None] * m[j]
+        m[i] /= c[i, i, ..., None].real
+    m = np.moveaxis(m, 0, -2)
+    out = {EXACT_MI: logdet2_psd(eye + eta * (_adjoint(m) @ m))}
+    if EXACT in wanted:
+        out[EXACT] = out[EXACT_MI] + _log2_det_of_cholesky(chol)
     return out
 
 
@@ -234,20 +226,28 @@ def hop_fields(
 
     ``w`` holds the ``n`` desired and ``wbar`` the ``n`` interference Gram
     forms, or ``wbar`` is ``None`` when there is no self-interference
-    (``rho`` is then ignored), as :func:`~relay_outage.randmat.sample_gram`
-    returns them: :class:`~relay_outage.randmat.SmallGram` entries,
-    evaluated in closed form, or dense ``(n, rx, rx)`` arrays, through the
-    eigensolver and Cholesky routes.  Returns one length-``n`` array per
-    name in ``fields`` (see ``HOP_FIELDS``), in that order.
+    (``rho`` is then ignored): :class:`~relay_outage.randmat.SmallGram`
+    entries, or stacked factors ``L`` of ``W = L L^+`` (a Bartlett factor or
+    a drawn channel).  Returns one length-``n`` array per name in
+    ``fields`` (see ``HOP_FIELDS``), in that order.
     """
     wanted = set(fields)
     unknown = wanted.difference(HOP_FIELDS)
     if unknown:
         raise ValueError(f"unknown hop fields {sorted(unknown)}; expected {HOP_FIELDS}")
-    if isinstance(w, SmallGram):
-        out = _closed_form_fields(w, wbar, eta, rho, wanted)
-    else:
-        out = _lapack_fields(w, wbar, eta, rho, wanted)
+    small = isinstance(w, SmallGram)
+    exact_fields = _closed_form_exact if small else _factor_exact
+    if wbar is None:  # without interference both pairings, and every field, are exact
+        return (exact_fields(w, None, eta, rho, wanted)[EXACT],) * len(fields)
+    out = exact_fields(w, wbar, eta, rho, wanted) if wanted & {EXACT, EXACT_MI} else {}
+    if wanted & {LOWER, UPPER, MIDPOINT, APPROX_MI}:
+        beta, alpha = (g.spectrum() if small else _factor_spectra(g) for g in (w, wbar))
+        # same-rank pairing gives the lower bound, opposite-rank the upper
+        pairings = (beta, beta[..., ::-1])
+        out[LOWER], out[UPPER] = (np.log1p(rho * alpha + eta * b).sum(-1) / LN2 for b in pairings)
+        out[MIDPOINT] = 0.5 * (out[LOWER] + out[UPPER])
+        same, opposite = (pair_gain(alpha, b, eta, rho) for b in pairings)
+        out[APPROX_MI] = 0.5 * (same + opposite).sum(axis=-1)
     return tuple(out[name] for name in fields)
 
 

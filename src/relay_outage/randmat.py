@@ -10,8 +10,8 @@ Every receive Gram form ``W = H H^+`` is drawn directly, by Bartlett's
 decomposition (:func:`sample_gram`); no channel is ever drawn.  Those of at
 most ``MAX_CLOSED_FORM_RX`` rows come back as their entries
 (:class:`SmallGram`), whose spectra have a closed form; larger ones come
-back dense and go through the batched LAPACK eigensolver in
-``descending_spectra``.
+back as their factor ``L`` (``W = L L^+`` is never formed), whose spectra
+the batched LAPACK eigensolver in ``descending_spectra`` takes from ``L^+ L``.
 """
 from __future__ import annotations
 
@@ -102,12 +102,11 @@ class SmallGram:
         )
         return np.maximum(value, 0.0)
 
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues ``(largest, smallest)`` of ``W``; both >= 0.
+    def spectrum(self) -> np.ndarray:
+        """Descending eigenvalues of ``W``, an ``(n, rows)`` array; all >= 0.
 
-        The smaller one is ``det / largest`` rather than a difference, so
-        it keeps full relative precision when ``W`` is near singular.  For
-        one row the smaller one is 0.
+        The smaller of two is ``det / largest`` rather than a difference, so
+        it keeps full relative precision when ``W`` is near singular.
         """
         half_gap = 0.5 * (self.a - self.d)
         largest = 0.5 * self.trace + np.sqrt(
@@ -116,7 +115,7 @@ class SmallGram:
         smallest = np.divide(
             self.det, largest, out=np.zeros_like(largest), where=largest > 0.0
         )
-        return largest, np.minimum(smallest, largest)
+        return np.stack((largest, np.minimum(smallest, largest))[: self.rows], axis=-1)
 
 
 def sample_gram(
@@ -137,7 +136,7 @@ def sample_gram(
     With ``g1 = |L00|^2``, ``z = L10`` and ``g2 = |L11|^2`` (exactly 0 at
     ``cols = 1``) it holds ``a = g1``, ``W[0, 1] = sqrt(g1) z``,
     ``d = |z|^2 + g2`` and ``det = g1 g2``, a product, so it is 0 at rank
-    one and never cancels.  Above, it is the dense ``(n, rows, rows)`` array.
+    one and never cancels.  Above, it is the ``(n, rows, min(rows, cols))`` factor ``L``.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"channel dimensions must be positive, got {rows}x{cols}")
@@ -168,4 +167,4 @@ def sample_gram(
         factor[:, i, : below.shape[-1]].imag = below[1]
         if i < cols:
             factor[:, i, i] = np.sqrt(square)
-    return factor @ np.conj(np.swapaxes(factor, -1, -2))
+    return factor

@@ -1,7 +1,7 @@
 """Shared test plumbing: collect acceptance verdicts and print them last,
-name the hop shapes of the law tests, build dense Gram matrices from
-closed-form entries, and draw Gram forms through channels, the reference
-route for the Bartlett draw."""
+name the hop shapes of the law tests, form dense Gram matrices from
+closed-form entries or factors, and draw channels, the reference route for
+the Bartlett draw."""
 import numpy as np
 
 ACCEPTANCE_LINES: list[str] = []
@@ -21,7 +21,10 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def dense_gram(gram):
-    """The ``(n, rows, rows)`` Hermitian matrices whose entries a ``SmallGram`` holds."""
+    """The ``(n, rows, rows)`` Hermitian matrices that a ``SmallGram``'s
+    entries or a stacked factor ``L`` (``W = L L^+``) describe."""
+    if isinstance(gram, np.ndarray):
+        return gram @ np.conj(np.swapaxes(gram, -1, -2))
     n = len(gram.a)
     w = np.zeros((n, gram.rows, gram.rows), dtype=complex)
     w[:, 0, 0] = gram.a
@@ -41,5 +44,4 @@ def draw_channels(n, rows, cols, rng):
 
 def channel_grams(n, rows, cols, rng):
     """Receive Gram forms ``H H^+`` of ``n`` drawn channels, as dense arrays."""
-    h = draw_channels(n, rows, cols, rng)
-    return h @ np.conj(np.swapaxes(h, -1, -2))
+    return dense_gram(draw_channels(n, rows, cols, rng))

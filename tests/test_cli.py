@@ -100,19 +100,19 @@ def test_outage_output_is_byte_stable(scenario_file, tmp_path):
 # sha256 of every preset's CSV at its default sizes and of `validate`'s
 # output with its timings stripped.  Bytes may move only with the package
 # version, so a new version re-pins them; they hold on one numpy version.
-PINNED_VERSION, PINNED_NUMPY = "0.7.0", "2.4.6"
+PINNED_VERSION, PINNED_NUMPY = "0.8.0", "2.4.6"
 PINNED_SHA256 = {
-    "fig3-fd-norsi-outage.csv": "96468dbfa69476a4f0d8be996f8dec4c77e775b407339f4e00f21ad054c80216",
-    "fig3-fd-rsi12-outage.csv": "556351e4efe3f3acc8252841d04d8f79c00ab991d90cae5c4cabf688cace9baf",
-    "fig3-fd-rsi12-last17-outage.csv": "9058b14e691e47bd4d9ac4e4fd1855cb1986d487c8b00eb7d5d7f95d53510894",
-    "fig3-fd-rsi35-outage.csv": "22d97c6b932ccb25d1b7270df502ba6d1fd6fa2f529c812d0a6faa372a0c9dc9",
-    "fig3-fd-rsi5-outage.csv": "bafa22466e6758413ef43917e513c5adf54f3b2872ce728c9448b5d2f8c25b1d",
-    "fig3-fd-rsi5-last17-outage.csv": "99ca9b92a4f90d40732b633601043a50ee5c4de9e0f9c03d73c282748cd1463c",
-    "fig3-hd-outage.csv": "00a218018f46698d10fc30e41818d212960c3a857c8e3481986406a00ee9ee61",
-    "dist-snr10-rsi0-distribution.csv": "9249b321f0d8824935cc532219eb0d730d761077aba33caca556d52fed14a326",
-    "dist-snr10-rsineg10-distribution.csv": "86cd6bbc92de2eaf1add3aba26a66b24912f6e66983f99b61eb52163dc719206",
-    "dist-snr20-rsi0-distribution.csv": "9112f786019c0f9226a9ec8ca503175f33296b2a8866692d77ff9dcc365320d9",
-    "dist-snr30-rsi15-distribution.csv": "e13f277a8ca8a198241c2f1e4a8331b45766983d455b7e2084bc86f3338c8040",
+    "fig3-fd-norsi-outage.csv": "fff28429497a292fa5ad9ee9d9e6899259e28a19331a1243c24a762829292ada",
+    "fig3-fd-rsi12-outage.csv": "f8ed7e3da1ed80117202392dad938472319061b2e423b29adff366db81f3c0b9",
+    "fig3-fd-rsi12-last17-outage.csv": "6985623022218ffa1e2f74fb8b922557d87368348f879133f10784faa6935a8e",
+    "fig3-fd-rsi35-outage.csv": "9e164de714398464c2f22e494a026ad58656fbbfc7ce729416b5ede79cbd2155",
+    "fig3-fd-rsi5-outage.csv": "674252e6d310fdb980e4d6ce44872e62b59daf7890f2ab52fb74318f09972e8f",
+    "fig3-fd-rsi5-last17-outage.csv": "b21beb8d6613877e91f13476c95a4358926172c2f04c67a7e55c9a99ec3a785e",
+    "fig3-hd-outage.csv": "58b376caeffc56e93807a720b0c4a693aa50f4340be05145dba87fcff104954b",
+    "dist-snr10-rsi0-distribution.csv": "8d56aa4f6b1ff86a43c8b93816abb4f2c31540029602564dc00e9334942d3ad2",
+    "dist-snr10-rsineg10-distribution.csv": "57750ae410f8aba332b12d7efd4045e30e0102eb8c749aeb50887c255350ceab",
+    "dist-snr20-rsi0-distribution.csv": "9ee5f686261857338c586b0b89fb0a2b536369ef4afb40d9400a495ca0e75120",
+    "dist-snr30-rsi15-distribution.csv": "eb4cb662ae90f61095e96c9a202b0055083762bbfeca4e35849a91733cb0fffa",
     "validate": "c1509164ace76018d2f429d1f68e30c661c5fb2128f1f605a72b59a64fc14d64",
 }
 OUTAGE_PRESETS = (

@@ -1,12 +1,12 @@
 """The per-hop sampling kernel against the eigensolver/Cholesky oracles.
 
-The closed-form fields for receive Gram forms of at most two rows are
-checked on identical Gram forms (the dense matrices built from the drawn
-entries) against ``descending_spectra`` and ``logdet2_psd``, with the
-pairing bounds and both mutual informations written out below as
-differences of log-dets; the dense route for three or more rows must
-reproduce its own step-by-step form bit for bit.  The Bartlett draw itself
-is checked in law against the channel route.
+Both forms of the kernel -- closed-form entries for receive Gram forms of
+at most two rows, the Bartlett factor above -- are checked on identical
+Gram forms (the dense matrices formed from the drawn entries or factor)
+against ``descending_spectra`` and ``logdet2_psd``, with the pairing
+bounds and both mutual informations written out below as differences of
+log-dets.  The Bartlett draw itself is checked in law against drawn
+channels, which the kernel takes as factors.
 """
 import math
 
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import LAW_CASES, channel_grams, dense_gram
+from conftest import LAW_CASES, dense_gram, draw_channels
 
 from relay_outage.cli import _ks_distance
 from relay_outage.mutual_info import (
@@ -34,7 +34,7 @@ from relay_outage.mutual_info import (
     sample_hop_chunk,
     sample_hop_fields,
 )
-from relay_outage.randmat import SmallGram, descending_spectra, sample_gram
+from relay_outage.randmat import MAX_CLOSED_FORM_RX, SmallGram, descending_spectra, sample_gram
 from relay_outage.rng import run_chunks, substream
 from relay_outage.validation import hop_at_scales
 
@@ -54,7 +54,7 @@ def _grams(rx, tx, rsi_tx, *path):
 
 
 def _assert_spectrum_matches(gram):
-    got = np.stack(gram.spectrum(), axis=-1)[:, :gram.rows]
+    got = gram.spectrum()
     want = descending_spectra(dense_gram(gram))
     assert np.all(got >= 0.0)
     assert np.all(np.diff(got, axis=-1) <= 0.0)
@@ -89,13 +89,11 @@ def _reference_fields(w, wbar, eta, rho):
     }
 
 
-@pytest.mark.parametrize("rsi_tx", (1, 2, 3))
-@pytest.mark.parametrize("tx", (1, 2, 3, 4))
-@pytest.mark.parametrize("rx", (1, 2))
-def test_closed_form_matches_reference(rx, tx, rsi_tx):
+def _assert_kernel_matches_reference(rx, tx, rsi_tx):
     gram, rsi_gram = _grams(rx, tx, rsi_tx, rx, tx, rsi_tx)
-    _assert_spectrum_matches(gram)
-    _assert_spectrum_matches(rsi_gram)
+    if rx <= MAX_CLOSED_FORM_RX:
+        _assert_spectrum_matches(gram)
+        _assert_spectrum_matches(rsi_gram)
     w, wbar = dense_gram(gram), dense_gram(rsi_gram)
     for eta in SCALES:
         for rho in (0.0,) + SCALES:
@@ -110,46 +108,30 @@ def test_closed_form_matches_reference(rx, tx, rsi_tx):
                 )
 
 
-def _eigensolver_route(w, wbar, eta, rho):
-    """Eigensolver/Cholesky route of every field, written out step by step.
-
-    The exact mutual information is clamped at 0 where the two log-dets'
-    round-off takes their difference below it; the approximated one is
-    half the sum of ``G(a, b) = log2(1 + eta b / (1 + rho a))`` over both
-    pairings.
-    """
-    eye = np.eye(w.shape[-1])
-    beta = descending_spectra(w)
-    if wbar is None:
-        alpha = np.zeros_like(beta)
-        exact = logdet2_psd(eye + eta * w)
-        exact_mi = np.maximum(exact, 0.0)
-    else:
-        alpha = descending_spectra(wbar)
-        exact = logdet2_psd(eye + rho * wbar + eta * w)
-        exact_mi = np.maximum(exact - logdet2_psd(eye + rho * wbar), 0.0)
-    lower, upper = _pairing_bounds(alpha, beta, eta, rho)
-    same = np.log1p(eta * beta / (1.0 + rho * alpha)) / LN2
-    opposite = np.log1p(eta * beta[..., ::-1] / (1.0 + rho * alpha)) / LN2
-    return {
-        EXACT: exact,
-        LOWER: lower,
-        UPPER: upper,
-        MIDPOINT: 0.5 * (lower + upper),
-        EXACT_MI: exact_mi,
-        APPROX_MI: 0.5 * (same + opposite).sum(axis=-1),
-    }
+@pytest.mark.parametrize("rsi_tx", (1, 2, 3))
+@pytest.mark.parametrize("tx", (1, 2, 3, 4))
+@pytest.mark.parametrize("rx", (1, 2))
+def test_closed_form_matches_reference(rx, tx, rsi_tx):
+    _assert_kernel_matches_reference(rx, tx, rsi_tx)
 
 
-@pytest.mark.parametrize("rho", (0.0, 6.3))
-def test_three_rx_fallback_is_bit_identical_to_eigensolver_route(rho):
-    stream = substream(SEED, 3, 3, 2)
-    w = sample_gram(N_DRAWS, 3, 3, stream)
-    wbar = sample_gram(N_DRAWS, 3, 2, stream) if rho > 0.0 else None
-    got = dict(zip(HOP_FIELDS, hop_fields(w, wbar, 50.0, rho, HOP_FIELDS)))
-    want = _eigensolver_route(w, wbar, 50.0, rho)
-    for name in HOP_FIELDS:
-        assert np.array_equal(got[name], want[name]), name
+# tall (tx < rx), square and wide (tx > rx) links and interferers
+@pytest.mark.parametrize("rsi_tx", (1, 3, 5))
+@pytest.mark.parametrize("tx", (1, 2, 3, 4, 5))
+@pytest.mark.parametrize("rx", (3, 4))
+def test_factor_route_matches_reference(rx, tx, rsi_tx):
+    _assert_kernel_matches_reference(rx, tx, rsi_tx)
+
+
+@pytest.mark.parametrize("rx, tx", ((4, 1), (3, 2)))
+def test_rank_deficient_link_without_rsi_is_exact_at_high_snr(rx, tx):
+    # no interference: both pairings, and so every field, equal the exact
+    # log-det bit for bit, also where the formed W's null space would carry
+    # round-off of about eta * eps * |W|
+    hop = HopConfig(tx, rx, snr_db=100.0)
+    exact, *others = sample_hop_chunk(hop, substream(SEED, 13), 2048, HOP_FIELDS)
+    for name, value in zip(HOP_FIELDS[1:], others):
+        assert np.array_equal(value, exact), name
 
 
 @pytest.mark.parametrize("rx", (2, 3))
@@ -189,14 +171,12 @@ def test_small_gram_degenerate_channels():
     # rank one (single transmit antenna): determinant and smaller eigenvalue
     # are exactly zero, never a negative round-off residue
     gram = sample_gram(200, 2, 1, substream(SEED, 10))
-    _, smallest = gram.spectrum()
     assert np.all(gram.det == 0.0)
-    assert np.all(smallest == 0.0)
+    assert np.all(gram.spectrum()[:, 1] == 0.0)
     # an all-zero Gram form has an all-zero spectrum, not NaN
     zeros = np.zeros(3)
-    largest, smallest = SmallGram(rows=2, a=zeros, d=zeros, det=zeros).spectrum()
-    assert np.array_equal(largest, zeros)
-    assert np.array_equal(smallest, zeros)
+    spectrum = SmallGram(rows=2, a=zeros, d=zeros, det=zeros).spectrum()
+    assert np.array_equal(spectrum, np.zeros((3, 2)))
 
 
 LAW_DRAWS = 1_000_000
@@ -205,12 +185,12 @@ LAW_ALPHA = 0.0027
 
 
 def _channel_route_fields(hop, n, rng):
-    """Every hop field of ``n`` draws through drawn channels and LAPACK."""
+    """Every hop field of ``n`` draws of channels, passed as factors."""
 
     def chunk(stream, count):
-        w = channel_grams(count, hop.rx_antennas, hop.tx_antennas, stream)
-        wbar = channel_grams(count, hop.rx_antennas, hop.interferer_antennas, stream)
-        return hop_fields(w, wbar, hop.eta, hop.rho, HOP_FIELDS)
+        h = draw_channels(count, hop.rx_antennas, hop.tx_antennas, stream)
+        h_rsi = draw_channels(count, hop.rx_antennas, hop.interferer_antennas, stream)
+        return hop_fields(h, h_rsi, hop.eta, hop.rho, HOP_FIELDS)
 
     return tuple(np.concatenate(field) for field in zip(*run_chunks(n, rng, chunk)))
 
@@ -248,18 +228,26 @@ def test_bartlett_draw_has_the_channel_law(rx, tx, rsi_tx):
         assert distance <= limit, f"{name}: KS {distance:.2e} > {limit:.2e}"
 
 
-hop_configs = st.builds(
-    HopConfig,
-    tx_antennas=st.integers(1, 4),
-    rx_antennas=st.integers(1, 3),
-    snr_db=st.floats(-10.0, 40.0),
-    rsi_snr_db=st.one_of(st.none(), st.floats(-10.0, 40.0)),
-    rsi_tx_antennas=st.one_of(st.none(), st.integers(1, 4)),
-)
+@st.composite
+def hop_configs(draw):
+    """Hops of up to 4 x 4 antennas with powers across +/-100 dB.
+
+    One case keeps -10..40 dB: an interferer with fewer antennas than the
+    three or more receive rows, where the formed ``I + rho*Wbar`` carries
+    round-off in its null space that breaks the sandwich once the RSI
+    sits about 140 dB above the link (a known defect, see CHANGES.md).
+    """
+    rx, tx = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rsi_tx = draw(st.one_of(st.none(), st.integers(1, 4)))
+    has_rsi = draw(st.booleans())
+    formed_rsi = has_rsi and rx > MAX_CLOSED_FORM_RX and (rsi_tx or tx) < rx
+    powers = st.floats(-10.0, 40.0) if formed_rsi else st.floats(-100.0, 100.0)
+    rsi_db = draw(powers) if has_rsi else None
+    return HopConfig(tx, rx, draw(powers), rsi_db, rsi_tx)
 
 
 @settings(max_examples=60, deadline=None)
-@given(hop=hop_configs, seed=st.integers(0, 2**32 - 1))
+@given(hop=hop_configs(), seed=st.integers(0, 2**32 - 1))
 def test_kernel_properties(hop, seed):
     fields = sample_hop_chunk(hop, substream(seed, 0), 256, HOP_FIELDS)
     values = dict(zip(HOP_FIELDS, fields))

@@ -74,6 +74,14 @@ def test_hop_config_validation():
         HopConfig(tx_antennas=0, rx_antennas=2, snr_db=10.0)
     with pytest.raises(ValueError):
         HopConfig(tx_antennas=2, rx_antennas=2, snr_db=10.0, rsi_tx_antennas=0)
+    # non-finite powers would give a NaN analytical column and a zero Monte
+    # Carlo one, with no error
+    non_finite = (
+        (math.nan, None), (math.inf, None), (-math.inf, 5.0), (10.0, math.nan), (10.0, math.inf)
+    )
+    for snr_db, rsi_db in non_finite:
+        with pytest.raises(ValueError, match="must be finite"):
+            HopConfig(tx_antennas=2, rx_antennas=2, snr_db=snr_db, rsi_snr_db=rsi_db)
 
 
 def test_hop_moments_std_error():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import draw_channels
+from conftest import dense_gram, draw_channels
 from relay_outage.randmat import (
     SmallGram,
     WishartParams,
@@ -50,7 +50,7 @@ def test_sample_gram_unit_power():
         if isinstance(gram, SmallGram):
             traces = gram.trace
         else:
-            traces = np.trace(gram, axis1=-2, axis2=-1).real
+            traces = np.trace(dense_gram(gram), axis1=-2, axis2=-1).real
         assert abs(traces.mean() / (rows * cols) - 1.0) < 0.02, (rows, cols)
 
 
@@ -64,7 +64,7 @@ def test_wishart_scalar():
 
 def test_wishart_trace_mean():
     # E[W] = cols * I, also with more receive rows than transmit columns
-    w = sample_gram(100_000, 3, 2, substream(SEED, 4))
+    w = dense_gram(sample_gram(100_000, 3, 2, substream(SEED, 4)))
     np.testing.assert_allclose(w.mean(axis=0), 2.0 * np.eye(3), atol=0.03)
 
 
@@ -80,7 +80,7 @@ def test_transpose_gives_same_spectrum():
 
 def test_spectrum_sums_to_trace():
     for i in range(20):
-        w = sample_gram(1, 3, 3, substream(SEED, 6, i))[0]
+        w = dense_gram(sample_gram(1, 3, 3, substream(SEED, 6, i)))[0]
         spectrum = descending_spectra(w)
         assert np.all(np.diff(spectrum) <= 0)
         assert np.all(spectrum >= 0)
@@ -114,7 +114,7 @@ def test_psd_clamping_tolerance():
 
 
 def test_descending_spectra_batched_matches_single():
-    ws = sample_gram(64, 3, 2, substream(SEED, 7))
+    ws = dense_gram(sample_gram(64, 3, 2, substream(SEED, 7)))
     batched = descending_spectra(ws)
     singles = np.stack([descending_spectra(w) for w in ws])
     np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-12)
@@ -152,12 +152,17 @@ def test_dense_gram_draws_row_by_row(cols):
         factor[:, i, : min(i, cols)] = below[0] + 1j * below[1]
         if i < cols:
             factor[:, i, i] = np.sqrt(stream.standard_gamma(cols - i, 50))
-    assert np.array_equal(got, factor @ np.conj(np.swapaxes(factor, -1, -2)))
+    assert np.array_equal(got, factor)
     assert drawn.standard_normal() == stream.standard_normal()
 
 
 def test_sample_gram_is_dense_above_two_rows():
+    # above two rows the draw is the lower-trapezoidal factor itself, with a
+    # positive real diagonal; W = L L^+ is never formed
     assert isinstance(sample_gram(10, 2, 3, substream(SEED, 10)), SmallGram)
-    w = sample_gram(10, 3, 3, substream(SEED, 10))
-    assert isinstance(w, np.ndarray) and w.shape == (10, 3, 3)
-    np.testing.assert_allclose(w, np.conj(np.swapaxes(w, -1, -2)), rtol=0.0, atol=1e-12)
+    for cols, shape in ((3, (10, 3, 3)), (1, (10, 4, 1)), (6, (10, 4, 4))):
+        factor = sample_gram(10, shape[1], cols, substream(SEED, 10))
+        assert isinstance(factor, np.ndarray) and factor.shape == shape
+        assert np.array_equal(factor, np.tril(factor))
+        diagonal = np.diagonal(factor, axis1=-2, axis2=-1)
+        assert np.all(diagonal.real > 0.0) and np.all(diagonal.imag == 0.0)
