@@ -30,7 +30,12 @@ field depends on the channels only through their Gram forms, which
 :func:`~relay_outage.randmat.sample_gram` draws directly.  Those of at most
 two rows -- every shipped preset -- come as entries and are evaluated in
 closed form (:class:`~relay_outage.randmat.SmallGram`); larger ones come
-as their factor ``L`` of ``W = L L^+``, which is never formed.  Each form
+as their factor ``L`` of ``W = L L^+``: their spectra come from the small
+side ``L^+ L``, and their exact log-dets from the ``R`` of one QR of the
+stacked ``[S; I]``, ``S = [sqrt(rho) Lbar, sqrt(eta) L]``, by Sylvester's
+identity ``det(I + S^+ S) = det(I + rho*Wbar + eta*W)``.  Neither ``W``
+nor ``I + rho*Wbar`` is formed; :func:`_factor_exact` gives why each
+``|R_jj| >= 1`` and why QR, not a Cholesky factor.  Each form
 supplies only its spectra and exact log-dets to :func:`hop_fields`.
 """
 from __future__ import annotations
@@ -135,17 +140,6 @@ class HopMoments:
         return "quadrature" if self.n_samples is None else "sampled"
 
 
-def _log2_det_of_cholesky(chol: np.ndarray) -> np.ndarray:
-    """``log2 det(C C^+)`` of stacked Cholesky factors ``C``."""
-    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
-    return 2.0 * np.log(diag).sum(axis=-1) / LN2
-
-
-def logdet2_psd(a: np.ndarray) -> np.ndarray:
-    """``log2 det(A)`` of stacked Hermitian positive definite ``A``, via Cholesky."""
-    return _log2_det_of_cholesky(np.linalg.cholesky(a))
-
-
 def pair_gain(alpha, beta, eta: float, rho: float):
     """``G(a, b) = log2(1 + eta b / (1 + rho a)) >= 0`` of eigenvalue pairs; broadcasts.
 
@@ -191,28 +185,30 @@ def _factor_spectra(factor: np.ndarray) -> np.ndarray:
 def _factor_exact(
     factor: np.ndarray, rsi_factor: np.ndarray | None, eta: float, rho: float, wanted: set
 ) -> dict[str, np.ndarray]:
-    """Wanted ``EXACT``/``EXACT_MI`` of ``W = L L^+`` from factors ``L`` (``EXACT`` without RSI).
+    """``EXACT`` and ``EXACT_MI`` of ``W = L L^+`` from factors ``L``, from one QR.
 
-    By Sylvester's identity ``det(I + eta L L^+) = det(I + eta L^+ L)``.
-    With RSI, ``I + rho*Wbar = C C^+`` and ``M = C^-1 L`` give ``EXACT_MI =
-    log2 det(I + eta M^+ M) >= 0`` with no subtraction; ``EXACT`` adds ``log2 det(C C^+)``.
-    ``M`` comes by forward substitution, row by row over the draws: numpy has
-    no triangular solve, and ``np.linalg.solve`` is slower here.
+    With ``S = [sqrt(rho) Lbar, sqrt(eta) L]`` (``S = sqrt(eta) L`` without
+    RSI) of ``K`` columns, the ``R`` of ``[S; I_K] = Q R`` has
+    ``R^+ R = I_K + S^+ S``, and by Sylvester's identity
+    ``det(I_K + S^+ S) = det(I + rho*Wbar + eta*W)``.  So ``EXACT`` is the
+    sum of ``b_j = log2 |R_jj|^2``.  The leading ``Lbar`` columns alone sum
+    to ``log2 det(I + rho*Wbar)``, so ``EXACT_MI`` is the sum over the
+    trailing ``L`` columns, with no subtraction.  ``|R_jj|^2`` is the Schur
+    complement of the leading ``j - 1`` columns in the leading ``j`` of
+    ``I_K + S^+ S >= I``, so it is ``>= 1``, and ``|R_jj|`` is floored at 1
+    against round-off.  Householder QR is backward stable on ``[S; I_K]``,
+    which holds ``I`` exactly; the Cholesky factor of the formed
+    ``I_K + S^+ S`` would cancel in those Schur complements at high SNR.
     """
-    eye = np.eye(factor.shape[-1])
-    if rsi_factor is None:
-        return {EXACT: logdet2_psd(eye + eta * (_adjoint(factor) @ factor))}
-    chol = np.linalg.cholesky(np.eye(factor.shape[-2]) + rho * (rsi_factor @ _adjoint(rsi_factor)))
-    c, m = np.moveaxis(chol, (-2, -1), (0, 1)), np.moveaxis(factor, -2, 0).copy()
-    for i in range(len(m)):
-        for j in range(i):
-            m[i] -= c[i, j, ..., None] * m[j]
-        m[i] /= c[i, i, ..., None].real
-    m = np.moveaxis(m, 0, -2)
-    out = {EXACT_MI: logdet2_psd(eye + eta * (_adjoint(m) @ m))}
-    if EXACT in wanted:
-        out[EXACT] = out[EXACT_MI] + _log2_det_of_cholesky(chol)
-    return out
+    s = math.sqrt(eta) * factor
+    if rsi_factor is not None:
+        s = np.concatenate((math.sqrt(rho) * rsi_factor, s), axis=-1)
+    eye = np.broadcast_to(np.eye(s.shape[-1]), s.shape[:-2] + (s.shape[-1],) * 2)
+    r = np.linalg.qr(np.concatenate((s, eye), axis=-2), mode="r")
+    # |R_jj|^2 is a Schur complement of I_K + S^+ S >= I, so it is >= 1;
+    # the floor removes only round-off and keeps EXACT_MI >= 0
+    bits = 2.0 * np.log(np.maximum(np.abs(np.diagonal(r, 0, -2, -1)), 1.0)) / LN2
+    return {EXACT: bits.sum(axis=-1), EXACT_MI: bits[..., -factor.shape[-1] :].sum(axis=-1)}
 
 
 def hop_fields(

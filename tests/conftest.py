@@ -1,7 +1,10 @@
 """Shared test plumbing: collect acceptance verdicts and print them last,
 name the hop shapes of the law tests, form dense Gram matrices from
-closed-form entries or factors, and draw channels, the reference route for
-the Bartlett draw."""
+closed-form entries or factors and take their log-dets, the reference
+route for the hop kernel, and draw channels, the reference route for the
+Bartlett draw."""
+import math
+
 import numpy as np
 
 ACCEPTANCE_LINES: list[str] = []
@@ -33,6 +36,13 @@ def dense_gram(gram):
         w[:, 0, 1] = gram.b_re + 1j * gram.b_im
         w[:, 1, 0] = np.conj(w[:, 0, 1])
     return w
+
+
+def logdet2_psd(a):
+    """``log2 det(A)`` of stacked Hermitian positive definite ``A``, from the
+    Cholesky factor of the formed matrix."""
+    diag = np.diagonal(np.linalg.cholesky(a), axis1=-2, axis2=-1).real
+    return 2.0 * np.log(diag).sum(axis=-1) / math.log(2.0)
 
 
 def draw_channels(n, rows, cols, rng):

@@ -100,19 +100,19 @@ def test_outage_output_is_byte_stable(scenario_file, tmp_path):
 # sha256 of every preset's CSV at its default sizes and of `validate`'s
 # output with its timings stripped.  Bytes may move only with the package
 # version, so a new version re-pins them; they hold on one numpy version.
-PINNED_VERSION, PINNED_NUMPY = "0.8.0", "2.4.6"
+PINNED_VERSION, PINNED_NUMPY = "0.9.0", "2.4.6"
 PINNED_SHA256 = {
-    "fig3-fd-norsi-outage.csv": "fff28429497a292fa5ad9ee9d9e6899259e28a19331a1243c24a762829292ada",
-    "fig3-fd-rsi12-outage.csv": "f8ed7e3da1ed80117202392dad938472319061b2e423b29adff366db81f3c0b9",
-    "fig3-fd-rsi12-last17-outage.csv": "6985623022218ffa1e2f74fb8b922557d87368348f879133f10784faa6935a8e",
-    "fig3-fd-rsi35-outage.csv": "9e164de714398464c2f22e494a026ad58656fbbfc7ce729416b5ede79cbd2155",
-    "fig3-fd-rsi5-outage.csv": "674252e6d310fdb980e4d6ce44872e62b59daf7890f2ab52fb74318f09972e8f",
-    "fig3-fd-rsi5-last17-outage.csv": "b21beb8d6613877e91f13476c95a4358926172c2f04c67a7e55c9a99ec3a785e",
-    "fig3-hd-outage.csv": "58b376caeffc56e93807a720b0c4a693aa50f4340be05145dba87fcff104954b",
-    "dist-snr10-rsi0-distribution.csv": "8d56aa4f6b1ff86a43c8b93816abb4f2c31540029602564dc00e9334942d3ad2",
-    "dist-snr10-rsineg10-distribution.csv": "57750ae410f8aba332b12d7efd4045e30e0102eb8c749aeb50887c255350ceab",
-    "dist-snr20-rsi0-distribution.csv": "9ee5f686261857338c586b0b89fb0a2b536369ef4afb40d9400a495ca0e75120",
-    "dist-snr30-rsi15-distribution.csv": "eb4cb662ae90f61095e96c9a202b0055083762bbfeca4e35849a91733cb0fffa",
+    "fig3-fd-norsi-outage.csv": "531088358476934286300a2c42f7584fc7730c96cf6e515934d62d4e3defe026",
+    "fig3-fd-rsi12-outage.csv": "53ed677f218100f1e55d8dc20d2cbced734e389723a0d1dba2fb11d992b08670",
+    "fig3-fd-rsi12-last17-outage.csv": "998b0eeccf589fa5ef8140ca578cdfee19aeeddcf3ec4970a159acf411bc790b",
+    "fig3-fd-rsi35-outage.csv": "841ef55c027ecc19c779ddf93635035c8dfd358fc64041a17d85bc8849148103",
+    "fig3-fd-rsi5-outage.csv": "f83fce2935403262a91da02d820c1893f3a80f4c11a2b80ae4a307e93545589d",
+    "fig3-fd-rsi5-last17-outage.csv": "1b6112115cf682d6cc7e041af916c2f9042b78257a1955f7bf6fb1fb7511f7af",
+    "fig3-hd-outage.csv": "64b8fe72414f422b0cea29d00a045b11be37f0b41e921e936e06384be4afc134",
+    "dist-snr10-rsi0-distribution.csv": "3bb10ca9980d58a1bb4f650cf01005ac19fb548afc56f7e43c2310aa128ad5e8",
+    "dist-snr10-rsineg10-distribution.csv": "cacd9d947a2da6081869ba2297a544b6db35189be1acdd95722e742ad846d4e1",
+    "dist-snr20-rsi0-distribution.csv": "4079857842430d7c85b00e3729a19c9036e91dc48befa63fb1e731bcb1843269",
+    "dist-snr30-rsi15-distribution.csv": "9d892e6a4cede096413c41127ef0e3aa4edce630a704478599777c418f0574f9",
     "validate": "c1509164ace76018d2f429d1f68e30c661c5fb2128f1f605a72b59a64fc14d64",
 }
 OUTAGE_PRESETS = (

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import channel_grams, dense_gram
+from conftest import channel_grams, dense_gram, logdet2_psd
 from relay_outage.mutual_info import (
     APPROX_MI,
     EXACT,
@@ -17,7 +17,6 @@ from relay_outage.mutual_info import (
     HopMoments,
     estimate_hop_moments,
     hop_fields,
-    logdet2_psd,
     sample_hop_fields,
 )
 from relay_outage.outage import DuplexMode, NetworkConfig
@@ -130,7 +129,7 @@ def test_mi_fd_exact_scale_consistency():
 
 
 def test_logdet_routes_agree():
-    # Cholesky production path vs eigenvalue reference path
+    # the Cholesky reference route of the kernel tests vs eigenvalues
     stream = substream(SEED, 5)
     w, wbar = channel_grams(128, 3, 3, stream), channel_grams(128, 3, 3, stream)
     arg = np.eye(3) + 2.0 * w + 0.7 * wbar
