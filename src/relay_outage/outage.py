@@ -55,8 +55,9 @@ class NetworkConfig:
     """Ordered hop configurations plus the duplex mode of the whole chain.
 
     The chain owns the interferer size: an RSI hop's ``rsi_tx_antennas`` is
-    the next hop's ``tx_antennas`` (the terminal hop's own) when omitted, and
-    must equal it when given.  A hop without self-interference keeps none.
+    the next hop's ``tx_antennas``, and the terminal hop's is its own.  It
+    is set when omitted and must equal that size when given, on every hop.
+    A hop without self-interference keeps none.
     """
 
     hops: tuple[HopConfig, ...]
@@ -65,17 +66,17 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if len(self.hops) < 1:
             raise ValueError("a network needs at least one hop")
-        hops = tuple(
-            replace(hop, rsi_tx_antennas=(hop.rsi_tx_antennas or nxt.tx_antennas) if hop.has_rsi else None)
-            for hop, nxt in zip(self.hops, self.hops[1:] + self.hops[-1:])
-        )
-        object.__setattr__(self, "hops", hops)
-        for k, (hop, nxt) in enumerate(zip(hops, hops[1:])):
-            if hop.has_rsi and hop.rsi_tx_antennas != nxt.tx_antennas:
+        hops = []
+        for k, hop in enumerate(self.hops):
+            j = min(k + 1, len(self.hops) - 1)  # the terminal hop's interferer is its own
+            size = self.hops[j].tx_antennas
+            if hop.has_rsi and hop.rsi_tx_antennas not in (None, size):
                 raise ValueError(
                     f"hop {k + 1}: rsi_tx_antennas={hop.rsi_tx_antennas} does "
-                    f"not match hop {k + 2} tx_antennas={nxt.tx_antennas}"
+                    f"not match hop {j + 1} tx_antennas={size}"
                 )
+            hops.append(replace(hop, rsi_tx_antennas=size if hop.has_rsi else None))
+        object.__setattr__(self, "hops", tuple(hops))
         if self.mode is DuplexMode.HALF_DUPLEX and any(hop.has_rsi for hop in hops):
             raise ValueError("half-duplex hops cannot carry self-interference")
 

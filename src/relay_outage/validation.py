@@ -9,15 +9,17 @@ Laguerre quadrature for the sampled log-det means.  All three quadratures
 of ``wishart_stats``, on numpy alone.  The sampled sides all come from the
 production per-hop kernel (``sample_hop_chunk``), one substream per chunk;
 the sandwich check keeps only each chunk's worst bound violation.
-``relay-outage validate`` runs them all and reports one line per check;
-the acceptance tests call the same check functions at their own sizes
-and cases.
+Each check returns a ``CheckResult``, whose ``passed`` property (the
+measurement is at most the limit; NaN fails) is the one verdict rule:
+``relay-outage validate`` runs them all through ``run_validation`` and
+reports one line per check, and the acceptance tests call the same check
+functions at their own sizes and cases and read the same property.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,42 +43,18 @@ DEFAULT_SAMPLES = 100_000
 DEFAULT_REALIZATIONS = 100_000
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One oracle check: what it measured, against which limit, and how."""
+
     name: str
-    passed: bool
     measured: float
     limit: float
     detail: str
-    seconds: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-    seconds: float
 
     @property
     def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    @property
-    def failures(self) -> list[str]:
-        return [check.name for check in self.checks if not check.passed]
-
-
-def _timed(fn) -> CheckResult:
-    start = time.perf_counter()
-    name, measured, limit, detail = fn()
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        name=name,
-        passed=bool(measured <= limit),
-        measured=float(measured),
-        limit=float(limit),
-        detail=detail,
-        seconds=elapsed,
-    )
+        """The one verdict rule of every check; a NaN measurement fails."""
+        return self.measured <= self.limit
 
 
 def hop_at_scales(rx: int, tx: int, eta: float, rho: float = 0.0) -> HopConfig:
@@ -94,17 +72,19 @@ def _normal_tail(x: float) -> float:
     return gauss_legendre(lambda t: np.exp(-0.5 * t * t), x, 40.0)[0] / math.sqrt(2.0 * math.pi)
 
 
-def check_q_function() -> tuple[str, float, float, str]:
+def check_q_function() -> CheckResult:
     grid = np.linspace(-8.0, 8.0, 65)
     worst = max(abs(float(_outage.q_function(x)) - _normal_tail(x)) for x in grid)
-    return "q-function", worst, 1e-12, "max |Q(x) - normal tail quadrature|, |x| <= 8"
+    return CheckResult(
+        "q-function", float(worst), 1e-12, "max |Q(x) - normal tail quadrature|, |x| <= 8"
+    )
 
 
 def _bound_violation(exact: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
     return max(float((lower - exact).max()), float((exact - upper).max()))
 
 
-def check_sandwich_bound(seed: int, n_samples: int) -> tuple[str, float, float, str]:
+def check_sandwich_bound(seed: int, n_samples: int) -> CheckResult:
     worst = -np.inf
     for i, (eta, rho) in enumerate(SANDWICH_PAIRS):
         rng = substream(seed, STREAM_VALIDATION, 0, i)
@@ -115,7 +95,7 @@ def check_sandwich_bound(seed: int, n_samples: int) -> tuple[str, float, float, 
                 _bound_violation,
             ),
         )
-    return (
+    return CheckResult(
         "sandwich-bound",
         worst,
         1e-9,
@@ -125,20 +105,20 @@ def check_sandwich_bound(seed: int, n_samples: int) -> tuple[str, float, float, 
 
 def check_density_normalization(
     grid: tuple[tuple[int, int], ...] = DENSITY_GRID,
-) -> tuple[str, float, float, str]:
+) -> CheckResult:
     worst = 0.0
     for m, p in grid:
         mass, _ = eigen_expectation(WishartParams(m, p), np.ones_like)
         worst = max(worst, abs(mass - 1.0))
-    return (
+    return CheckResult(
         "density-normalization",
-        worst,
+        float(worst),
         1e-6,
         f"max |integral f - 1| over orders {grid}",
     )
 
 
-def check_siso_rayleigh(seed: int, n_realizations: int) -> tuple[str, float, float, str]:
+def check_siso_rayleigh(seed: int, n_realizations: int) -> CheckResult:
     cfg = NetworkConfig(
         hops=(HopConfig(tx_antennas=1, rx_antennas=1, snr_db=20.0),),
         mode=DuplexMode.HALF_DUPLEX,
@@ -153,7 +133,7 @@ def check_siso_rayleigh(seed: int, n_realizations: int) -> tuple[str, float, flo
         exact = 1.0 - math.exp(-(2.0 ** (2.0 * rate) - 1.0) / snr)
         se = math.sqrt(exact * (1.0 - exact) / n_realizations)
         worst = max(worst, abs(float(p_hat) - exact) / se)
-    return (
+    return CheckResult(
         "siso-rayleigh-outage",
         worst,
         SISO_Z_LIMIT,
@@ -165,7 +145,7 @@ def check_logdet_moments(
     seed: int,
     n_samples: int,
     cases: tuple[tuple[int, int, float], ...] = MOMENT_CASES,
-) -> tuple[str, float, float, str]:
+) -> CheckResult:
     worst = 0.0
     for i, (m, p, scale) in enumerate(cases):
         hop = hop_at_scales(m, p, scale)
@@ -177,7 +157,7 @@ def check_logdet_moments(
             0.01 * analytic, 3.0 * float(values.std(ddof=1)) / math.sqrt(n_samples)
         )
         worst = max(worst, gap / tolerance)
-    return (
+    return CheckResult(
         "logdet-moments",
         worst,
         1.0,
@@ -189,19 +169,25 @@ def run_validation(
     seed: int = DEFAULT_SEED,
     n_samples: int = DEFAULT_SAMPLES,
     n_mc: int = DEFAULT_REALIZATIONS,
-) -> ValidationReport:
+) -> list[tuple[CheckResult, float]]:
     """Run every check; all must pass for a healthy installation.
 
+    Returns each check's result with its wall seconds, in print order.
     ``n_samples`` draws go to each sandwich and moment case, ``n_mc``
     realizations to the Monte Carlo check.  Counts below the sampling
     functions' minimums raise ``ValueError``.
     """
-    start = time.perf_counter()
+    # Built per call, so that the check functions are looked up when run
+    # and a wrapper put on the module (a tracer, a test's fake) is called.
     checks = (
-        _timed(check_q_function),
-        _timed(lambda: check_sandwich_bound(seed, n_samples)),
-        _timed(check_density_normalization),
-        _timed(lambda: check_siso_rayleigh(seed, n_mc)),
-        _timed(lambda: check_logdet_moments(seed, n_samples)),
+        check_q_function,
+        lambda: check_sandwich_bound(seed, n_samples),
+        check_density_normalization,
+        lambda: check_siso_rayleigh(seed, n_mc),
+        lambda: check_logdet_moments(seed, n_samples),
     )
-    return ValidationReport(checks=checks, seconds=time.perf_counter() - start)
+    results = []
+    for check in checks:
+        start = time.perf_counter()
+        results.append((check(), time.perf_counter() - start))
+    return results

@@ -212,15 +212,15 @@ def eigen_weights(rows: int, cols: int, n: int = PAIR_NODES) -> tuple[np.ndarray
         raise ValueError(f"eigenvalue weights need 1 or 2 rows, got {rows}")
     params = WishartParams(min(rows, cols), max(rows, cols))
     x, w = eigen_grid(params, n)
+    d = params.d
     if params.m == 1:
-        single = w * marginal_eigen_density(params, x)
+        single = w * (1.0 / math.factorial(d) * x**d * np.exp(-x))  # Gamma(d + 1)
         if rows == 1:
             law = single
         else:
             law = np.zeros((x.size, x.size))
             law[0, :] = law[:, 0] = 0.5 * single
     else:
-        d = params.d
         g = w * x**d * np.exp(-x)
         law = np.subtract.outer(x, x) ** 2 * np.outer(g, g)
         law /= 2.0 * math.factorial(d + 1) * math.factorial(d)

@@ -31,7 +31,7 @@ reports it.
 
 Tests 1, 6 and 7 run the oracle checks of ``relay_outage.validation``
 (the ones ``relay-outage validate`` runs) at acceptance sizes and cases,
-against each check's own limit.
+and take each verdict from the result's own ``passed``.
 
 Test 5c compares 35 dB of RSI attenuation with none, on paired draws.
 Per hop 0 <= I(0) - I(rho) <= log2 det(I + rho*Wbar), and both runs share
@@ -199,21 +199,20 @@ def max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x)))
 
 
-def check_line(check: tuple[str, float, float, str]) -> tuple[bool, str]:
-    """Verdict and summary of a ``validation.check_*`` result at its own limit."""
-    name, measured, limit, detail = check
-    return measured <= limit, f"{name} = {measured:.3g} (limit {limit:g}; {detail})"
+def check_line(check: validation.CheckResult) -> str:
+    """Summary of a ``validation.check_*`` result; ``check.passed`` is its verdict."""
+    return f"{check.name} = {check.measured:.3g} (limit {check.limit:g}; {check.detail})"
 
 
 def test_pairing_bound_sandwich():
     """Exact log-det never escapes the [lower, upper] pairing bounds."""
     t0 = time.perf_counter()
-    ok, summary = check_line(validation.check_sandwich_bound(SEED, N_ACCEPT))
+    check = validation.check_sandwich_bound(SEED, N_ACCEPT)
     elapsed = time.perf_counter() - t0
     record(
-        ok and elapsed < 30.0,
+        check.passed and elapsed < 30.0,
         "1 pairing-bound sandwich",
-        f"{summary}, {elapsed:.1f} s (limit 30 s)",
+        f"{check_line(check)}, {elapsed:.1f} s (limit 30 s)",
     )
 
 
@@ -388,21 +387,20 @@ def test_strong_attenuation_matches_no_rsi(curve_runs):
 
 def test_quadrature_matches_sampling():
     """Laguerre-quadrature log-det mean agrees with direct sampling."""
-    moments_ok, moments = check_line(
-        validation.check_logdet_moments(SEED, N_ACCEPT, QUADRATURE_CASES)
-    )
-    density_ok, density = check_line(validation.check_density_normalization(QUADRATURE_ORDERS))
+    moments = validation.check_logdet_moments(SEED, N_ACCEPT, QUADRATURE_CASES)
+    density = validation.check_density_normalization(QUADRATURE_ORDERS)
     record(
-        moments_ok and density_ok,
+        moments.passed and density.passed,
         "6 quadrature cross-check",
-        f"{moments} over {len(QUADRATURE_CASES)} cases, {N_ACCEPT} draws each; {density}",
+        f"{check_line(moments)} over {len(QUADRATURE_CASES)} cases, {N_ACCEPT} draws each; "
+        f"{check_line(density)}",
     )
 
 
 def test_scalar_rayleigh_oracle():
     """Single-antenna half-duplex outage matches the known closed form."""
-    ok, summary = check_line(validation.check_siso_rayleigh(SEED, N_ACCEPT))
-    record(ok, "7 scalar Rayleigh oracle", summary)
+    check = validation.check_siso_rayleigh(SEED, N_ACCEPT)
+    record(check.passed, "7 scalar Rayleigh oracle", check_line(check))
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

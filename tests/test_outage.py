@@ -189,6 +189,9 @@ def test_network_config_validation():
     # interferer antenna count must match the next transmitter
     with pytest.raises(ValueError):
         NetworkConfig(hops=(rsi_hop, HOP_2X2_20DB), mode=DuplexMode.FULL_DUPLEX)
+    # and, on the terminal hop, its own transmitter
+    with pytest.raises(ValueError, match="hop 2: rsi_tx_antennas=4 does not match hop 2"):
+        NetworkConfig(hops=(HOP_2X2_20DB, rsi_hop), mode=DuplexMode.FULL_DUPLEX)
     with pytest.raises(ValueError):
         NetworkConfig(hops=(rsi_hop,), mode=DuplexMode.HALF_DUPLEX)
 

@@ -307,6 +307,7 @@ def test_malformed_value_names_its_line(section, key):
     (
         ("hd", "rsi_snr_db = 3\n", "half-duplex hops cannot carry self-interference"),
         ("fd", "rsi_snr_db = 3\nrsi_tx_antennas = 3\n", "does not match hop 2 tx_antennas=2"),
+        ("fd", "[hop.2]\nrsi_snr_db = 3\nrsi_tx_antennas = 7\n", "hop 2: rsi_tx_antennas=7"),
     ),
 )
 def test_chain_errors_name_the_network_line(mode, hop_extra, fragment):

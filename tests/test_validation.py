@@ -1,21 +1,27 @@
+import math
+
 import pytest
 from scipy import stats
 
 from relay_outage import validation
 
 
+def failures(results) -> list[str]:
+    return [check.name for check, _ in results if not check.passed]
+
+
 @pytest.fixture(scope="module")
-def small_report():
+def small_results():
     return validation.run_validation(seed=7, n_samples=5000, n_mc=20000)
 
 
-def test_all_checks_pass_at_reduced_size(small_report):
-    assert small_report.passed, small_report.failures
-    assert small_report.failures == []
+def test_all_checks_pass_at_reduced_size(small_results):
+    assert all(check.passed for check, _ in small_results), failures(small_results)
+    assert failures(small_results) == []
 
 
-def test_report_covers_every_check(small_report):
-    names = [c.name for c in small_report.checks]
+def test_report_covers_every_check(small_results):
+    names = [check.name for check, _ in small_results]
     assert names == [
         "q-function",
         "sandwich-bound",
@@ -23,8 +29,8 @@ def test_report_covers_every_check(small_report):
         "siso-rayleigh-outage",
         "logdet-moments",
     ]
-    for check in small_report.checks:
-        assert check.seconds >= 0.0
+    for check, seconds in small_results:
+        assert seconds >= 0.0
         assert check.measured <= check.limit
 
 
@@ -32,9 +38,19 @@ def test_corrupted_q_function_is_caught(monkeypatch):
     monkeypatch.setattr(
         "relay_outage.outage.q_function", lambda x: 0.5 * (1.0 - x / 10.0)
     )
-    report = validation.run_validation(seed=7, n_samples=1000, n_mc=2000)
-    assert not report.passed
-    assert "q-function" in report.failures
+    results = validation.run_validation(seed=7, n_samples=1000, n_mc=2000)
+    assert failures(results) == ["q-function"]
+
+
+def test_checks_are_looked_up_when_run(monkeypatch):
+    # a wrapper put on the module after import (a tracer's hook) must run
+    failing = validation.CheckResult("density-normalization", 1.0, 1e-6, "patched")
+    monkeypatch.setattr(
+        "relay_outage.validation.check_density_normalization", lambda: failing
+    )
+    results = validation.run_validation(seed=7, n_samples=1000, n_mc=2000)
+    assert failures(results) == ["density-normalization"]
+    assert results[2][0] is failing
 
 
 def test_check_failure_reports_measurement(monkeypatch):
@@ -42,6 +58,12 @@ def test_check_failure_reports_measurement(monkeypatch):
     name, measured, limit, _ = validation.check_q_function()
     assert name == "q-function"
     assert measured > limit
+    assert not validation.check_q_function().passed
+
+
+def test_nan_measurement_fails():
+    assert not validation.CheckResult("nan", math.nan, 1.0, "").passed
+    assert validation.CheckResult("edge", 1.0, 1.0, "").passed
 
 
 def test_siso_limit_is_the_sidak_quantile():

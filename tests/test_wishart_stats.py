@@ -191,6 +191,13 @@ def test_pair_weights_row_sums_are_the_marginal_density(cols):
     )
     assert row_sums[0] == pytest.approx(1.0 - share, abs=1e-14)
     assert row_sums.sum() == pytest.approx(1.0, abs=1e-14)
+    # one receive row: the Gamma(cols) law, the one-row marginal density
+    single = WishartParams(1, cols)
+    x, w = eigen_grid(single, PAIR_NODES)
+    grid, law = eigen_weights(1, cols)
+    assert np.array_equal(grid, x)
+    np.testing.assert_allclose(law, w * marginal_eigen_density(single, x), rtol=1e-12, atol=0.0)
+    assert law.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 # Quadrature hop moments against 10^6 sampled draws, on every LAW_CASES
