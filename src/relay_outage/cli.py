@@ -341,8 +341,16 @@ def _add_scenario_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a flag error as one ``relay-outage: error:`` line; subparsers inherit it."""
+
+    def error(self, message: str):
+        print(f"{ERROR_PREFIX} {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="relay-outage",
         description=(
             "Outage probability of multi-hop MIMO relay chains: Gaussian "

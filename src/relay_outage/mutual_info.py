@@ -41,6 +41,7 @@ supplies only its spectra and exact log-dets to :func:`hop_fields`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -83,17 +84,20 @@ class HopConfig:
     rsi_tx_antennas: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tx_antennas < 1 or self.rx_antennas < 1:
-            raise ValueError(
-                f"antenna counts must be >= 1, got "
-                f"{self.tx_antennas}x{self.rx_antennas}"
-            )
-        if self.rsi_tx_antennas is not None and self.rsi_tx_antennas < 1:
-            raise ValueError(
-                f"rsi_tx_antennas must be >= 1, got {self.rsi_tx_antennas}"
-            )
+        counts = {"tx_antennas": self.tx_antennas, "rx_antennas": self.rx_antennas}
+        if self.rsi_tx_antennas is not None:
+            counts["rsi_tx_antennas"] = self.rsi_tx_antennas
+        for name, count in counts.items():
+            if not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         if not all(math.isfinite(db) for db in (self.snr_db, self.rsi_snr_db or 0.0)):
             raise ValueError(f"powers must be finite, got {self.snr_db}, {self.rsi_snr_db} dB")
+        try:
+            self.eta, self.rho  # past the float range, the power raises
+        except OverflowError:
+            raise ValueError(
+                f"powers overflow as linear ratios, got {self.snr_db}, {self.rsi_snr_db} dB"
+            ) from None
 
     @property
     def eta(self) -> float:

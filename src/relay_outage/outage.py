@@ -132,6 +132,8 @@ def _check_rate_grid(rates: np.ndarray) -> np.ndarray:
         raise ValueError("rate grid must be a non-empty 1-d array")
     if rates.size > 1 and np.any(np.diff(rates) <= 0.0):
         raise ValueError("rate grid must be strictly ascending")
+    if not np.all(np.isfinite(rates)):
+        raise ValueError("rate grid must be finite")
     return rates
 
 

@@ -7,22 +7,25 @@ the rate grid, sampling sizes, and the output directory.  Grammar::
     key = value          # '#' starts a comment, blank lines ignored
 
 Sections: ``[network]``, ``[hop]`` (defaults for every hop except the
-last), ``[hop.K]`` (1-based per-hop overrides), ``[rates]``,
-``[sampling]``, ``[output]``, ``[distribution]``.  Each key is declared
-once, with its value parser and default, in ``_SECTIONS`` or (for the hop
-sections) ``_HOP_KEYS``; the accepted key sets come from those tables.
-Unknown sections or keys are errors, as is any malformed value;
-diagnostics carry the source name and the line of the offending key.
-Rules on the chain as a whole, the interferer size among them, belong to
-:class:`~relay_outage.outage.NetworkConfig` and are reported at the
-``[network]`` line.  Sample counts are capped at ``MAX_DRAWS`` here, but
-their minimums are not scenario rules: the sampling functions enforce them
-when a run starts.
+last), ``[hop.K]`` (per-hop overrides; ``K`` is 1-based, written as a
+plain positive integer), ``[rates]``, ``[sampling]``, ``[output]``,
+``[distribution]``.  Each key is declared once, with its value parser and
+default, in ``_SECTIONS`` or (for the hop sections) ``_HOP_KEYS``.
+
+One pass checks each line with its section's table and parses its value
+there, even a value that applies to no hop, so the first bad line in file
+order is reported, with the source name and the line.  The rules on the
+whole file follow, in this order: missing ``[network]`` section or keys;
+hop indices beyond the chain; each hop's missing keys and own rules
+(:class:`~relay_outage.mutual_info.HopConfig`), at the hop's section
+line; the chain's, the interferer size among them, owned by
+:class:`~relay_outage.outage.NetworkConfig` and reported at the
+``[network]`` line; the rate grid; the distribution hop.  Sample counts
+are capped at ``MAX_DRAWS`` here; the sampling functions enforce their
+minimums when a run starts.
 
 The last hop is interference-free by default (the terminal node only
 receives); give it a ``[hop.K]`` override to model interference there.
-dB values are converted to linear ratios exactly once, here at parse
-time.
 """
 from __future__ import annotations
 
@@ -82,44 +85,6 @@ def _rate_points(start: float, stop: float, step: float) -> float:
     return np.floor((stop - start) / step + 1e-9) + 1.0
 
 
-_Entry = tuple[str, int]  # raw value, line number
-
-
-def _read_sections(
-    text: str, source: str
-) -> tuple[dict[str, dict[str, _Entry]], dict[str, int]]:
-    sections: dict[str, dict[str, _Entry]] = {}
-    section_lines: dict[str, int] = {}
-    current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]") or len(line) < 3:
-                raise ScenarioError(f"malformed section header {raw.strip()!r}", source, lineno)
-            name = line[1:-1].strip()
-            if name in sections:
-                raise ScenarioError(f"duplicate section [{name}]", source, lineno)
-            sections[name] = {}
-            section_lines[name] = lineno
-            current = name
-            continue
-        if "=" not in line:
-            raise ScenarioError(f"expected 'key = value', got {raw.strip()!r}", source, lineno)
-        if current is None:
-            raise ScenarioError("key outside of any [section]", source, lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise ScenarioError("empty key", source, lineno)
-        if not value:
-            raise ScenarioError(f"empty value for key '{key}'", source, lineno)
-        if key in sections[current]:
-            raise ScenarioError(f"duplicate key '{key}' in [{current}]", source, lineno)
-        sections[current][key] = (value, lineno)
-    return sections, section_lines
-
-
 _REQUIRED = object()  # the default of a key that must be given
 
 
@@ -167,28 +132,28 @@ def _or_none(parse):
     return lambda text, field: None if text.lower() == "none" else parse(text, field)
 
 
-# Every section but the hop ones: key -> (field, value parser, default).
+# Every section but the hop ones: key -> (value parser, default, field).
 # The [network] fields build the NetworkConfig; the rest are Scenario fields.
 _SECTIONS = {
     "network": {
-        "mode": ("mode", lambda text, field: DuplexMode.parse(text), _REQUIRED),
-        "hops": ("n_hops", _integer(1), _REQUIRED),
+        "mode": (lambda text, field: DuplexMode.parse(text), _REQUIRED, "mode"),
+        "hops": (_integer(1), _REQUIRED, "n_hops"),
     },
     "rates": {
-        "start": ("rate_start", _number(), 0.0),
-        "stop": ("rate_stop", _number(), 14.0),
-        "step": ("rate_step", _number(positive=True), 0.25),
+        "start": (_number(), 0.0, "rate_start"),
+        "stop": (_number(), 14.0, "rate_stop"),
+        "step": (_number(positive=True), 0.25, "rate_step"),
     },
     "sampling": {
-        "moment_samples": ("n_moment_samples", parse_draws, 10_000),
-        "mc_realizations": ("n_mc_realizations", parse_draws, 10_000),
-        "seed": ("seed", parse_seed, DEFAULT_SEED),
+        "moment_samples": (parse_draws, 10_000, "n_moment_samples"),
+        "mc_realizations": (parse_draws, 10_000, "n_mc_realizations"),
+        "seed": (parse_seed, DEFAULT_SEED, "seed"),
     },
-    "output": {"directory": ("output_dir", lambda text, field: text, "results")},
+    "output": {"directory": (lambda text, field: text, "results", "output_dir")},
     "distribution": {
-        "hop": ("dist_hop", _integer(1), None),
-        "bin_width": ("dist_bin_width", _number(positive=True), 0.1),
-        "samples": ("dist_samples", parse_draws, None),
+        "hop": (_integer(1), None, "dist_hop"),
+        "bin_width": (_number(positive=True), 0.1, "dist_bin_width"),
+        "samples": (parse_draws, None, "dist_samples"),
     },
 }
 # [hop] and [hop.K]: HopConfig field -> (value parser, default).
@@ -200,56 +165,74 @@ _HOP_KEYS = {
     "rsi_tx_antennas": (_or_none(_integer(1)), None),
 }
 _RSI_KEYS = frozenset(key for key in _HOP_KEYS if key.startswith("rsi_"))
-_ALLOWED_KEYS = {**_SECTIONS, "hop": _HOP_KEYS}
+_TABLES = {**_SECTIONS, "hop": _HOP_KEYS}  # [hop.K] sections use the "hop" table
+_Entry = tuple[object, int]  # parsed value, line number
 
 
-def _parse(
-    entries: dict[str, _Entry], section: str, key: str, parser, default,
-    source: str, section_line: int | None,
+def _key_table(name: str) -> dict[str, tuple]:
+    """The key table of section ``name``; each entry's first item is the key's parser."""
+    if name.startswith("hop."):
+        index = name[4:]
+        if not (index.isascii() and index.isdigit() and index[0] != "0"):
+            raise ValueError(f"bad hop section [{name}]: index must be a positive integer")
+        name = "hop"
+    if name not in _TABLES:
+        raise ValueError(f"unknown section [{name}]")
+    return _TABLES[name]
+
+
+def _read_sections(
+    text: str, source: str
+) -> tuple[dict[str, dict[str, _Entry]], dict[str, int]]:
+    """Each section's parsed values and header line, from one pass that
+    checks every section name, key and value at its own line."""
+    sections: dict[str, dict[str, _Entry]] = {}
+    section_lines: dict[str, int] = {}
+    current: str | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("["):
+                if not line.endswith("]") or len(line) < 3:
+                    raise ValueError(f"malformed section header {raw.strip()!r}")
+                current = line[1:-1].strip()
+                if current in sections:
+                    raise ValueError(f"duplicate section [{current}]")
+                table = _key_table(current)
+                sections[current] = {}
+                section_lines[current] = lineno
+                continue
+            if "=" not in line:
+                raise ValueError(f"expected 'key = value', got {raw.strip()!r}")
+            if current is None:
+                raise ValueError("key outside of any [section]")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if not key:
+                raise ValueError("empty key")
+            if not value:
+                raise ValueError(f"empty value for key '{key}'")
+            if key not in table:
+                raise ValueError(f"unknown key '{key}' in [{current}]")
+            if key in sections[current]:
+                raise ValueError(f"duplicate key '{key}' in [{current}]")
+            sections[current][key] = (table[key][0](value, f"{current}.{key}"), lineno)
+        except ValueError as exc:
+            raise ScenarioError(str(exc), source, lineno) from None
+    return sections, section_lines
+
+
+def _value(
+    entries: dict[str, _Entry], section: str, key: str, default, source: str,
+    section_line: int | None,
 ):
-    """The parsed value of ``key``, or its default; errors carry the key's line."""
-    if key not in entries:
-        if default is _REQUIRED:
-            raise ScenarioError(
-                f"missing required key '{key}' in [{section}]", source, section_line
-            )
-        return default
-    text, line = entries[key]
-    try:
-        return parser(text, f"{section}.{key}")
-    except ValueError as exc:
-        raise ScenarioError(str(exc), source, line) from None
-
-
-def _check_known(
-    sections: dict[str, dict[str, _Entry]],
-    section_lines: dict[str, int],
-    n_hops: int,
-    source: str,
-) -> None:
-    for name, entries in sections.items():
-        if name.startswith("hop."):
-            suffix = name[4:]
-            if not suffix.isdigit() or int(suffix) < 1:
-                raise ScenarioError(
-                    f"bad hop section [{name}]: index must be a positive integer",
-                    source,
-                    section_lines[name],
-                )
-            if int(suffix) > n_hops:
-                raise ScenarioError(
-                    f"hop index {suffix} out of range ({n_hops} hops)",
-                    source,
-                    section_lines[name],
-                )
-            allowed = _HOP_KEYS
-        elif name in _ALLOWED_KEYS:
-            allowed = _ALLOWED_KEYS[name]
-        else:
-            raise ScenarioError(f"unknown section [{name}]", source, section_lines[name])
-        for key, (_, lineno) in entries.items():
-            if key not in allowed:
-                raise ScenarioError(f"unknown key '{key}' in [{name}]", source, lineno)
+    """The parsed value of ``key``, or its default; a missing required key is an error."""
+    if key in entries:
+        return entries[key][0]
+    if default is _REQUIRED:
+        raise ScenarioError(f"missing required key '{key}' in [{section}]", source, section_line)
+    return default
 
 
 def _build_hops(
@@ -258,6 +241,9 @@ def _build_hops(
     n_hops: int,
     source: str,
 ) -> tuple[HopConfig, ...]:
+    for name, line in section_lines.items():
+        if name.startswith("hop.") and int(name[4:]) > n_hops:
+            raise ScenarioError(f"hop index {name[4:]} out of range ({n_hops} hops)", source, line)
     hops = []
     for k in range(1, n_hops + 1):
         section = f"hop.{k}"
@@ -269,10 +255,13 @@ def _build_hops(
         merged.update(sections.get(section, {}))
         line = section_lines.get(section, section_lines.get("hop"))
         fields = {
-            key: _parse(merged, section, key, parser, default, source, line)
-            for key, (parser, default) in _HOP_KEYS.items()
+            key: _value(merged, section, key, default, source, line)
+            for key, (_, default) in _HOP_KEYS.items()
         }
-        hops.append(HopConfig(**fields))
+        try:
+            hops.append(HopConfig(**fields))
+        except ValueError as exc:
+            raise ScenarioError(f"hop {k}: {exc}", source, line) from None
     return tuple(hops)
 
 
@@ -282,15 +271,14 @@ def parse_scenario_text(text: str, name: str, source: str = "<scenario>") -> Sce
     if "network" not in sections:
         raise ScenarioError("missing required section [network]", source)
     values = {
-        field: _parse(
-            sections.get(section, {}), section, key, parser, default, source,
+        field: _value(
+            sections.get(section, {}), section, key, default, source,
             section_lines.get(section),
         )
         for section, keys in _SECTIONS.items()
-        for key, (field, parser, default) in keys.items()
+        for key, (_, default, field) in keys.items()
     }
     n_hops = values.pop("n_hops")
-    _check_known(sections, section_lines, n_hops, source)
     hops = _build_hops(sections, section_lines, n_hops, source)
     try:
         network = NetworkConfig(hops=hops, mode=values.pop("mode"))

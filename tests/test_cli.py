@@ -557,6 +557,39 @@ def test_unusable_out_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    (
+        ["outage"],
+        ["--bogus"],
+        ["outage", "--preset", "fig3-hd", "--bogus"],
+        ["distribution", "--preset", "dist-snr20-rsi0", "--realizations", "5"],
+        ["outage", "--scenario", "{loud}"],
+    ),
+    ids=("no-source", "unknown-flag", "unknown-subcommand-flag", "refused-flag", "4000-db"),
+)
+def test_usage_errors_are_one_stderr_line(args, tmp_path):
+    # flag errors follow the one-line rule of scenario errors, on the real stream
+    loud = tmp_path / "loud.scenario"
+    loud.write_text(
+        "[network]\nmode = fd\nhops = 1\n"
+        "[hop]\ntx_antennas = 2\nrx_antennas = 2\nsnr_db = 4000\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "relay_outage.cli",
+         *(arg.format(loud=loud) for arg in args), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"{ERROR_PREFIX} ")
+
+
 def test_unknown_preset_exits_2(tmp_path, capsys):
     rc = cli.main(["outage", "--preset", "fig9-nope", "--out", str(tmp_path)])
     assert rc == 2

@@ -81,6 +81,15 @@ def test_hop_config_validation():
     for snr_db, rsi_db in non_finite:
         with pytest.raises(ValueError, match="must be finite"):
             HopConfig(tx_antennas=2, rx_antennas=2, snr_db=snr_db, rsi_snr_db=rsi_db)
+    # a fractional antenna count would draw from a Gamma(2.5) "channel"
+    for counts in ((2.5, 2, None), (2, 2.0, None), (2, 2, 3.5), (np.float64(2), 2, None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            HopConfig(*counts[:2], snr_db=10.0, rsi_snr_db=5.0, rsi_tx_antennas=counts[2])
+    HopConfig(np.int64(2), np.int32(2), snr_db=10.0, rsi_snr_db=5.0, rsi_tx_antennas=np.int64(2))
+    # finite dB values whose linear ratios overflow a float
+    for snr_db, rsi_db in ((4000.0, None), (10.0, 5000.0)):
+        with pytest.raises(ValueError, match="overflow"):
+            HopConfig(tx_antennas=2, rx_antennas=2, snr_db=snr_db, rsi_snr_db=rsi_db)
 
 
 def test_hop_moments_std_error():

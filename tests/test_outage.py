@@ -327,7 +327,10 @@ def test_montecarlo_curve_monotone():
 
 
 def test_rate_grid_validation():
-    for rates in ([2.0, 1.0], [1.0, 1.0], [], [[1.0, 2.0]]):
+    bad_grids = (
+        [2.0, 1.0], [1.0, 1.0], [], [[1.0, 2.0]], [1.0, np.nan], [np.nan], [0.0, np.inf]
+    )
+    for rates in bad_grids:
         for outage in (analytical_outage, montecarlo_outage):
             with pytest.raises(ValueError, match="rate grid"):
                 outage(_chain(1), np.array(rates), substream(SEED, 10), 2000)

@@ -219,11 +219,85 @@ def test_rsi_none_clears_default():
             "[distribution]\nhop = 2\n",
             "out of range",
         ),
+        # a hop index is a plain positive integer: an override under another
+        # spelling of it would be dropped, or shadowed by [hop.1]
+        (
+            "[network]\nmode = fd\nhops = 2\n"
+            "[hop]\ntx_antennas = 1\nrx_antennas = 1\nsnr_db = 20\n"
+            "[hop.01]\nsnr_db = -30\nrsi_snr_db = 40\n",
+            r"<scenario>:8: bad hop section \[hop.01\]",
+        ),
+        (
+            "[network]\nmode = fd\nhops = 2\n"
+            "[hop]\ntx_antennas = 1\nrx_antennas = 1\nsnr_db = 20\n"
+            "[hop.1]\nsnr_db = 10\n[hop.01]\nsnr_db = -30\n",
+            r"<scenario>:10: bad hop section \[hop.01\]",
+        ),
+        # a value is parsed even where it applies to no hop
+        (
+            "[network]\nmode = fd\nhops = 1\n"
+            "[hop]\ntx_antennas = 1\nrx_antennas = 1\nsnr_db = 0\nrsi_snr_db = banana\n",
+            "<scenario>:8: hop.rsi_snr_db: expected a number",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         parse_scenario_text(text, name="bad")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    index=st.sampled_from(["1", "2", "01", "001", "+1", "\uff11", "1.0", "0", " 1", "1_0"]),
+    snr_db=st.integers(-10, 40),
+)
+def test_hop_index_spellings_are_applied_or_refused(index, snr_db):
+    # an override is never silently dropped: it shows in the chain, or its
+    # section header is reported at its line
+    text = (
+        "[network]\nmode = fd\nhops = 2\n"
+        "[hop]\ntx_antennas = 2\nrx_antennas = 2\nsnr_db = 50\n"
+        f"[hop.{index}]\nsnr_db = {snr_db}\n"
+    )
+    try:
+        hops = parse_scenario_text(text, name="index", source="index.scenario").network.hops
+    except ScenarioError as exc:
+        assert str(exc).startswith("index.scenario:8: ")
+    else:
+        assert hops[int(index) - 1].snr_db == snr_db
+
+
+def test_hop_values_are_parsed_once(monkeypatch):
+    # a [hop] value is parsed at its line, not again for each hop it serves
+    calls = []
+    parse, default = _HOP_KEYS["snr_db"]
+
+    def counting(text, field):
+        calls.append(field)
+        return parse(text, field)
+
+    monkeypatch.setitem(_HOP_KEYS, "snr_db", (counting, default))
+    scenario = parse_scenario_text(FULL_TEXT, name="counted")
+    assert [hop.snr_db for hop in scenario.network.hops] == [20.0, 17.5, 20.0]
+    assert calls == ["hop.snr_db", "hop.2.snr_db"]
+
+
+@pytest.mark.parametrize(
+    "extra,line,fragment",
+    (
+        ("rsi_snr_db = 5000\n", 4, "hop 1: powers overflow"),
+        ("[hop.2]\nsnr_db = 4000\n", 8, "hop 2: powers overflow"),
+    ),
+)
+def test_hop_rules_name_the_hop_section_line(extra, line, fragment):
+    # finite dB values whose linear ratios overflow break HopConfig's rule
+    text = (
+        "[network]\nmode = fd\nhops = 2\n"
+        "[hop]\ntx_antennas = 2\nrx_antennas = 2\nsnr_db = 20\n" + extra
+    )
+    with pytest.raises(ScenarioError, match=fragment) as err:
+        parse_scenario_text(text, name="loud", source="loud.scenario")
+    assert str(err.value).startswith(f"loud.scenario:{line}: ")
 
 
 def test_rate_grid_point_cap():
@@ -275,19 +349,26 @@ def _render(sections):
     return "\n".join(lines) + "\n", key_lines
 
 
-SETTABLE_KEYS = [(section, key) for section, keys in _SECTIONS.items() for key in keys] + [
-    (section, key) for section in ("hop", "hop.2") for key in _HOP_KEYS
+# (chain length, section, key); on a 1-hop chain the [hop] interference
+# keys apply to no hop, and are still parsed
+SETTABLE_KEYS = [
+    (n_hops, section, key)
+    for n_hops in (2, 1)
+    for section in (*_SECTIONS, "hop", f"hop.{n_hops}")
+    for key in _SECTIONS.get(section, _HOP_KEYS)
 ]
 
 
 @pytest.mark.parametrize(
-    "section,key", SETTABLE_KEYS, ids=[f"{s}.{k}" for s, k in SETTABLE_KEYS]
+    "n_hops,section,key",
+    SETTABLE_KEYS,
+    ids=[f"{s}.{k}" if n == 2 else f"{n}-hop:{s}.{k}" for n, s, k in SETTABLE_KEYS],
 )
-def test_malformed_value_names_its_line(section, key):
+def test_malformed_value_names_its_line(n_hops, section, key):
     sections = {
-        "network": {"mode": "fd", "hops": "2"},
+        "network": {"mode": "fd", "hops": str(n_hops)},
         "hop": {"tx_antennas": "2", "rx_antennas": "2", "snr_db": "20"},
-        "hop.2": {},
+        f"hop.{n_hops}": {},
         "rates": {},
         "sampling": {},
         "output": {},
