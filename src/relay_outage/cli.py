@@ -84,7 +84,8 @@ def _skewness(x: np.ndarray) -> float:
     """Biased sample skewness ``m3 / m2**1.5``, in ``scipy.stats.skew``'s arithmetic."""
     dev = x - x.mean()
     sq = dev**2
-    return float((sq * dev).mean() / sq.mean() ** 1.5)
+    with np.errstate(invalid="ignore"):  # a constant sample has none: 0 / 0 reads nan
+        return float((sq * dev).mean() / sq.mean() ** 1.5)
 
 
 def _hop_header(index: int, hop: HopConfig) -> str:
@@ -204,6 +205,10 @@ def _moment_header(moments) -> list[str]:
                 f"warning: hop {k} Gaussian law puts {below_zero:.3g} of its mass "
                 f"below zero mutual information, where the true law puts none "
                 f"(warning level {NEGATIVE_MASS_WARNING:g})"
+            )
+        if hop.variance == 0.0:
+            warnings.append(
+                f"warning: hop {k} has zero variance: its Gaussian law is a step at its mean"
             )
     return lines + warnings
 

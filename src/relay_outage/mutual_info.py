@@ -56,6 +56,11 @@ T = TypeVar("T")
 
 MIN_MOMENT_SAMPLES = 100
 
+# Largest |dB| of a hop's powers; NaN and +-inf fail the same test.  Within it
+# eta, rho <= 1e100, so eta^2, rho^2, rho*eta <= 1e200, and their products with
+# Gram entries (sums of tx unit-mean draws) stay far below the float max 1.8e308.
+MAX_POWER_DB = 1000.0
+
 # Per-draw fields of the hop kernel, all in bits.
 EXACT = "exact"  # log2 det(I + rho*Wbar + eta*W)
 LOWER = "lower"  # same-rank pairing bound on EXACT
@@ -70,11 +75,11 @@ HOP_FIELDS = (EXACT, LOWER, UPPER, MIDPOINT, EXACT_MI, APPROX_MI)
 class HopConfig:
     """Antenna counts and power parameters of one hop.
 
-    ``snr_db`` is the desired-link SNR; ``rsi_snr_db`` the residual
-    self-interference power ratio at the receiving node (``None`` means no
-    self-interference).  ``rsi_tx_antennas`` is the antenna count of the
-    interfering transmitter, the next stage, whose size the
-    :class:`~relay_outage.outage.NetworkConfig` of the chain owns.
+    ``snr_db`` is the desired-link SNR, ``rsi_snr_db`` the residual
+    self-interference power ratio at the receiving node (``None`` for none),
+    both in ``[-MAX_POWER_DB, MAX_POWER_DB]`` dB.  ``rsi_tx_antennas`` is
+    the antenna count of the interfering transmitter, the next stage, whose
+    size the :class:`~relay_outage.outage.NetworkConfig` of the chain owns.
     """
 
     tx_antennas: int
@@ -90,14 +95,11 @@ class HopConfig:
         for name, count in counts.items():
             if not isinstance(count, numbers.Integral) or count < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
-        if not all(math.isfinite(db) for db in (self.snr_db, self.rsi_snr_db or 0.0)):
-            raise ValueError(f"powers must be finite, got {self.snr_db}, {self.rsi_snr_db} dB")
-        try:
-            self.eta, self.rho  # past the float range, the power raises
-        except OverflowError:
+        if not all(abs(db) <= MAX_POWER_DB for db in (self.snr_db, self.rsi_snr_db or 0.0)):
             raise ValueError(
-                f"powers overflow as linear ratios, got {self.snr_db}, {self.rsi_snr_db} dB"
-            ) from None
+                f"powers must lie in [-{MAX_POWER_DB:g}, {MAX_POWER_DB:g}] dB, "
+                f"got {self.snr_db}, {self.rsi_snr_db} dB"
+            )
 
     @property
     def eta(self) -> float:

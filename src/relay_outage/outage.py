@@ -12,7 +12,6 @@ check on both the Gaussian assumption and the midpoint approximation.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -164,21 +163,14 @@ def gaussian_chain_outage(moments: list[HopMoments], rates: np.ndarray) -> np.nd
     Hop ``k`` is in outage with the probability ``p_k`` that a normal
     variable of its mean and variance falls below the rate; the chain is
     in outage with ``1 - prod_k (1 - p_k)``, summed in log space so that
-    probabilities far below 1e-16 survive.  A zero-variance hop is a step
-    at its mean and raises a warning.
+    probabilities far below 1e-16 survive.  A zero-variance hop is in
+    outage at rates strictly above its mean, as Monte Carlo counts.
     """
     rates = _check_rate_grid(rates)
     mean = np.array([m.mean for m in moments], dtype=float)[:, np.newaxis]
     std = np.sqrt(np.array([m.variance for m in moments], dtype=float))[:, np.newaxis]
-    step = std == 0.0
-    if step.any():
-        warnings.warn(
-            "zero-variance hop moments: outage degenerates to a step function",
-            stacklevel=2,
-        )
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.clip(q_function((mean - rates) / std), 0.0, 1.0)
-    p = np.where(step, rates >= mean, p)
+        p = np.where(std == 0.0, rates > mean, q_function((mean - rates) / std))
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf, folded to exactly 1
         log_success = np.sum(np.log1p(-p), axis=0)
     # 0.0 - x rather than -x: a chain that never fails reads 0.0, not -0.0

@@ -5,8 +5,8 @@ not share its implementation: quadrature of the normal tail for the
 Q-function, exact per-sample determinants for the pairing bounds, the
 scalar Rayleigh closed form for the half-duplex single-antenna chain, and
 Laguerre quadrature for the sampled log-det means.  All three quadratures
-(normal tail, density mass, log-det mean) use the one Gauss-Legendre rule
-of ``wishart_stats``, on numpy alone.  The sampled sides all come from the
+(normal tail, density mass, log-det mean) call ``gauss_legendre`` of
+``wishart_stats``, on numpy alone.  The sampled sides all come from the
 production per-hop kernel (``sample_hop_chunk``), one substream per chunk;
 the sandwich check keeps only each chunk's worst bound violation.
 Each check returns a ``CheckResult``, whose ``passed`` property (the

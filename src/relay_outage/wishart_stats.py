@@ -149,15 +149,14 @@ def integration_cutoff(params: WishartParams) -> float:
 def eigen_expectation(params: WishartParams, fn) -> tuple[float, float]:
     """``integral fn(x) f(x) dx`` over ``[0, integration_cutoff]``, and its error estimate.
 
-    On the ``eigen_grid`` rule in ``t = sqrt(x)``, where the log-det
-    singularity at ``x = -1/scale`` moves far enough from the interval for
-    the rule to converge up to ``scale ~ 1e6``.
+    By ``gauss_legendre`` in ``t = sqrt(x)`` (``dx = 2t dt``), where the
+    log-det singularity at ``x = -1/scale`` moves far enough from the
+    interval for the rule to converge up to ``scale ~ 1e6``.
     """
-    value, coarse = (
-        float(w @ (fn(x) * marginal_eigen_density(params, x)))
-        for x, w in (eigen_grid(params, n) for n in (QUADRATURE_NODES, QUADRATURE_NODES // 2))
+    return gauss_legendre(
+        lambda t: 2.0 * t * fn(t * t) * marginal_eigen_density(params, t * t),
+        0.0, math.sqrt(integration_cutoff(params)),
     )
-    return value, abs(value - coarse)
 
 
 def expected_logdet(params: WishartParams, scale: float) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from scipy import stats
 
 from relay_outage import __version__, cli, outage
 from relay_outage.cli import ERROR_PREFIX, _ks_distance, _skewness, _write_result
-from relay_outage.mutual_info import EXACT, MIDPOINT, HopConfig, sample_hop_fields
+from relay_outage.mutual_info import EXACT, MAX_POWER_DB, MIDPOINT, HopConfig, sample_hop_fields
 from relay_outage.rng import CHUNK_SIZE, substream
 from relay_outage.scenario import MAX_DRAWS, load_preset
 from relay_outage.validation import hop_at_scales
@@ -407,8 +408,8 @@ EXTREME_SCENARIO = """[network]
 mode = fd
 hops = 2
 [hop]
-tx_antennas = 2
-rx_antennas = 2
+tx_antennas = {n}
+rx_antennas = {n}
 snr_db = {snr}
 rsi_snr_db = {rsi}
 [rates]
@@ -425,19 +426,48 @@ samples = 1000
 
 
 @pytest.mark.parametrize("command", ("outage", "distribution"))
-@pytest.mark.parametrize("snr_db", (-100.0, 100.0))
-@pytest.mark.parametrize("rsi_db", (-100.0, 100.0))
-def test_extreme_powers_give_finite_probabilities(command, snr_db, rsi_db, tmp_path):
+@pytest.mark.parametrize("snr_db", (-MAX_POWER_DB, -100.0, 100.0, MAX_POWER_DB))
+@pytest.mark.parametrize("rsi_db", (-MAX_POWER_DB, -100.0, 100.0, MAX_POWER_DB))
+def test_extreme_powers_give_finite_probabilities(command, snr_db, rsi_db, tmp_path, capsys):
+    for n in (1, 2, 3):  # one row, the closed form, the QR route
+        path = tmp_path / "extreme.scenario"
+        path.write_text(EXTREME_SCENARIO.format(n=n, snr=snr_db, rsi=rsi_db), encoding="utf-8")
+        assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = _read_csv(tmp_path / f"extreme-{command}.csv")
+        assert rows.size and np.all(np.isfinite(rows))
+        probabilities = rows[:, 1:] if command == "outage" else rows[:, 2:]
+        assert np.all((probabilities >= 0.0) & (probabilities <= 1.0))
+        if command == "outage":
+            for _, _, variance, _, below_zero in _moment_lines(header):
+                assert float(variance) >= 0.0 and 0.0 <= float(below_zero) <= 1.0
+
+
+@pytest.mark.parametrize("command", ("outage", "distribution"))
+def test_zero_variance_hops_run_clean_and_are_reported(command, tmp_path):
+    # at -300 dB every draw of the QR route rounds to 0 bits; through the
+    # real streams: exit 0, nothing on stderr, a header line per hop
     path = tmp_path / "extreme.scenario"
-    path.write_text(EXTREME_SCENARIO.format(snr=snr_db, rsi=rsi_db), encoding="utf-8")
-    assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    path.write_text(EXTREME_SCENARIO.format(n=3, snr=-300.0, rsi="none"), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "relay_outage.cli", command, "--scenario", str(path),
+         "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
     header, rows = _read_csv(tmp_path / f"extreme-{command}.csv")
-    assert rows.size and np.all(np.isfinite(rows))
-    probabilities = rows[:, 1:] if command == "outage" else rows[:, 2:]
-    assert np.all((probabilities >= 0.0) & (probabilities <= 1.0))
-    if command == "outage":
-        for _, _, variance, _, below_zero in _moment_lines(header):
-            assert float(variance) >= 0.0 and 0.0 <= float(below_zero) <= 1.0
+    if command == "distribution":  # a constant sample has no skewness
+        assert "# exact_skewness: nan" in header and "# midpoint_skewness: nan" in header
+        return
+    assert [line for line in header if "zero variance" in line] == [
+        f"# warning: hop {k} has zero variance: its Gaussian law is a step at its mean"
+        for k in (1, 2)
+    ]
+    # a hop of exactly 0 bits is not in outage at R = 0, on either column
+    assert rows[0, 0] == 0.0 and rows[0, 1] == rows[0, 2] == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -689,6 +719,8 @@ def test_distribution_stats_match_scipy_with_ties():
     assert _ks_distance(a, a) == 0.0
     assert _skewness(a) == stats.skew(a)
     assert _skewness(b) == stats.skew(b)
+    # a constant sample has no skewness: nan, with no numpy warning
+    assert math.isnan(_skewness(np.zeros(10)))
 
 
 _SCIPY_FREE_PROBE = """

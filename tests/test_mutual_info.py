@@ -11,6 +11,7 @@ from relay_outage.mutual_info import (
     EXACT_MI,
     LN2,
     LOWER,
+    MAX_POWER_DB,
     MIDPOINT,
     UPPER,
     HopConfig,
@@ -73,23 +74,25 @@ def test_hop_config_validation():
         HopConfig(tx_antennas=0, rx_antennas=2, snr_db=10.0)
     with pytest.raises(ValueError):
         HopConfig(tx_antennas=2, rx_antennas=2, snr_db=10.0, rsi_tx_antennas=0)
-    # non-finite powers would give a NaN analytical column and a zero Monte
-    # Carlo one, with no error
-    non_finite = (
-        (math.nan, None), (math.inf, None), (-math.inf, 5.0), (10.0, math.nan), (10.0, math.inf)
+    # one power range: its ends are accepted; just past them, non-finite
+    # powers (a NaN analytical column and a zero Monte Carlo one) and finite
+    # ones whose linear ratios overflow a float or the kernel are refused
+    for db in (-MAX_POWER_DB, MAX_POWER_DB):
+        HopConfig(tx_antennas=2, rx_antennas=2, snr_db=db, rsi_snr_db=-db)
+    past = math.nextafter(MAX_POWER_DB, math.inf)
+    out_of_range = (
+        (past, None), (-past, None), (10.0, past), (2000.0, None), (4000.0, None),
+        (10.0, 5000.0), (math.nan, None), (math.inf, None), (-math.inf, 5.0),
+        (10.0, math.nan), (10.0, math.inf),
     )
-    for snr_db, rsi_db in non_finite:
-        with pytest.raises(ValueError, match="must be finite"):
+    for snr_db, rsi_db in out_of_range:
+        with pytest.raises(ValueError, match=r"powers must lie in \[-1000, 1000\] dB"):
             HopConfig(tx_antennas=2, rx_antennas=2, snr_db=snr_db, rsi_snr_db=rsi_db)
     # a fractional antenna count would draw from a Gamma(2.5) "channel"
     for counts in ((2.5, 2, None), (2, 2.0, None), (2, 2, 3.5), (np.float64(2), 2, None)):
         with pytest.raises(ValueError, match="must be an integer"):
             HopConfig(*counts[:2], snr_db=10.0, rsi_snr_db=5.0, rsi_tx_antennas=counts[2])
     HopConfig(np.int64(2), np.int32(2), snr_db=10.0, rsi_snr_db=5.0, rsi_tx_antennas=np.int64(2))
-    # finite dB values whose linear ratios overflow a float
-    for snr_db, rsi_db in ((4000.0, None), (10.0, 5000.0)):
-        with pytest.raises(ValueError, match="overflow"):
-            HopConfig(tx_antennas=2, rx_antennas=2, snr_db=snr_db, rsi_snr_db=rsi_db)
 
 
 def test_hop_moments_std_error():

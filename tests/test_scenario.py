@@ -285,12 +285,12 @@ def test_hop_values_are_parsed_once(monkeypatch):
 @pytest.mark.parametrize(
     "extra,line,fragment",
     (
-        ("rsi_snr_db = 5000\n", 4, "hop 1: powers overflow"),
-        ("[hop.2]\nsnr_db = 4000\n", 8, "hop 2: powers overflow"),
+        ("rsi_snr_db = 5000\n", 4, "hop 1: powers must lie in"),
+        ("[hop.2]\nsnr_db = 4000\n", 8, "hop 2: powers must lie in"),
     ),
 )
 def test_hop_rules_name_the_hop_section_line(extra, line, fragment):
-    # finite dB values whose linear ratios overflow break HopConfig's rule
+    # finite dB values past HopConfig's power range break its rule
     text = (
         "[network]\nmode = fd\nhops = 2\n"
         "[hop]\ntx_antennas = 2\nrx_antennas = 2\nsnr_db = 20\n" + extra
