@@ -12,7 +12,7 @@ from .outage import DuplexMode, NetworkConfig, analytical_outage, montecarlo_out
 from .rng import substream
 from .scenario import Scenario, ScenarioError, load_preset, parse_scenario, preset_names
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "DuplexMode",

@@ -29,14 +29,18 @@ caller's reduction, so only what the caller keeps outlives a chunk.  Every
 field depends on the channels only through their Gram forms, which
 :func:`~relay_outage.randmat.sample_gram` draws directly.  Those of at most
 two rows -- every shipped preset -- come as entries and are evaluated in
-closed form (:class:`~relay_outage.randmat.SmallGram`); larger ones come
-as their factor ``L`` of ``W = L L^+``: their spectra come from the small
-side ``L^+ L``, and their exact log-dets from the ``R`` of one QR of the
-stacked ``[S; I]``, ``S = [sqrt(rho) Lbar, sqrt(eta) L]``, by Sylvester's
-identity ``det(I + S^+ S) = det(I + rho*Wbar + eta*W)``.  Neither ``W``
-nor ``I + rho*Wbar`` is formed; :func:`_factor_exact` gives why each
-``|R_jj| >= 1`` and why QR, not a Cholesky factor.  Each form
-supplies only its spectra and exact log-dets to :func:`hop_fields`.
+closed form (:class:`~relay_outage.randmat.SmallGram`), the desired form
+in the eigenframe of the interference one: ``W``'s law is unitarily
+invariant and independent of ``Wbar``, so its entries there are drawn
+directly, and only ``Wbar``'s eigenvalues enter (:func:`_closed_form_exact`).
+Larger ones come as their factor ``L`` of ``W = L L^+``: their spectra
+come from the small side ``L^+ L``, and their exact log-dets from the
+``R`` of one QR of the stacked ``[S; I]``, ``S = [sqrt(rho) Lbar,
+sqrt(eta) L]``, by Sylvester's identity ``det(I + S^+ S) = det(I +
+rho*Wbar + eta*W)``.  Neither ``W`` nor ``I + rho*Wbar`` is formed;
+:func:`_factor_exact` gives why each ``|R_jj| >= 1`` and why QR, not a
+Cholesky factor.  Each form supplies only its spectra and exact log-dets
+to :func:`hop_fields`.
 """
 from __future__ import annotations
 
@@ -159,13 +163,20 @@ def _closed_form_exact(
 ) -> dict[str, np.ndarray]:
     """Wanted ``EXACT``/``EXACT_MI`` of Gram forms of at most two rows (``EXACT`` without RSI).
 
-    With ``M = rho*Wbar + eta*W``, ``det(I + M) = 1 + tr M + det M`` and
-    ``det M = rho^2 det Wbar + eta^2 det W + rho*eta*tr(adj(Wbar) W)``.
+    ``gram`` holds ``W``'s entries in the eigenframe of ``Wbar``, whose
+    descending eigenvalues ``l1 >= l2`` come from ``rsi.spectrum()``.  With
+    ``Wbar = diag(l1, l2)`` there,
+    ``det(I + rho*Wbar + eta*W) - det(I + rho*Wbar)
+    = eta tr W + eta^2 det W + rho*eta (l2 a + l1 d)``, a sum of
+    non-negative products that cannot cancel, so no clamp is needed; and
+    ``det(I + rho*Wbar) - 1 = rho tr Wbar + rho^2 det Wbar``.
     """
     gain = eta * gram.trace + eta * eta * gram.det
     if rsi is None:
         return {EXACT: np.log1p(gain) / LN2}
-    gain = gain + rho * eta * gram.cross(rsi)  # det(I + M) - det(I + rho*Wbar)
+    if rsi.rows == 2:  # the mixed term, 0 for one row
+        l1, l2 = rsi.spectrum().T
+        gain = gain + rho * eta * (l2 * gram.a + l1 * gram.d)
     rsi_growth = rho * rsi.trace + rho * rho * rsi.det  # det(I + rho*Wbar) - 1
     out = {}
     if EXACT in wanted:
@@ -229,9 +240,10 @@ def hop_fields(
     ``w`` holds the ``n`` desired and ``wbar`` the ``n`` interference Gram
     forms, or ``wbar`` is ``None`` when there is no self-interference
     (``rho`` is then ignored): :class:`~relay_outage.randmat.SmallGram`
-    entries, or stacked factors ``L`` of ``W = L L^+`` (a Bartlett factor or
-    a drawn channel).  Returns one length-``n`` array per name in
-    ``fields`` (see ``HOP_FIELDS``), in that order.
+    entries, those of ``w`` taken in the eigenframe of ``wbar``, or stacked
+    factors ``L`` of ``W = L L^+`` (a Bartlett factor or a drawn channel).
+    Returns one length-``n`` array per name in ``fields`` (see
+    ``HOP_FIELDS``), in that order.
     """
     wanted = set(fields)
     unknown = wanted.difference(HOP_FIELDS)

@@ -9,7 +9,9 @@ the stream addressing scheme.
 Every receive Gram form ``W = H H^+`` is drawn directly, by Bartlett's
 decomposition (:func:`sample_gram`); no channel is ever drawn.  Those of at
 most ``MAX_CLOSED_FORM_RX`` rows come back as their entries
-(:class:`SmallGram`), whose spectra have a closed form; larger ones come
+(:class:`SmallGram`), whose spectra have a closed form, drawn from unit
+exponentials alone: no phase is drawn, since no hop field depends on one,
+and integer Gamma shapes up to 3 are sums of exponentials.  Larger ones come
 back as their factor ``L`` (``W = L L^+`` is never formed), whose spectra
 the batched LAPACK eigensolver in ``descending_spectra`` takes from ``L^+ L``.
 """
@@ -28,6 +30,12 @@ _SQRT_HALF = np.sqrt(0.5)
 
 # Largest receive dimension drawn as a closed-form Gram (SmallGram).
 MAX_CLOSED_FORM_RX = 2
+
+# Largest integer Gamma shape drawn as a sum of unit exponentials, the
+# measured crossover: per 8192 draws (numpy 2.4.6, PCG64, 2-vCPU x86-64) the
+# sum took 104, 163 and 245 us at shapes 2, 3 and 4, standard_gamma 212, 228
+# and 224 us (medians of 40 paired rounds, BENCH_exponential_draw.json).
+_EXPONENTIAL_SUM_MAX_SHAPE = 3
 
 
 @dataclass(frozen=True)
@@ -69,38 +77,43 @@ def descending_spectra(ws: np.ndarray) -> np.ndarray:
     return np.maximum(vals[..., ::-1], 0.0)
 
 
+def _gamma(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` draws of ``Gamma(k)`` for an integer shape ``k >= 1``.
+
+    Up to ``_EXPONENTIAL_SUM_MAX_SHAPE`` the draw is the sum of ``k`` unit
+    exponentials (one ``(k, n)`` block), which numpy draws faster than its
+    ``standard_gamma`` at those shapes; above it, ``standard_gamma``.
+    """
+    if k <= _EXPONENTIAL_SUM_MAX_SHAPE:
+        return rng.standard_exponential((k, n)).sum(axis=0)
+    return rng.standard_gamma(k, n)
+
+
 @dataclass(frozen=True)
 class SmallGram:
-    """Entries of stacked receive Gram forms ``W = H H^+`` with ``rows <= 2``.
+    """Entries of stacked receive Gram forms ``W`` with ``rows <= 2``.
 
-    ``rows`` is 1 or 2.  ``a`` and ``d`` are the diagonal entries, ``b_re``
-    and ``b_im`` the real and imaginary parts of ``W[0, 1]``, and ``det`` is
-    ``det W``.  For one row ``W`` is the scalar ``a`` and the other entries
-    are the plain float ``0.0``, which broadcasts against the stacked arrays.
+    ``rows`` is 1 or 2.  ``a`` and ``d`` are the diagonal entries,
+    ``b_sq = |W[0, 1]|^2`` and ``det = det W = a d - b_sq``.  For one row
+    ``W`` is the scalar ``a`` and the other entries are the plain float
+    ``0.0``, which broadcasts against the stacked arrays.
+
+    The phase of ``W[0, 1]`` is not kept: no hop field depends on it.  A
+    desired link's entries are those of ``V^+ W V`` in the eigenframe
+    ``Wbar = V diag(spectrum) V^+`` of its interference form (see
+    :func:`sample_gram`), where the mixed term of the hop's determinant
+    reads only the diagonal ``a``, ``d``.
     """
 
     rows: int
     a: np.ndarray
     d: np.ndarray | float = 0.0
-    b_re: np.ndarray | float = 0.0
-    b_im: np.ndarray | float = 0.0
+    b_sq: np.ndarray | float = 0.0
     det: np.ndarray | float = 0.0
 
     @property
     def trace(self) -> np.ndarray:
         return self.a + self.d
-
-    def cross(self, other: "SmallGram") -> np.ndarray | float:
-        """``tr(adj(other) W)``, the mixed term of ``det(x W + y other)``.
-
-        Non-negative in exact arithmetic; round-off negatives are clamped.
-        """
-        value = (
-            self.a * other.d
-            + self.d * other.a
-            - 2.0 * (self.b_re * other.b_re + self.b_im * other.b_im)
-        )
-        return np.maximum(value, 0.0)
 
     def spectrum(self) -> np.ndarray:
         """Descending eigenvalues of ``W``, an ``(n, rows)`` array; all >= 0.
@@ -109,9 +122,7 @@ class SmallGram:
         it keeps full relative precision when ``W`` is near singular.
         """
         half_gap = 0.5 * (self.a - self.d)
-        largest = 0.5 * self.trace + np.sqrt(
-            half_gap * half_gap + self.b_re * self.b_re + self.b_im * self.b_im
-        )
+        largest = 0.5 * self.trace + np.sqrt(half_gap * half_gap + self.b_sq)
         smallest = np.divide(
             self.det, largest, out=np.zeros_like(largest), where=largest > 0.0
         )
@@ -128,43 +139,39 @@ def sample_gram(
     with ``W = L L^+``: its below-diagonal entries are CN(0, 1) and its
     diagonal ones satisfy ``|L_ii|^2 ~ Gamma(cols - i)``, all independent.
     That is the law of ``H H^+`` for unit-power complex Gaussian ``H``, and
-    no channel is drawn.  The draw order is fixed, row by row: the row's
-    below-diagonal entries (a block of real parts, then one of imaginary
-    parts), then, while ``i < cols``, its ``|L_ii|^2``.
+    no channel is drawn.
 
-    Up to ``MAX_CLOSED_FORM_RX`` rows the result is a :class:`SmallGram`.
-    With ``g1 = |L00|^2``, ``z = L10`` and ``g2 = |L11|^2`` (exactly 0 at
-    ``cols = 1``) it holds ``a = g1``, ``W[0, 1] = sqrt(g1) z``,
-    ``d = |z|^2 + g2`` and ``det = g1 g2``, a product, so it is 0 at rank
-    one and never cancels.  Above, it is the ``(n, rows, min(rows, cols))`` factor ``L``.
+    Up to ``MAX_CLOSED_FORM_RX`` rows the result is a :class:`SmallGram`,
+    drawn as ``g1 = |L00|^2 ~ Gamma(cols)``, then ``|z|^2 ~ Exp(1)`` for
+    ``z = L10``, then ``g2 = |L11|^2 ~ Gamma(cols - 1)`` (exactly 0 at
+    ``cols = 1``), every one a unit exponential or a sum of them
+    (:func:`_gamma`).  It holds ``a = g1``, ``b_sq = |W[0, 1]|^2 =
+    g1 |z|^2``, ``d = |z|^2 + g2`` and ``det = g1 g2``, a product, so it is
+    0 at rank one and never cancels.  The law of ``W`` is unitarily
+    invariant, so the same entries are also those of ``V^+ W V`` for any
+    unitary ``V`` drawn independently of them, such as the eigenvectors of
+    an interference form.  Above, the result is the
+    ``(n, rows, min(rows, cols))`` factor ``L``, drawn row by row: the
+    row's below-diagonal entries (a block of real parts, then one of
+    imaginary parts), then, while ``i < cols``, its ``|L_ii|^2``.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"channel dimensions must be positive, got {rows}x{cols}")
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    factor_rows = []
+    if rows <= MAX_CLOSED_FORM_RX:
+        g1 = _gamma(cols, n, rng)
+        if rows == 1:
+            return SmallGram(rows=1, a=g1)
+        z_sq = rng.standard_exponential(n)
+        g2 = _gamma(cols - 1, n, rng) if cols > 1 else 0.0
+        return SmallGram(rows=2, a=g1, d=z_sq + g2, b_sq=g1 * z_sq, det=g1 * g2)
+    factor = np.zeros((n, rows, min(rows, cols)), dtype=complex)
     for i in range(rows):
         below = rng.standard_normal((2, n, min(i, cols)))
         below *= _SQRT_HALF
-        factor_rows.append((below, rng.standard_gamma(cols - i, n) if i < cols else 0.0))
-    if rows == 1:
-        return SmallGram(rows=1, a=factor_rows[0][1])
-    if rows <= MAX_CLOSED_FORM_RX:
-        (_, g1), (below, g2) = factor_rows
-        z_re, z_im = below[0, :, 0], below[1, :, 0]
-        root = np.sqrt(g1)
-        return SmallGram(
-            rows=2,
-            a=g1,
-            d=z_re * z_re + z_im * z_im + g2,
-            b_re=root * z_re,
-            b_im=root * z_im,
-            det=g1 * g2,
-        )
-    factor = np.zeros((n, rows, min(rows, cols)), dtype=complex)
-    for i, (below, square) in enumerate(factor_rows):
         factor[:, i, : below.shape[-1]].real = below[0]
         factor[:, i, : below.shape[-1]].imag = below[1]
         if i < cols:
-            factor[:, i, i] = np.sqrt(square)
+            factor[:, i, i] = np.sqrt(_gamma(cols - i, n, rng))
     return factor

@@ -25,7 +25,9 @@ def pytest_terminal_summary(terminalreporter):
 
 def dense_gram(gram):
     """The ``(n, rows, rows)`` Hermitian matrices that a ``SmallGram``'s
-    entries or a stacked factor ``L`` (``W = L L^+``) describe."""
+    entries or a stacked factor ``L`` (``W = L L^+``) describe.  A
+    ``SmallGram`` keeps no phase of ``W[0, 1]``; it is taken as real,
+    ``sqrt(b_sq)``."""
     if isinstance(gram, np.ndarray):
         return gram @ np.conj(np.swapaxes(gram, -1, -2))
     n = len(gram.a)
@@ -33,8 +35,7 @@ def dense_gram(gram):
     w[:, 0, 0] = gram.a
     if gram.rows == 2:
         w[:, 1, 1] = gram.d
-        w[:, 0, 1] = gram.b_re + 1j * gram.b_im
-        w[:, 1, 0] = np.conj(w[:, 0, 1])
+        w[:, 0, 1] = w[:, 1, 0] = np.sqrt(gram.b_sq)
     return w
 
 

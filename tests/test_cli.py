@@ -101,20 +101,20 @@ def test_outage_output_is_byte_stable(scenario_file, tmp_path):
 # sha256 of every preset's CSV at its default sizes and of `validate`'s
 # output with its timings stripped.  Bytes may move only with the package
 # version, so a new version re-pins them; they hold on one numpy version.
-PINNED_VERSION, PINNED_NUMPY = "0.9.0", "2.4.6"
+PINNED_VERSION, PINNED_NUMPY = "0.10.0", "2.4.6"
 PINNED_SHA256 = {
-    "fig3-fd-norsi-outage.csv": "531088358476934286300a2c42f7584fc7730c96cf6e515934d62d4e3defe026",
-    "fig3-fd-rsi12-outage.csv": "53ed677f218100f1e55d8dc20d2cbced734e389723a0d1dba2fb11d992b08670",
-    "fig3-fd-rsi12-last17-outage.csv": "998b0eeccf589fa5ef8140ca578cdfee19aeeddcf3ec4970a159acf411bc790b",
-    "fig3-fd-rsi35-outage.csv": "841ef55c027ecc19c779ddf93635035c8dfd358fc64041a17d85bc8849148103",
-    "fig3-fd-rsi5-outage.csv": "f83fce2935403262a91da02d820c1893f3a80f4c11a2b80ae4a307e93545589d",
-    "fig3-fd-rsi5-last17-outage.csv": "1b6112115cf682d6cc7e041af916c2f9042b78257a1955f7bf6fb1fb7511f7af",
-    "fig3-hd-outage.csv": "64b8fe72414f422b0cea29d00a045b11be37f0b41e921e936e06384be4afc134",
-    "dist-snr10-rsi0-distribution.csv": "3bb10ca9980d58a1bb4f650cf01005ac19fb548afc56f7e43c2310aa128ad5e8",
-    "dist-snr10-rsineg10-distribution.csv": "cacd9d947a2da6081869ba2297a544b6db35189be1acdd95722e742ad846d4e1",
-    "dist-snr20-rsi0-distribution.csv": "4079857842430d7c85b00e3729a19c9036e91dc48befa63fb1e731bcb1843269",
-    "dist-snr30-rsi15-distribution.csv": "9d892e6a4cede096413c41127ef0e3aa4edce630a704478599777c418f0574f9",
-    "validate": "c1509164ace76018d2f429d1f68e30c661c5fb2128f1f605a72b59a64fc14d64",
+    "fig3-fd-norsi-outage.csv": "7c9b2e344df24f6b0aabac606e2341954676f8f3f29755eba282891797dd49f6",
+    "fig3-fd-rsi12-outage.csv": "4f251e8e2c67817ffe3487cbba44ebf17ff03bb5272d5f48ef14706b3b0b877c",
+    "fig3-fd-rsi12-last17-outage.csv": "e882adfc7bbab3ab034977f3f14a9daff276c78c8a41a0c3eb5ae7d6369870bf",
+    "fig3-fd-rsi35-outage.csv": "4315fd8ee4c46e6e15a3d5c7f6003a9d2506182e4b0905705d47e7ef16617a33",
+    "fig3-fd-rsi5-outage.csv": "3b67f954fd0b6964a1cfae2d4afeb2a7c882ff065b46630d4a1993ce819c6ae8",
+    "fig3-fd-rsi5-last17-outage.csv": "291fdc7013379294ad4fb67553feaf01d39721ebfcbe04fc5850bd6f486f74b4",
+    "fig3-hd-outage.csv": "bcf4945c2f2d9afc39a4887a3a3de8a88f2ce49efddc81d141c44354e8a2c7c1",
+    "dist-snr10-rsi0-distribution.csv": "c37660076c24a0067893e36df8574639dff5d955e57ea1e1f141edb1b1a183dd",
+    "dist-snr10-rsineg10-distribution.csv": "2cc10197a20b7c1712428657004b4c35541c425ea83873d5b7f8a633c87da663",
+    "dist-snr20-rsi0-distribution.csv": "7f0c609ec743fe2fb69d3e205417d4713009172bcbe23ba32db5739eb14e8bc0",
+    "dist-snr30-rsi15-distribution.csv": "cb07851b2e7a6743d60579cf89820e11eeede07cc6f72e84264469325448aaa6",
+    "validate": "f342b0d8b7cdbb29b5388c76fe44e29812d3187b38984da26ac0feada49528b6",
 }
 OUTAGE_PRESETS = (
     "fig3-fd-norsi", "fig3-fd-rsi12", "fig3-fd-rsi12-last17", "fig3-fd-rsi35",

@@ -2,8 +2,10 @@
 
 Both forms of the kernel -- closed-form entries for receive Gram forms of
 at most two rows, the Bartlett factor above -- are checked on identical
-Gram forms (the dense matrices formed from the drawn entries or factor)
-against ``descending_spectra`` and conftest's ``logdet2_psd``, with the
+Gram forms (the dense matrices formed from the drawn entries or factor,
+the interference form of at most two rows as the diagonal of its
+eigensolver spectrum, the frame the closed form reads the desired entries
+in) against ``descending_spectra`` and conftest's ``logdet2_psd``, with the
 pairing bounds and both mutual informations written out below as
 differences of log-dets.  Where the formed matrices lose digits -- powers
 far apart -- the factor route is checked against a rank-one closed form
@@ -96,6 +98,10 @@ def _assert_kernel_matches_reference(rx, tx, rsi_tx):
         _assert_spectrum_matches(gram)
         _assert_spectrum_matches(rsi_gram)
     w, wbar = dense_gram(gram), dense_gram(rsi_gram)
+    if rx <= MAX_CLOSED_FORM_RX:
+        # the closed form reads W's entries in Wbar's eigenframe, where Wbar
+        # is the diagonal of its spectrum, taken here by the eigensolver
+        wbar = descending_spectra(wbar)[..., np.newaxis] * np.eye(rx)
     for eta in SCALES:
         for rho in (0.0,) + SCALES:
             rsi = rsi_gram if rho > 0.0 else None

@@ -267,6 +267,24 @@ def test_fd_without_rsi_equals_twice_hd():
     assert np.any((fd > 0.0) & (fd < 1.0))
 
 
+def test_rsi_levels_share_their_desired_link_draws():
+    # each hop draws its desired link before its interference link, and
+    # neither draw depends on the RSI level, so on one stream every
+    # realization sees the same channels at every level: a vanishing RSI
+    # reproduces the RSI-free realizations, and the exact mutual
+    # information, decreasing in rho for fixed channels, falls realization
+    # by realization as the RSI grows
+    def weakest_hop(rsi_db):
+        hop = HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20.0, rsi_snr_db=rsi_db)
+        return sample_min_mutual_info(_chain(3, hop=hop), substream(SEED, 40), 4096)
+
+    free = weakest_hop(None)
+    faint, weak, strong = (weakest_hop(db) for db in (-300.0, 0.0, 10.0))
+    np.testing.assert_allclose(faint, free, rtol=0.0, atol=1e-12)
+    assert np.all(weak <= free + 1e-12) and np.all(strong <= weak + 1e-12)
+    assert np.median(free - strong) > 1.0
+
+
 def test_empirical_outage_matches_broadcast_compare(monkeypatch):
     # ties in the samples and rates equal to sample values: "in outage"
     # means strictly below the rate, as in the broadcast compare over every

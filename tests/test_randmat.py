@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import dense_gram, draw_channels
 from relay_outage.randmat import (
+    _EXPONENTIAL_SUM_MAX_SHAPE,
     SmallGram,
     WishartParams,
+    _gamma,
     descending_spectra,
     sample_gram,
 )
@@ -120,18 +123,19 @@ def test_descending_spectra_batched_matches_single():
     np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("cols", (1, 3))
+@pytest.mark.parametrize("cols", (1, 3, 5))
 def test_small_gram_draws_g1_then_z_then_g2(cols):
+    # g1 ~ Gamma(cols), then |z|^2 ~ Exp(1), then g2 ~ Gamma(cols - 1); no
+    # normal is drawn
     drawn = substream(SEED, 8)
     got = sample_gram(50, 2, cols, drawn)
     stream = substream(SEED, 8)
-    g1 = stream.standard_gamma(cols, 50)
-    z = np.sqrt(0.5) * stream.standard_normal((2, 50))
-    g2 = stream.standard_gamma(cols - 1, 50) if cols > 1 else 0.0
+    g1 = _gamma(cols, 50, stream)
+    z_sq = stream.standard_exponential(50)
+    g2 = _gamma(cols - 1, 50, stream) if cols > 1 else 0.0
     assert np.array_equal(got.a, g1)
-    assert np.array_equal(got.b_re, np.sqrt(g1) * z[0])
-    assert np.array_equal(got.b_im, np.sqrt(g1) * z[1])
-    assert np.array_equal(got.d, z[0] * z[0] + z[1] * z[1] + g2)
+    assert np.array_equal(got.b_sq, g1 * z_sq)
+    assert np.array_equal(got.d, z_sq + g2)
     assert np.array_equal(got.det, g1 * g2)
     assert drawn.standard_normal() == stream.standard_normal()
     # a single row is the one Gamma(cols) draw
@@ -151,9 +155,41 @@ def test_dense_gram_draws_row_by_row(cols):
         below = np.sqrt(0.5) * stream.standard_normal((2, 50, min(i, cols)))
         factor[:, i, : min(i, cols)] = below[0] + 1j * below[1]
         if i < cols:
-            factor[:, i, i] = np.sqrt(stream.standard_gamma(cols - i, 50))
+            factor[:, i, i] = np.sqrt(_gamma(cols - i, 50, stream))
     assert np.array_equal(got, factor)
     assert drawn.standard_normal() == stream.standard_normal()
+
+
+def test_small_integer_gamma_shapes_are_exponential_sums():
+    # up to the cutoff Gamma(k) is the sum of a (k, n) block of unit
+    # exponentials, above it numpy's standard_gamma
+    for k in range(1, 6):
+        got = _gamma(k, 50, substream(SEED, 11))
+        stream = substream(SEED, 11)
+        if k <= _EXPONENTIAL_SUM_MAX_SHAPE:
+            want = stream.standard_exponential((k, 50)).sum(axis=0)
+        else:
+            want = stream.standard_gamma(k, 50)
+        assert np.array_equal(got, want), k
+
+
+GAMMA_DRAWS = 200_000
+# family-wise false-alarm rate of the Gamma law test over its five shapes
+GAMMA_ALPHA = 0.0027
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5))
+def test_gamma_draw_has_the_gamma_law(k):
+    # One-sample KS test of _gamma(k) against scipy's Gamma(k) CDF, at
+    # shapes on both sides of the exponential-sum cutoff.  Sidak over the
+    # five shapes: each test runs at 1 - (1 - GAMMA_ALPHA)^(1/5), so all
+    # five pass together with probability 1 - GAMMA_ALPHA under the law;
+    # the limit is the exact one-sample KS quantile at that level and n.
+    per_test = 1.0 - (1.0 - GAMMA_ALPHA) ** (1.0 / 5)
+    limit = stats.kstwo.isf(per_test, GAMMA_DRAWS)
+    draws = _gamma(k, GAMMA_DRAWS, substream(SEED, 12, k))
+    distance = stats.kstest(draws, stats.gamma(k).cdf).statistic
+    assert distance <= limit, f"Gamma({k}): KS {distance:.2e} > {limit:.2e}"
 
 
 def test_sample_gram_is_dense_above_two_rows():
