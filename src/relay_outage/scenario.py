@@ -39,8 +39,10 @@ from .mutual_info import HopConfig
 from .outage import DuplexMode, NetworkConfig
 
 DEFAULT_SEED = 12345
-# Largest rate grid accepted; the presets use 57 points, the finest benchmark grid 281.
-MAX_RATE_POINTS = 100_000
+# Most rows a result CSV may have: the points of a rate grid (the presets
+# use 57, the finest benchmark grid 281) or a distribution's histogram bins
+# (the presets' 0.1-bit bins make 92 to 143).
+MAX_CSV_ROWS = 100_000
 # Largest draw count accepted, from a scenario key or a --samples or
 # --realizations flag; the largest benchmark run draws 10^6.
 MAX_DRAWS = 100_000_000
@@ -292,10 +294,10 @@ def parse_scenario_text(text: str, name: str, source: str = "<scenario>") -> Sce
         raise ScenarioError(
             f"rates: stop ({stop}) must not be below start ({start})", source, rates_line
         )
-    if _rate_points(start, stop, step) > MAX_RATE_POINTS:
+    if _rate_points(start, stop, step) > MAX_CSV_ROWS:
         raise ScenarioError(
             f"rates: the grid from {start} to {stop} in steps of {step} has more "
-            f"than {MAX_RATE_POINTS} points",
+            f"than {MAX_CSV_ROWS} points",
             source,
             rates_line,
         )

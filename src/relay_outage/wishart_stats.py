@@ -59,7 +59,9 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``n``-point Gauss-Legendre nodes and weights on ``[-1, 1]``, by Newton's method.
 
     numpy's ``leggauss`` agrees to 2e-16 but calls a threaded LAPACK solver,
-    which stalled for up to 0.5 s per process on a 2-vCPU machine.
+    which stalled for up to 0.5 s per process on a 2-vCPU machine.  The CLI
+    runs BLAS on one thread; library callers keep numpy's pool, and this
+    rule still spares them the stall.
     """
     x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
     for _ in range(100):
@@ -248,7 +250,8 @@ def _hop_moments_on_grid(hop: HopConfig, n: int) -> tuple[float, float]:
     g = pair_gain(x_alpha[:, np.newaxis], x_beta, hop.eta, hop.rho)
     # einsum rather than matmul: BLAS would bring its threads and work
     # buffers into an outage run for these small products (about 0.5 MB
-    # of peak RSS), and numpy's own loops take well under a millisecond
+    # of peak RSS), and numpy's own loops take well under a millisecond.
+    # The CLI's pool is one thread, but a library caller keeps numpy's.
     if rows == 1:
         mean = np.einsum("i,ij,j->", alpha, g, beta)
         c = g - mean

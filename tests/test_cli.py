@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import hashlib
 import math
+import os
 import re
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import relay_outage
 from relay_outage import __version__, cli, outage
 from relay_outage.cli import ERROR_PREFIX, _ks_distance, _skewness, _write_result
 from relay_outage.mutual_info import EXACT, MAX_POWER_DB, MIDPOINT, HopConfig, sample_hop_fields
@@ -49,6 +52,18 @@ def scenario_file(tmp_path):
     path = tmp_path / "smoke.scenario"
     path.write_text(SMALL_SCENARIO, encoding="utf-8")
     return path
+
+
+def _run_clean(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` in a child whose environment holds only this
+    checkout's ``PYTHONPATH`` and ``env``, so no caller's setting leaks in."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **(env or {})},
+        timeout=120,
+    )
 
 
 def _read_csv(path):
@@ -449,14 +464,8 @@ def test_zero_variance_hops_run_clean_and_are_reported(command, tmp_path):
     # real streams: exit 0, nothing on stderr, a header line per hop
     path = tmp_path / "extreme.scenario"
     path.write_text(EXTREME_SCENARIO.format(n=3, snr=-300.0, rsi="none"), encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "relay_outage.cli", command, "--scenario", str(path),
-         "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
-        timeout=120,
-    )
+    proc = _run_clean("-m", "relay_outage.cli", command, "--scenario", str(path),
+                      "--out", str(tmp_path))
     assert proc.returncode == 0 and proc.stderr == ""
     header, rows = _read_csv(tmp_path / f"extreme-{command}.csv")
     if command == "distribution":  # a constant sample has no skewness
@@ -572,14 +581,8 @@ def test_unusable_out_exits_2(tmp_path):
     # no directory can be made below a regular file
     (tmp_path / "plain").write_text("", encoding="utf-8")
     out = tmp_path / "plain" / "results"
-    proc = subprocess.run(
-        [sys.executable, "-m", "relay_outage.cli", "outage", "--preset", "fig3-hd",
-         "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
-        timeout=120,
-    )
+    proc = _run_clean("-m", "relay_outage.cli", "outage", "--preset", "fig3-hd",
+                      "--out", str(out))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"{ERROR_PREFIX} ")
@@ -606,14 +609,8 @@ def test_usage_errors_are_one_stderr_line(args, tmp_path):
         "[hop]\ntx_antennas = 2\nrx_antennas = 2\nsnr_db = 4000\n",
         encoding="utf-8",
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "relay_outage.cli",
-         *(arg.format(loud=loud) for arg in args), "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
-        timeout=120,
-    )
+    proc = _run_clean("-m", "relay_outage.cli",
+                      *(arg.format(loud=loud) for arg in args), "--out", str(tmp_path))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
@@ -696,6 +693,26 @@ def test_huge_rate_grid_exits_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("width", ("1e-12", "1e-310"))
+def test_huge_histogram_exits_2(width, tmp_path, capsys):
+    # 1e-12-bit bins over this sample's ~10-bit range would take 1e13 edges
+    # (75 TiB), and a subnormal width overflows the count; both are refused
+    # before anything is allocated
+    path = tmp_path / "fine.scenario"
+    path.write_text(
+        SMALL_SCENARIO.replace("bin_width = 0.25", f"bin_width = {width}"), encoding="utf-8"
+    )
+    argv = ["distribution", "--scenario", str(path), "--samples", "1000", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{ERROR_PREFIX} ")
+    assert len(captured.err.splitlines()) == 1
+    assert f"bin_width = {float(width)!r} makes " in captured.err
+    assert "histogram bins, more than 100000" in captured.err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("n", (5000, 20000))
 def test_distribution_stats_match_scipy(n):
     exact, midpoint = sample_hop_fields(
@@ -736,14 +753,7 @@ print(loaded)
 
 
 def _modules_loaded_by(run: str) -> str:
-    src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_PROBE.format(run=run)],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(src)},
-        timeout=120,
-    )
+    proc = _run_clean("-c", _SCIPY_FREE_PROBE.format(run=run))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
@@ -760,3 +770,61 @@ def test_commands_other_than_validate_do_not_load_scipy(command, scenario_file, 
 def test_validate_does_not_load_scipy():
     run = "assert cli.main(['validate', '--samples', '1000', '--realizations', '2000']) == 0"
     assert _modules_loaded_by(run) == str(["relay_outage.validation"])
+
+
+# Imports ``first``, then runs ``statement`` and prints which environment
+# variables it changed, the process's thread count (None without
+# /proc/self/task) and whether numpy is loaded.
+_STATE_PROBE = """
+import os, sys
+{first}
+before = dict(os.environ)
+{statement}
+after = dict(os.environ)
+changed = {{k: after.get(k) for k in before.keys() | after.keys() if before.get(k) != after.get(k)}}
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(repr((changed, tasks, "numpy" in sys.modules)))
+"""
+
+
+def _state_after(statement: str, first: str = "", env: dict[str, str] | None = None):
+    proc = _run_clean("-c", _STATE_PROBE.format(first=first, statement=statement), env=env)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_cli_runs_blas_on_one_thread():
+    changed, tasks, _ = _state_after("from relay_outage import cli")
+    assert changed == {"OPENBLAS_NUM_THREADS": "1"}
+    if tasks is not None:
+        assert tasks == 1  # numpy started no OpenBLAS worker
+
+
+def test_cli_keeps_a_callers_blas_threads():
+    changed, tasks, _ = _state_after(
+        "from relay_outage import cli", env={"OPENBLAS_NUM_THREADS": "2"}
+    )
+    assert changed == {}
+    if tasks is not None:  # OpenBLAS runs at most one thread per usable CPU
+        assert tasks == min(2, len(os.sched_getaffinity(0)))
+
+
+def test_cli_leaves_a_loaded_numpy_alone():
+    changed, _, numpy_loaded = _state_after("from relay_outage import cli", first="import numpy")
+    assert changed == {} and numpy_loaded
+
+
+def test_package_import_loads_no_numpy():
+    changed, _, numpy_loaded = _state_after("import relay_outage")
+    assert changed == {} and not numpy_loaded
+
+
+def test_public_names_are_their_modules_objects():
+    names = set(relay_outage.__all__) - {"__version__"}
+    for name in names:
+        value = getattr(relay_outage, name)
+        assert value is getattr(sys.modules[value.__module__], name)
+        assert value.__module__.startswith("relay_outage.")
+    assert set(relay_outage.__all__) <= set(dir(relay_outage))
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        relay_outage.nope

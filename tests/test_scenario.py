@@ -10,8 +10,8 @@ from relay_outage.outage import DuplexMode, NetworkConfig
 from relay_outage.scenario import (
     _HOP_KEYS,
     _SECTIONS,
+    MAX_CSV_ROWS,
     MAX_DRAWS,
-    MAX_RATE_POINTS,
     ScenarioError,
     load_preset,
     parse_scenario,
@@ -306,10 +306,10 @@ def test_rate_grid_point_cap():
         "[hop]\ntx_antennas = 1\nrx_antennas = 1\nsnr_db = 0\n"
         "[rates]\nstart = 0\nstep = {step}\nstop = {stop}\n"
     )
-    at_cap = parse_scenario_text(base.format(step=1, stop=MAX_RATE_POINTS - 1), name="cap")
-    assert at_cap.rates.size == MAX_RATE_POINTS
-    for step, stop in ((1, MAX_RATE_POINTS), (1e-9, 14), (1e-320, 14)):
-        with pytest.raises(ScenarioError, match=f"more than {MAX_RATE_POINTS} points"):
+    at_cap = parse_scenario_text(base.format(step=1, stop=MAX_CSV_ROWS - 1), name="cap")
+    assert at_cap.rates.size == MAX_CSV_ROWS
+    for step, stop in ((1, MAX_CSV_ROWS), (1e-9, 14), (1e-320, 14)):
+        with pytest.raises(ScenarioError, match=f"more than {MAX_CSV_ROWS} points"):
             parse_scenario_text(base.format(step=step, stop=stop), name="fine")
 
 
