@@ -38,26 +38,6 @@ MAX_CLOSED_FORM_RX = 2
 _EXPONENTIAL_SUM_MAX_SHAPE = 3
 
 
-@dataclass(frozen=True)
-class WishartParams:
-    """Order ``m`` and degrees of freedom ``p`` of a Gram-form sample.
-
-    ``m`` is the smaller of the two channel dimensions, ``p`` the larger.
-    """
-
-    m: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.m <= self.p):
-            raise ValueError(f"need p >= m >= 1, got m={self.m}, p={self.p}")
-
-    @property
-    def d(self) -> int:
-        """Dimension surplus ``p - m``."""
-        return self.p - self.m
-
-
 def descending_spectra(ws: np.ndarray) -> np.ndarray:
     """Spectra of a stack of Hermitian PSD matrices, descending per matrix.
 

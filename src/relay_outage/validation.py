@@ -26,7 +26,6 @@ import numpy as np
 from . import outage as _outage
 from .mutual_info import EXACT, LOWER, UPPER, HopConfig, map_hop_chunks, sample_hop_fields
 from .outage import DuplexMode, NetworkConfig, montecarlo_outage
-from .randmat import WishartParams
 from .rng import STREAM_VALIDATION, substream
 from .scenario import DEFAULT_SEED
 from .wishart_stats import eigen_expectation, expected_logdet, gauss_legendre
@@ -107,8 +106,8 @@ def check_density_normalization(
     grid: tuple[tuple[int, int], ...] = DENSITY_GRID,
 ) -> CheckResult:
     worst = 0.0
-    for m, p in grid:
-        mass, _ = eigen_expectation(WishartParams(m, p), np.ones_like)
+    for rows, cols in grid:
+        mass, _ = eigen_expectation(rows, cols, np.ones_like)
         worst = max(worst, abs(mass - 1.0))
     return CheckResult(
         "density-normalization",
@@ -147,9 +146,9 @@ def check_logdet_moments(
     cases: tuple[tuple[int, int, float], ...] = MOMENT_CASES,
 ) -> CheckResult:
     worst = 0.0
-    for i, (m, p, scale) in enumerate(cases):
-        hop = hop_at_scales(m, p, scale)
-        analytic = expected_logdet(WishartParams(m, p), hop.eta)
+    for i, (rx, tx, scale) in enumerate(cases):
+        hop = hop_at_scales(rx, tx, scale)
+        analytic = expected_logdet(hop.rx_antennas, hop.tx_antennas, hop.eta)
         rng = substream(seed, STREAM_VALIDATION, 2, i)
         (values,) = sample_hop_fields(hop, n_samples, rng, (EXACT,))
         gap = abs(float(values.mean()) - analytic)

@@ -1,8 +1,9 @@
 """Analytic eigenvalue statistics of uncorrelated central Wishart matrices.
 
-The single-eigenvalue marginal density is expressed through orthonormal
-generalized Laguerre functions for the weight ``x^d e^-x`` with
-``d = p - m``:
+Each law is named by its channel's ``(rows, cols)``, as ``sample_gram``
+draws it, and is symmetric in them.  The single-eigenvalue marginal density
+is expressed through orthonormal generalized Laguerre functions for the
+weight ``x^d e^-x``, ``m = min(rows, cols)`` and ``d = |rows - cols|``:
 
     f(x) = (1/m) * sum_{i=0}^{m-1} [i!/(i+d)!] (L_i^d(x))^2 x^d e^-x
 
@@ -16,7 +17,7 @@ The same rule, at ``PAIR_NODES`` nodes, carries the unordered eigenvalue
 law of a Gram form of at most two rows (:func:`eigen_weights`), for two
 rows the pair density of James (Ann. Math. Stat. 35, 1964)
 
-    f(a1, a2) = (a1 - a2)^2 (a1 a2)^(p-2) e^(-a1-a2) / (2 (p-1)! (p-2)!),
+    f(a1, a2) = (a1 - a2)^2 (a1 a2)^(cols-2) e^(-a1-a2) / (2 (cols-1)! (cols-2)!),
 
 from which :func:`quadrature_hop_moments` computes, without sampling, the
 hop moments that feed the Gaussian closed form wherever it converges.
@@ -29,12 +30,11 @@ import math
 import numpy as np
 
 from .mutual_info import LN2, HopConfig, HopMoments, pair_gain
-from .randmat import WishartParams
 
 # Absolute quadrature tolerance for expectations, in bits.
 QUAD_ABS_TOL = 1e-6
-# The integration interval is cut where the weight x^(p+m) e^-x drops
-# below this level.
+# The integration interval is cut where the weight x^(rows+cols) e^-x
+# drops below this level.
 WEIGHT_FLOOR = 1e-12
 # Gauss-Legendre nodes per integral; the error estimate is the gap to the
 # rule with half as many.
@@ -119,15 +119,23 @@ def laguerre(order: int, d: int, x):
     return cur if cur.ndim else float(cur)
 
 
-def marginal_eigen_density(params: WishartParams, lam):
-    """Marginal density of one (unordered) eigenvalue of an ``(m, p)`` sample.
+def _order(rows: int, cols: int) -> tuple[int, int]:
+    """Laguerre order ``m = min(rows, cols)`` and surplus ``d = |rows - cols|``
+    of the Gram-form law of a ``rows x cols`` channel."""
+    if rows < 1 or cols < 1:
+        raise ValueError(f"channel dimensions must be positive, got {rows}x{cols}")
+    return min(rows, cols), abs(rows - cols)
+
+
+def marginal_eigen_density(rows: int, cols: int, lam):
+    """Marginal density of one (unordered) nonzero eigenvalue of a ``rows x cols`` channel.
 
     Non-negative and normalized to unit mass on ``[0, inf)``.
     """
+    m, d = _order(rows, cols)
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0.0):
         raise ValueError("eigenvalue arguments must be non-negative")
-    m, d = params.m, params.d
     total = np.zeros_like(lam)
     for i in range(m):
         total += laguerre(i, d, lam) ** 2 / math.perm(i + d, d)  # i!/(i+d)!
@@ -135,9 +143,10 @@ def marginal_eigen_density(params: WishartParams, lam):
     return dens if dens.ndim else float(dens)
 
 
-def integration_cutoff(params: WishartParams) -> float:
-    """Upper integration limit: where ``x^(p+m) e^-x`` falls below WEIGHT_FLOOR."""
-    k = params.p + params.m
+def integration_cutoff(rows: int, cols: int) -> float:
+    """Upper integration limit: where ``x^(rows+cols) e^-x`` falls below WEIGHT_FLOOR."""
+    m, d = _order(rows, cols)
+    k = 2 * m + d
     target = -math.log(WEIGHT_FLOOR)
     x = target + k
     for _ in range(100):
@@ -148,7 +157,7 @@ def integration_cutoff(params: WishartParams) -> float:
     return x
 
 
-def eigen_expectation(params: WishartParams, fn) -> tuple[float, float]:
+def eigen_expectation(rows: int, cols: int, fn) -> tuple[float, float]:
     """``integral fn(x) f(x) dx`` over ``[0, integration_cutoff]``, and its error estimate.
 
     By ``gauss_legendre`` in ``t = sqrt(x)`` (``dx = 2t dt``), where the
@@ -156,33 +165,33 @@ def eigen_expectation(params: WishartParams, fn) -> tuple[float, float]:
     interval for the rule to converge up to ``scale ~ 1e6``.
     """
     return gauss_legendre(
-        lambda t: 2.0 * t * fn(t * t) * marginal_eigen_density(params, t * t),
-        0.0, math.sqrt(integration_cutoff(params)),
+        lambda t: 2.0 * t * fn(t * t) * marginal_eigen_density(rows, cols, t * t),
+        0.0, math.sqrt(integration_cutoff(rows, cols)),
     )
 
 
-def expected_logdet(params: WishartParams, scale: float) -> float:
-    """Mean of ``log2 det(I + scale * W)`` over ``(m, p)`` Wishart samples.
+def expected_logdet(rows: int, cols: int, scale: float) -> float:
+    """Mean of ``log2 det(I + scale * H H^+)`` over ``rows x cols`` channels ``H``.
 
     Evaluated as ``m * integral log2(1 + scale x) f(x) dx`` by
     ``eigen_expectation``, accurate to ``QUAD_ABS_TOL`` bits.
     """
+    m, _ = _order(rows, cols)
     if scale < 0.0:
         raise ValueError(f"scale must be non-negative, got {scale}")
     if scale == 0.0:
         return 0.0
-    value, err = eigen_expectation(params, lambda lam: np.log1p(scale * lam) / LN2)
-    total = params.m * value
-    if params.m * err > QUAD_ABS_TOL:
+    value, err = eigen_expectation(rows, cols, lambda lam: np.log1p(scale * lam) / LN2)
+    if m * err > QUAD_ABS_TOL:
         raise ArithmeticError(
-            f"quadrature error estimate {params.m * err:.2e} bits exceeds "
+            f"quadrature error estimate {m * err:.2e} bits exceeds "
             f"tolerance {QUAD_ABS_TOL}"
         )
-    return total
+    return m * value
 
 
-def eigen_grid(params: WishartParams, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points and weights of the ``n``-node rule for the eigenvalues of ``params``.
+def eigen_grid(rows: int, cols: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the ``n``-node rule for the eigenvalues of a ``rows x cols`` channel.
 
     The Gauss-Legendre nodes in ``t = sqrt(x)`` on
     ``[0, sqrt(integration_cutoff)]``, as points ``x`` with weights for
@@ -190,7 +199,7 @@ def eigen_grid(params: WishartParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues of rank-deficient and interference-free links.
     """
     nodes, weights = _legendre_rule(n)
-    half = 0.5 * math.sqrt(integration_cutoff(params))
+    half = 0.5 * math.sqrt(integration_cutoff(rows, cols))
     t = half * (nodes + 1.0)
     return (
         np.concatenate(([0.0], t * t)),
@@ -211,10 +220,9 @@ def eigen_weights(rows: int, cols: int, n: int = PAIR_NODES) -> tuple[np.ndarray
     """
     if rows not in (1, MAX_QUADRATURE_RX):
         raise ValueError(f"eigenvalue weights need 1 or 2 rows, got {rows}")
-    params = WishartParams(min(rows, cols), max(rows, cols))
-    x, w = eigen_grid(params, n)
-    d = params.d
-    if params.m == 1:
+    m, d = _order(rows, cols)
+    x, w = eigen_grid(rows, cols, n)
+    if m == 1:
         single = w * (1.0 / math.factorial(d) * x**d * np.exp(-x))  # Gamma(d + 1)
         if rows == 1:
             law = single

@@ -53,7 +53,6 @@ from conftest import ACCEPTANCE_LINES
 from relay_outage import cli, validation
 from relay_outage.mutual_info import APPROX_MI, EXACT, EXACT_MI, MIDPOINT, sample_hop_fields
 from relay_outage.outage import DuplexMode, analytical_outage, montecarlo_outage
-from relay_outage.randmat import WishartParams
 from relay_outage.rng import STREAM_DISTRIBUTION, STREAM_HOP_MOMENTS, STREAM_NETWORK_MC, substream
 from relay_outage.scenario import load_preset
 from relay_outage.wishart_stats import expected_logdet
@@ -364,7 +363,7 @@ def test_strong_attenuation_matches_no_rsi(curve_runs):
     sc = load_preset("fig3-fd-rsi35")
     assert sc.network.hops[0].rsi_snr_db == RSI35_DB
     rho = 10.0 ** (RSI35_DB / 10.0) / RSI35_TX_ANTENNAS
-    ell = expected_logdet(WishartParams(m=2, p=RSI35_TX_ANTENNAS), rho)
+    ell = expected_logdet(2, RSI35_TX_ANTENNAS, rho)
 
     rates = sc.rates
     p0 = curve_runs["fig3-fd-norsi"].montecarlo

@@ -6,7 +6,6 @@ from conftest import dense_gram, draw_channels
 from relay_outage.randmat import (
     _EXPONENTIAL_SUM_MAX_SHAPE,
     SmallGram,
-    WishartParams,
     _gamma,
     descending_spectra,
     sample_gram,
@@ -14,15 +13,6 @@ from relay_outage.randmat import (
 from relay_outage.rng import substream
 
 SEED = 20240901
-
-
-def test_wishart_params_validation():
-    params = WishartParams(2, 3)
-    assert params.d == 1
-    with pytest.raises(ValueError):
-        WishartParams(3, 2)
-    with pytest.raises(ValueError):
-        WishartParams(0, 1)
 
 
 def test_sample_gram_deterministic():

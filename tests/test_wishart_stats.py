@@ -9,7 +9,7 @@ from scipy.special import eval_genlaguerre, exp1
 from conftest import LAW_CASES, channel_grams
 from relay_outage.mutual_info import APPROX_MI, LN2, HopConfig, sample_hop_fields
 from relay_outage.outage import DuplexMode, NetworkConfig, chain_moments
-from relay_outage.randmat import WishartParams, descending_spectra
+from relay_outage.randmat import descending_spectra
 from relay_outage.rng import substream
 from relay_outage.scenario import MAX_DRAWS
 from relay_outage.wishart_stats import (
@@ -63,19 +63,17 @@ def test_laguerre_rejects_negative_argument():
 
 
 def test_density_exponential_special_case():
-    params = WishartParams(1, 1)
     lam = np.linspace(0.0, 8.0, 17)
     np.testing.assert_allclose(
-        marginal_eigen_density(params, lam), np.exp(-lam), rtol=1e-12
+        marginal_eigen_density(1, 1, lam), np.exp(-lam), rtol=1e-12
     )
 
 
 def test_density_normalization():
-    params = WishartParams(2, 3)
     mass, _ = quad(
-        lambda x: marginal_eigen_density(params, x),
+        lambda x: marginal_eigen_density(2, 3, x),
         0.0,
-        integration_cutoff(params),
+        integration_cutoff(2, 3),
         epsabs=1e-10,
         epsrel=1e-10,
         limit=200,
@@ -85,26 +83,24 @@ def test_density_normalization():
 
 @pytest.mark.parametrize("m,p", [(1, 2), (2, 2), (3, 5), (8, 12)])
 def test_density_nonnegative(m, p):
-    params = WishartParams(m, p)
-    lam = np.linspace(0.0, integration_cutoff(params), 200)
-    assert np.all(marginal_eigen_density(params, lam) >= 0.0)
+    lam = np.linspace(0.0, integration_cutoff(m, p), 200)
+    assert np.all(marginal_eigen_density(m, p, lam) >= 0.0)
 
 
 def test_density_rejects_negative_lambda():
     with pytest.raises(ValueError):
-        marginal_eigen_density(WishartParams(2, 2), -1.0)
+        marginal_eigen_density(2, 2, -1.0)
 
 
 def test_density_matches_sampled_eigenvalues():
     # pooled unordered 2x2 eigenvalues against the marginal, bin-averaged
-    params = WishartParams(2, 2)
     lam = descending_spectra(channel_grams(100_000, 2, 2, substream(SEED, 0))).ravel()
     width = 0.5
     edges = np.arange(0.0, 10.0 + width, width)
     hist = np.histogram(lam, bins=edges)[0] / (lam.size * width)
     binned = np.array(
         [
-            quad(lambda x: marginal_eigen_density(params, x), a, b)[0] / width
+            quad(lambda x: marginal_eigen_density(2, 2, x), a, b)[0] / width
             for a, b in zip(edges[:-1], edges[1:])
         ]
     )
@@ -113,20 +109,19 @@ def test_density_matches_sampled_eigenvalues():
 
 def test_integration_cutoff_reaches_weight_floor():
     for m, p in [(1, 1), (2, 4), (8, 12)]:
-        params = WishartParams(m, p)
-        cutoff = integration_cutoff(params)
+        cutoff = integration_cutoff(m, p)
         assert cutoff ** (m + p) * math.exp(-cutoff) <= WEIGHT_FLOOR * 1.01
 
 
 def test_expected_logdet_zero_scale():
-    assert expected_logdet(WishartParams(2, 2), 0.0) == 0.0
+    assert expected_logdet(2, 2, 0.0) == 0.0
 
 
 def test_expected_logdet_exponential_integral():
     # for the 1x1 case the integral is e * E1(1) / ln 2
     expected = math.e * float(exp1(1.0)) / math.log(2.0)
     assert expected == pytest.approx(0.8603473822708868, abs=1e-15)
-    assert expected_logdet(WishartParams(1, 1), 1.0) == pytest.approx(
+    assert expected_logdet(1, 1, 1.0) == pytest.approx(
         expected, abs=1e-9
     )
 
@@ -135,43 +130,52 @@ def test_expected_logdet_exponential_integral():
 def test_expected_logdet_scalar_closed_form(scale):
     # 1x1: E log2(1 + s x) over x ~ Exp(1) is e^(1/s) E1(1/s) / ln 2
     expected = math.exp(1.0 / scale) * float(exp1(1.0 / scale)) / math.log(2.0)
-    assert expected_logdet(WishartParams(1, 1), scale) == pytest.approx(expected, abs=1e-9)
+    assert expected_logdet(1, 1, scale) == pytest.approx(expected, abs=1e-9)
 
 
 # acceptance 6's Wishart orders
 @pytest.mark.parametrize("m,p", [(m, p) for m in (1, 2, 4) for p in (m, m + 2)])
 @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
 def test_expected_logdet_matches_adaptive_quadrature(m, p, scale):
-    params = WishartParams(m, p)
     value, _ = quad(
-        lambda x: math.log1p(scale * x) / math.log(2.0) * marginal_eigen_density(params, x),
+        lambda x: math.log1p(scale * x) / math.log(2.0) * marginal_eigen_density(m, p, x),
         0.0,
-        integration_cutoff(params),
+        integration_cutoff(m, p),
         epsabs=1e-12,
         epsrel=1e-12,
         limit=500,
     )
-    assert expected_logdet(params, scale) == pytest.approx(m * value, abs=1e-9)
+    assert expected_logdet(m, p, scale) == pytest.approx(m * value, abs=1e-9)
 
 
 def test_expected_logdet_matches_monte_carlo():
-    params = WishartParams(2, 2)
-    analytic = expected_logdet(params, 10.0)
+    analytic = expected_logdet(2, 2, 10.0)
     spectra = descending_spectra(channel_grams(100_000, 2, 2, substream(SEED, 1)))
     empirical = (np.log1p(10.0 * spectra).sum(axis=-1) / LN2).mean()
     assert abs(empirical - analytic) / analytic < 0.01
 
 
 def test_expected_logdet_monotone_in_scale_and_p():
-    values = [expected_logdet(WishartParams(2, 2), s) for s in (0.5, 1.0, 10.0, 100.0)]
+    values = [expected_logdet(2, 2, s) for s in (0.5, 1.0, 10.0, 100.0)]
     assert all(a < b for a, b in zip(values, values[1:]))
-    by_p = [expected_logdet(WishartParams(2, p), 10.0) for p in (2, 3, 4, 6)]
+    by_p = [expected_logdet(2, p, 10.0) for p in (2, 3, 4, 6)]
     assert all(a < b for a, b in zip(by_p, by_p[1:]))
 
 
 def test_expected_logdet_rejects_negative_scale():
     with pytest.raises(ValueError):
-        expected_logdet(WishartParams(1, 1), -1.0)
+        expected_logdet(1, 1, -1.0)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (1, 4)])
+def test_laws_are_symmetric_in_the_channel_shape(rows, cols):
+    # a channel and its transpose have the same nonzero spectrum
+    assert expected_logdet(rows, cols, 10.0) == expected_logdet(cols, rows, 10.0)
+    assert integration_cutoff(rows, cols) == integration_cutoff(cols, rows)
+    with pytest.raises(ValueError):
+        expected_logdet(0, cols, 10.0)
+    with pytest.raises(ValueError):
+        integration_cutoff(rows, 0)
 
 
 @pytest.mark.parametrize("cols", (1, 2, 3, 4))
@@ -179,24 +183,22 @@ def test_pair_weights_row_sums_are_the_marginal_density(cols):
     # two receive rows: the unordered pair's row sums are the law of one
     # eigenvalue, the marginal density times the rule's weights; a rank-one
     # form puts half of it on the zero eigenvalue
-    params = WishartParams(min(2, cols), max(2, cols))
-    x, w = eigen_grid(params, PAIR_NODES)
+    x, w = eigen_grid(2, cols, PAIR_NODES)
     grid, law = eigen_weights(2, cols)
     assert np.array_equal(grid, x)
     assert np.array_equal(law, law.T) and np.all(law >= 0.0)
     row_sums = law.sum(axis=1)
     share = 0.5 if cols == 1 else 1.0
     np.testing.assert_allclose(
-        row_sums[1:], share * w[1:] * marginal_eigen_density(params, x[1:]), rtol=1e-12, atol=0.0
+        row_sums[1:], share * w[1:] * marginal_eigen_density(2, cols, x[1:]), rtol=1e-12, atol=0.0
     )
     assert row_sums[0] == pytest.approx(1.0 - share, abs=1e-14)
     assert row_sums.sum() == pytest.approx(1.0, abs=1e-14)
     # one receive row: the Gamma(cols) law, the one-row marginal density
-    single = WishartParams(1, cols)
-    x, w = eigen_grid(single, PAIR_NODES)
+    x, w = eigen_grid(1, cols, PAIR_NODES)
     grid, law = eigen_weights(1, cols)
     assert np.array_equal(grid, x)
-    np.testing.assert_allclose(law, w * marginal_eigen_density(single, x), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(law, w * marginal_eigen_density(1, cols, x), rtol=1e-12, atol=0.0)
     assert law.sum() == pytest.approx(1.0, abs=1e-14)
 
 
