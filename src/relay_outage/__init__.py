@@ -14,7 +14,7 @@ this module first.
 """
 import importlib
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "DuplexMode",

@@ -39,8 +39,8 @@ WEIGHT_FLOOR = 1e-12
 # Gauss-Legendre nodes per integral; the error estimate is the gap to the
 # rule with half as many.
 QUADRATURE_NODES = 256
-# Nodes of the eigenvalue rule behind the quadrature hop moments, with the
-# same error estimate.
+# Nodes of the eigenvalue rule behind the quadrature hop moments; their
+# error estimate is the gap to the rule with twice as many.
 PAIR_NODES = 64
 # Largest receive dimension whose hop moments have the quadrature form: up
 # to two rows the pairing midpoint is the mean over all eigenvalue pairs.
@@ -279,18 +279,18 @@ def quadrature_hop_moments(hop: HopConfig) -> HopMoments | None:
     :func:`~relay_outage.mutual_info.estimate_hop_moments` samples, in
     full-duplex form, under the exact eigenvalue laws of ``eigen_weights``.
     ``None`` for more than ``MAX_QUADRATURE_RX`` receive antennas, and
-    where the ``PAIR_NODES`` and ``PAIR_NODES // 2`` rules differ by more
-    than ``MOMENT_RTOL`` (RSI far above the link); an unconverged value is
-    never returned.
+    where the ``PAIR_NODES`` rule's values differ from those of the
+    ``2 * PAIR_NODES`` rule by more than ``MOMENT_RTOL`` (RSI far above the
+    link); an unconverged value is never returned.
     """
     if hop.rx_antennas > MAX_QUADRATURE_RX:
         return None
-    (mean, variance), (coarse_mean, coarse_variance) = (
-        _hop_moments_on_grid(hop, n) for n in (PAIR_NODES, PAIR_NODES // 2)
+    (mean, variance), (fine_mean, fine_variance) = (
+        _hop_moments_on_grid(hop, n) for n in (PAIR_NODES, 2 * PAIR_NODES)
     )
     converged = (
         variance >= 0.0
-        and abs(mean - coarse_mean) <= MOMENT_RTOL * math.sqrt(variance)
-        and abs(variance - coarse_variance) <= MOMENT_RTOL * variance
+        and abs(mean - fine_mean) <= MOMENT_RTOL * math.sqrt(variance)
+        and abs(variance - fine_variance) <= MOMENT_RTOL * variance
     )
     return HopMoments(mean=mean, variance=variance) if converged else None

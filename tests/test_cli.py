@@ -116,19 +116,19 @@ def test_outage_output_is_byte_stable(scenario_file, tmp_path):
 # sha256 of every preset's CSV at its default sizes and of `validate`'s
 # output with its timings stripped.  Bytes may move only with the package
 # version, so a new version re-pins them; they hold on one numpy version.
-PINNED_VERSION, PINNED_NUMPY = "0.10.0", "2.4.6"
+PINNED_VERSION, PINNED_NUMPY = "0.11.0", "2.4.6"
 PINNED_SHA256 = {
-    "fig3-fd-norsi-outage.csv": "7c9b2e344df24f6b0aabac606e2341954676f8f3f29755eba282891797dd49f6",
-    "fig3-fd-rsi12-outage.csv": "4f251e8e2c67817ffe3487cbba44ebf17ff03bb5272d5f48ef14706b3b0b877c",
-    "fig3-fd-rsi12-last17-outage.csv": "e882adfc7bbab3ab034977f3f14a9daff276c78c8a41a0c3eb5ae7d6369870bf",
-    "fig3-fd-rsi35-outage.csv": "4315fd8ee4c46e6e15a3d5c7f6003a9d2506182e4b0905705d47e7ef16617a33",
-    "fig3-fd-rsi5-outage.csv": "3b67f954fd0b6964a1cfae2d4afeb2a7c882ff065b46630d4a1993ce819c6ae8",
-    "fig3-fd-rsi5-last17-outage.csv": "291fdc7013379294ad4fb67553feaf01d39721ebfcbe04fc5850bd6f486f74b4",
-    "fig3-hd-outage.csv": "bcf4945c2f2d9afc39a4887a3a3de8a88f2ce49efddc81d141c44354e8a2c7c1",
-    "dist-snr10-rsi0-distribution.csv": "c37660076c24a0067893e36df8574639dff5d955e57ea1e1f141edb1b1a183dd",
-    "dist-snr10-rsineg10-distribution.csv": "2cc10197a20b7c1712428657004b4c35541c425ea83873d5b7f8a633c87da663",
-    "dist-snr20-rsi0-distribution.csv": "7f0c609ec743fe2fb69d3e205417d4713009172bcbe23ba32db5739eb14e8bc0",
-    "dist-snr30-rsi15-distribution.csv": "cb07851b2e7a6743d60579cf89820e11eeede07cc6f72e84264469325448aaa6",
+    "fig3-fd-norsi-outage.csv": "b1d24bdc4bae06e9e310e7c01ceae82beef42918ceec0e1e52ce9c582697e418",
+    "fig3-fd-rsi12-outage.csv": "f10650a9e086601554c8a60f7965cdd7c553169570860248d3a4a5d22e552405",
+    "fig3-fd-rsi12-last17-outage.csv": "c4ff5aa5a156ec98acc1a39aeff20c2e4ba52ad924cdf3060815524ea33a7530",
+    "fig3-fd-rsi35-outage.csv": "a0d07be0a2b6567e00ee7d0f810f80c1df7a1e940531e1a1846a891c6196d7cb",
+    "fig3-fd-rsi5-outage.csv": "37e7194c02d21cf89013f34c1badd9ba01c711b447df436b4f0384fea41a8d59",
+    "fig3-fd-rsi5-last17-outage.csv": "0b9f5bbba0e690c2c7337629b7ddffca7aa3fe33c3fcf3017fa85c756018e924",
+    "fig3-hd-outage.csv": "85da38d16a16d364053d424ecdba458011730ed22174471cc90288b70463e1f0",
+    "dist-snr10-rsi0-distribution.csv": "bcfe6a81ef24a195e25b003367b5fa1f3aa8f9a749aaea490200f15a42edd0d5",
+    "dist-snr10-rsineg10-distribution.csv": "065f35276ba90b866bff8a95fb78bd323996ebb8cc00b7ab129d1cf48062b6c1",
+    "dist-snr20-rsi0-distribution.csv": "ef2dbd2a9c6b754b6bdbb4e2950441f28a177e03c416819b842a3167a9931217",
+    "dist-snr30-rsi15-distribution.csv": "0beb032b99cc12a646df066861bca660caa3d9c6b05df65ad5455b45378d2d91",
     "validate": "f342b0d8b7cdbb29b5388c76fe44e29812d3187b38984da26ac0feada49528b6",
 }
 OUTAGE_PRESETS = (
