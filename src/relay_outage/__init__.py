@@ -16,21 +16,6 @@ import importlib
 
 __version__ = "0.11.0"
 
-__all__ = [
-    "DuplexMode",
-    "HopConfig",
-    "NetworkConfig",
-    "Scenario",
-    "ScenarioError",
-    "__version__",
-    "analytical_outage",
-    "load_preset",
-    "montecarlo_outage",
-    "parse_scenario",
-    "preset_names",
-    "substream",
-]
-
 # Each public name and the submodule that defines it.
 _EXPORTS = {
     "HopConfig": "mutual_info",
@@ -45,6 +30,7 @@ _EXPORTS = {
     "parse_scenario": "scenario",
     "preset_names": "scenario",
 }
+__all__ = sorted([*_EXPORTS, "__version__"])
 
 
 def __getattr__(name: str):

@@ -125,7 +125,8 @@ def sample_min_mutual_info(
     return min_mi
 
 
-def _check_rate_grid(rates: np.ndarray) -> np.ndarray:
+def check_rate_grid(rates: np.ndarray) -> np.ndarray:
+    """``rates`` as a float array, if a non-empty, finite, strictly ascending 1-d grid."""
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or rates.size < 1:
         raise ValueError("rate grid must be a non-empty 1-d array")
@@ -166,7 +167,7 @@ def gaussian_chain_outage(moments: list[HopMoments], rates: np.ndarray) -> np.nd
     probabilities far below 1e-16 survive.  A zero-variance hop is in
     outage at rates strictly above its mean, as Monte Carlo counts.
     """
-    rates = _check_rate_grid(rates)
+    rates = check_rate_grid(rates)
     mean = np.array([m.mean for m in moments], dtype=float)[:, np.newaxis]
     std = np.sqrt(np.array([m.variance for m in moments], dtype=float))[:, np.newaxis]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -203,7 +204,7 @@ def montecarlo_outage(
     search in its sorted samples, and the counts are added into one integer
     total chunk by chunk, so memory is O(``CHUNK_SIZE``) plus O(rates).
     """
-    rates = _check_rate_grid(rates)
+    rates = check_rate_grid(rates)
     if n_realizations < MIN_MC_REALIZATIONS:
         raise ValueError(
             f"need at least {MIN_MC_REALIZATIONS} realizations, got "

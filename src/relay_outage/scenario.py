@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .mutual_info import HopConfig
-from .outage import DuplexMode, NetworkConfig
+from .outage import DuplexMode, NetworkConfig, check_rate_grid
 
 DEFAULT_SEED = 12345
 # Most rows a result CSV may have: the points of a rate grid (the presets
@@ -301,6 +301,10 @@ def parse_scenario_text(text: str, name: str, source: str = "<scenario>") -> Sce
             source,
             rates_line,
         )
+    try:
+        check_rate_grid(scenario.rates)
+    except ValueError as exc:  # a grid whose points collapse in floating point
+        raise ScenarioError(f"rates: {exc}", source, rates_line) from None
     if scenario.dist_hop is not None and scenario.dist_hop > n_hops:
         raise ScenarioError(
             f"distribution.hop: index {scenario.dist_hop} out of range ({n_hops} hops)",

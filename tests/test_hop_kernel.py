@@ -40,6 +40,7 @@ from relay_outage.mutual_info import (
 from relay_outage.randmat import MAX_CLOSED_FORM_RX, SmallGram, descending_spectra, sample_gram
 from relay_outage.rng import run_chunks, substream
 from relay_outage.validation import hop_at_scales
+from relay_outage.wishart_stats import expected_logdet
 
 SEED = 606
 N_DRAWS = 64
@@ -254,6 +255,70 @@ def test_bartlett_draw_has_the_channel_law(rx, tx, rsi_tx):
     for name, a, b in zip(HOP_FIELDS, bartlett, channels):
         distance = _ks_distance(a, b)
         assert distance <= limit, f"{name}: KS {distance:.2e} > {limit:.2e}"
+
+
+# Hops (rx, tx, interferer tx, snr_db) whose interference is as strong per
+# antenna as the link, rho = eta: then rho Wbar + eta W is eta times the Gram
+# form of the rx x (tx + tx_bar) channel [H Hbar], so EXACT has that
+# channel's log-det law, whose mean the Laguerre route gives.  Closed-form
+# route first, then the QR route.
+EQUAL_POWER_HOPS = ((2, 2, 2, 10.0), (2, 1, 3, 20.0), (1, 2, 3, 0.0), (3, 3, 3, 10.0), (3, 2, 4, 20.0))
+EQUAL_POWER_DRAWS = 200_000
+# |z| limit of the mean tests: a family-wise false-alarm rate of 0.27 %
+# (3 sigma), Sidak over both fields of every hop; about 3.642
+EQUAL_POWER_Z_LIMIT = float(
+    stats.norm.isf((1.0 - 0.9973 ** (1.0 / (2 * len(EQUAL_POWER_HOPS)))) / 2.0)
+)
+EQUAL_POWER_LAW_HOPS = tuple(c for c in EQUAL_POWER_HOPS if c[0] <= MAX_CLOSED_FORM_RX)
+
+
+def _shape_id(shape):
+    rx, tx, rsi_tx, snr_db = shape
+    return f"{rx}x{tx}-rsi{rsi_tx}-{snr_db:g}dB"
+
+
+def _equal_power_hop(rx, tx, rsi_tx, snr_db):
+    """The hop of ``rho = eta`` (to a few ulp) and its ``eta``."""
+    eta = 10.0 ** (snr_db / 10.0) / tx
+    hop = HopConfig(tx, rx, snr_db, 10.0 * math.log10(eta * rsi_tx), rsi_tx)
+    assert hop.rho == pytest.approx(eta, rel=1e-15, abs=0.0)
+    return hop, eta
+
+
+@pytest.mark.parametrize(
+    "index, shape", enumerate(EQUAL_POWER_HOPS), ids=map(_shape_id, EQUAL_POWER_HOPS)
+)
+def test_exact_fields_at_equal_powers_have_the_joint_channel_mean(index, shape):
+    # EXACT against E log2 det(I + eta [H Hbar][H Hbar]^+), and EXACT_MI
+    # against that minus E log2 det(I + eta Hbar Hbar^+)
+    rx, tx, rsi_tx, _ = shape
+    hop, eta = _equal_power_hop(*shape)
+    fields = sample_hop_fields(hop, EQUAL_POWER_DRAWS, substream(SEED, 13, index), (EXACT, EXACT_MI))
+    joint = expected_logdet(rx, tx + rsi_tx, eta)
+    for name, values, mean in zip(
+        (EXACT, EXACT_MI), fields, (joint, joint - expected_logdet(rx, rsi_tx, eta))
+    ):
+        z = (values.mean() - mean) / (values.std(ddof=1) / math.sqrt(values.size))
+        assert abs(z) <= EQUAL_POWER_Z_LIMIT, f"{name}: z = {z:.2f}"
+
+
+@pytest.mark.parametrize(
+    "index, shape", enumerate(EQUAL_POWER_LAW_HOPS), ids=map(_shape_id, EQUAL_POWER_LAW_HOPS)
+)
+def test_exact_field_at_equal_powers_has_the_joint_channel_law(index, shape):
+    # Two-sample KS distance of EXACT, the RSI hop at rho = eta against the
+    # RSI-free rx x (tx + tx_bar) hop at the same eta, 10^6 draws a side;
+    # Sidak over the cases as in test_bartlett_draw_has_the_channel_law
+    rx, tx, rsi_tx, _ = shape
+    hop, eta = _equal_power_hop(*shape)
+    per_test = 1.0 - (1.0 - LAW_ALPHA) ** (1.0 / len(EQUAL_POWER_LAW_HOPS))
+    limit = stats.kstwobign.isf(per_test) / math.sqrt(LAW_DRAWS / 2.0)
+    (rsi,) = sample_hop_fields(hop, LAW_DRAWS, substream(SEED, 14, index, 0), (EXACT,))
+    (joint,) = sample_hop_fields(
+        hop_at_scales(rx, tx + rsi_tx, eta), LAW_DRAWS, substream(SEED, 14, index, 1), (EXACT,)
+    )
+    distance = _ks_distance(rsi, joint)
+    assert distance <= limit, f"KS {distance:.2e} > {limit:.2e}"
 
 
 @st.composite

@@ -313,6 +313,18 @@ def test_rate_grid_point_cap():
             parse_scenario_text(base.format(step=step, stop=stop), name="fine")
 
 
+def test_rate_grid_that_collapses_in_floating_point_names_its_line():
+    # at 1e17 the spacing of doubles is 16, so steps of 1 repeat points
+    text = (
+        "[network]\nmode = fd\nhops = 1\n"
+        "[hop]\ntx_antennas = 1\nrx_antennas = 1\nsnr_db = 0\n"
+        "[rates]\nstart = 1e17\nstop = 1.00000000000001e17\nstep = 1\n"
+    )
+    with pytest.raises(ScenarioError, match="strictly ascending") as err:
+        parse_scenario_text(text, name="flat", source="flat.scenario")
+    assert str(err.value).startswith("flat.scenario:8: rates: ")
+
+
 @pytest.mark.parametrize(
     "section,key",
     (("sampling", "moment_samples"), ("sampling", "mc_realizations"), ("distribution", "samples")),
