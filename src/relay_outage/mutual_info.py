@@ -23,9 +23,9 @@ at most two receive antennas, else sampled (:func:`estimate_hop_moments`).
 Every sampled per-hop quantity comes from one chunk kernel,
 :func:`sample_hop_chunk`, which draws a :class:`HopConfig`'s receive Gram
 forms (the interference one only when the hop has RSI) and computes only
-the fields its caller names (``HOP_FIELDS``).  :func:`map_hop_chunks` runs
-it over the chunks of a sample and hands each chunk's fields to the
-caller's reduction, so only what the caller keeps outlives a chunk.  Every
+the fields its caller names (``HOP_FIELDS``).  :func:`hop_chunks` yields
+them for each chunk of a sample in turn, each chunk from its own
+substream, so only what the caller's loop keeps outlives a chunk.  Every
 field depends on the channels only through their Gram forms, which
 :func:`~relay_outage.randmat.sample_gram` draws directly.  Those of at most
 two rows -- every shipped preset -- come as entries and are evaluated in
@@ -46,17 +46,15 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
 import numpy as np
 
 from .randmat import SmallGram, descending_spectra, sample_gram
-from .rng import run_chunks
+from .rng import chunk_streams
 
 LN2 = math.log(2.0)
-
-T = TypeVar("T")
 
 MIN_MOMENT_SAMPLES = 100
 
@@ -291,31 +289,25 @@ def check_sample_count(n_samples: int) -> None:
         raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples, got {n_samples}")
 
 
-def map_hop_chunks(
-    hop: HopConfig,
-    n_samples: int,
-    rng: np.random.Generator,
-    fields: tuple[str, ...],
-    reduce: Callable[..., T],
-) -> list[T]:
-    """``reduce(*fields)`` of each chunk of ``sample_hop_chunk`` draws, in chunk order.
+def hop_chunks(
+    hop: HopConfig, n_samples: int, rng: np.random.Generator, fields: tuple[str, ...]
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """``sample_hop_chunk``'s ``fields`` of each chunk, in chunk order.
 
     One substream per chunk of ``CHUNK_SIZE`` draws.  The one entry through
     which moments, ``distribution`` and ``validate`` sample a hop, so it
-    enforces their minimum (``check_sample_count``).
+    enforces their minimum (``check_sample_count``) when called, before
+    any chunk is drawn.
     """
     check_sample_count(n_samples)
-    return run_chunks(
-        n_samples, rng, lambda stream, count: reduce(*sample_hop_chunk(hop, stream, count, fields))
-    )
+    return (sample_hop_chunk(hop, s, count, fields) for s, count in chunk_streams(n_samples, rng))
 
 
 def sample_hop_fields(
     hop: HopConfig, n_samples: int, rng: np.random.Generator, fields: tuple[str, ...]
 ) -> tuple[np.ndarray, ...]:
-    """Every draw of ``fields``: ``map_hop_chunks`` joined in chunk order."""
-    pieces = map_hop_chunks(hop, n_samples, rng, fields, lambda *values: values)
-    return tuple(np.concatenate(field) for field in zip(*pieces))
+    """Every draw of ``fields``: ``hop_chunks`` joined in chunk order."""
+    return tuple(np.concatenate(f) for f in zip(*hop_chunks(hop, n_samples, rng, fields)))
 
 
 def estimate_hop_moments(

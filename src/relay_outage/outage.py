@@ -25,7 +25,7 @@ from .mutual_info import (
     estimate_hop_moments,
     sample_hop_chunk,
 )
-from .rng import run_chunks
+from .rng import chunk_streams
 from .wishart_stats import quadrature_hop_moments
 
 MIN_MC_REALIZATIONS = 1000
@@ -69,7 +69,7 @@ class NetworkConfig:
         for k, hop in enumerate(self.hops):
             j = min(k + 1, len(self.hops) - 1)  # the terminal hop's interferer is its own
             size = self.hops[j].tx_antennas
-            if hop.has_rsi and hop.rsi_tx_antennas not in (None, size):
+            if hop.rsi_tx_antennas not in (None, size):
                 raise ValueError(
                     f"hop {k + 1}: rsi_tx_antennas={hop.rsi_tx_antennas} does "
                     f"not match hop {j + 1} tx_antennas={size}"
@@ -210,13 +210,11 @@ def montecarlo_outage(
             f"need at least {MIN_MC_REALIZATIONS} realizations, got "
             f"{n_realizations}"
         )
-
-    def count_below(stream: np.random.Generator, count: int) -> np.ndarray:
+    below = np.zeros(rates.shape, dtype=np.intp)
+    for stream, count in chunk_streams(n_realizations, rng):
         samples = sample_min_mutual_info(cfg, stream, count)
         samples.sort()
-        return np.searchsorted(samples, rates, side="left")
-
-    below = run_chunks(n_realizations, rng, count_below, np.add)
+        below += np.searchsorted(samples, rates, side="left")
     p = below / n_realizations
     se = np.sqrt(p * (1.0 - p) / n_realizations)
     return p, se

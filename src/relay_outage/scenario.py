@@ -319,7 +319,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}", str(path))
     return parse_scenario_text(text, name=path.stem, source=str(path))
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import outage as _outage
-from .mutual_info import EXACT, LOWER, UPPER, HopConfig, map_hop_chunks, sample_hop_fields
+from .mutual_info import EXACT, LOWER, UPPER, HopConfig, hop_chunks, sample_hop_fields
 from .outage import DuplexMode, NetworkConfig, montecarlo_outage
 from .rng import STREAM_VALIDATION, substream
 from .scenario import DEFAULT_SEED
@@ -86,14 +86,9 @@ def _bound_violation(exact: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
 def check_sandwich_bound(seed: int, n_samples: int) -> CheckResult:
     worst = -np.inf
     for i, (eta, rho) in enumerate(SANDWICH_PAIRS):
-        rng = substream(seed, STREAM_VALIDATION, 0, i)
-        worst = max(
-            worst,
-            *map_hop_chunks(
-                hop_at_scales(2, 2, eta, rho), n_samples, rng, (EXACT, LOWER, UPPER),
-                _bound_violation,
-            ),
-        )
+        hop, rng = hop_at_scales(2, 2, eta, rho), substream(seed, STREAM_VALIDATION, 0, i)
+        for fields in hop_chunks(hop, n_samples, rng, (EXACT, LOWER, UPPER)):
+            worst = max(worst, _bound_violation(*fields))
     return CheckResult(
         "sandwich-bound",
         worst,

@@ -38,7 +38,7 @@ from relay_outage.mutual_info import (
     sample_hop_fields,
 )
 from relay_outage.randmat import MAX_CLOSED_FORM_RX, SmallGram, descending_spectra, sample_gram
-from relay_outage.rng import run_chunks, substream
+from relay_outage.rng import chunk_streams, substream
 from relay_outage.validation import hop_at_scales
 from relay_outage.wishart_stats import expected_logdet
 
@@ -215,13 +215,12 @@ LAW_ALPHA = 0.0027
 
 def _channel_route_fields(hop, n, rng):
     """Every hop field of ``n`` draws of channels, passed as factors."""
-
-    def chunk(stream, count):
+    chunks = []
+    for stream, count in chunk_streams(n, rng):
         h = draw_channels(count, hop.rx_antennas, hop.tx_antennas, stream)
         h_rsi = draw_channels(count, hop.rx_antennas, hop.interferer_antennas, stream)
-        return hop_fields(h, h_rsi, hop.eta, hop.rho, HOP_FIELDS)
-
-    return tuple(np.concatenate(field) for field in zip(*run_chunks(n, rng, chunk)))
+        chunks.append(hop_fields(h, h_rsi, hop.eta, hop.rho, HOP_FIELDS))
+    return tuple(np.concatenate(field) for field in zip(*chunks))
 
 
 MI_DRAWS = 20_000

@@ -17,6 +17,7 @@ from relay_outage.mutual_info import (
     HopConfig,
     HopMoments,
     estimate_hop_moments,
+    hop_chunks,
     hop_fields,
     sample_hop_fields,
 )
@@ -252,6 +253,14 @@ def test_estimate_hop_moments_rejects_tiny_sample():
     hop = HopConfig(tx_antennas=1, rx_antennas=1, snr_db=10.0)
     with pytest.raises(ValueError):
         estimate_hop_moments(hop, 99, substream(SEED, 13))
+
+
+def test_hop_chunks_refuses_a_tiny_sample_before_it_is_iterated():
+    # the minimum is checked when hop_chunks is called, so a caller that
+    # never reaches its loop still gets the error
+    hop = HopConfig(tx_antennas=1, rx_antennas=1, snr_db=10.0)
+    with pytest.raises(ValueError, match="at least 100 samples"):
+        hop_chunks(hop, 99, substream(SEED, 13), (EXACT,))
 
 
 def test_estimate_hop_moments_reproducible():

@@ -19,7 +19,7 @@ from relay_outage.outage import (
     q_function,
     sample_min_mutual_info,
 )
-from relay_outage.rng import run_chunks, substream
+from relay_outage.rng import chunk_streams, substream
 from relay_outage.scenario import load_preset
 
 SEED = 505
@@ -296,7 +296,7 @@ def test_empirical_outage_matches_broadcast_compare(monkeypatch):
     def rounded(cfg, stream, count):
         return np.round(kernel(cfg, stream, count), 1)
 
-    chunks = run_chunks(n, substream(SEED, 12), lambda s, c: rounded(cfg, s, c))
+    chunks = [rounded(cfg, s, c) for s, c in chunk_streams(n, substream(SEED, 12))]
     assert len(chunks) == 3
     assert np.intersect1d(chunks[0], chunks[1]).size > 0  # ties across chunks
     samples = np.concatenate(chunks)
@@ -319,7 +319,7 @@ def test_montecarlo_counts_add_up_across_chunks():
     cfg = _chain(2)
     n = 20_000
     samples = np.concatenate(
-        run_chunks(n, substream(SEED, 12), lambda s, c: sample_min_mutual_info(cfg, s, c))
+        [sample_min_mutual_info(cfg, s, c) for s, c in chunk_streams(n, substream(SEED, 12))]
     )
     assert np.unique(samples).size == n
     rates = np.sort(samples)[::97]

@@ -1,5 +1,3 @@
-import operator
-import os
 import tracemalloc
 
 import numpy as np
@@ -7,7 +5,7 @@ import pytest
 
 from relay_outage.mutual_info import HopConfig
 from relay_outage.outage import DuplexMode, NetworkConfig, montecarlo_outage
-from relay_outage.rng import CHUNK_SIZE, run_chunks, substream
+from relay_outage.rng import CHUNK_SIZE, chunk_streams, substream
 
 SEED = 606
 
@@ -15,39 +13,24 @@ SEED = 606
 N_DRAWS = 3 * CHUNK_SIZE + 1234
 
 
-def _count_draw_and_pid(stream, count):
-    return count, int(stream.integers(2**62)), os.getpid()
+def test_chunk_streams_are_the_spawned_children_in_order():
+    chunks = list(chunk_streams(N_DRAWS, substream(SEED, 3)))
+    assert [count for _, count in chunks] == [CHUNK_SIZE] * 3 + [1234]
+    draws = [int(stream.integers(2**62)) for stream, _ in chunks]
+    assert draws == [int(s.integers(2**62)) for s in substream(SEED, 3).spawn(4)]
 
 
-def test_run_chunks_runs_every_chunk_in_order_in_the_caller():
-    results = run_chunks(N_DRAWS, substream(SEED, 3), _count_draw_and_pid)
-    assert [count for count, _, _ in results] == [CHUNK_SIZE] * 3 + [1234]
-    serial = [int(s.integers(2**62)) for s in substream(SEED, 3).spawn(4)]
-    assert [draw for _, draw, _ in results] == serial
-    assert {pid for _, _, pid in results} == {os.getpid()}
-    with pytest.raises(ChildProcessError):  # no process was started
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_fold_counts_every_chunk_once():
+def test_chunk_counts_add_up_to_the_total():
     for n_chunks in (1, 2, 3, 40):
-        total = run_chunks(n_chunks * CHUNK_SIZE, substream(SEED, 9), lambda s, c: c, operator.add)
-        assert total == n_chunks * CHUNK_SIZE
+        for n_total in (n_chunks * CHUNK_SIZE, (n_chunks - 1) * CHUNK_SIZE + 7):
+            chunks = list(chunk_streams(n_total, substream(SEED, 9)))
+            assert len(chunks) == n_chunks
+            assert sum(count for _, count in chunks) == n_total
 
 
-def test_failing_chunk_raises_in_the_caller():
-    # the short last chunk fails, after the full chunks before it have run
-    ran = []
-
-    def chunk(stream, count):
-        if count != CHUNK_SIZE:
-            raise FloatingPointError("short chunk failed")
-        ran.append(count)
-        return count
-
-    with pytest.raises(FloatingPointError, match="short chunk"):
-        run_chunks(N_DRAWS, substream(SEED, 5), chunk)
-    assert ran == [CHUNK_SIZE] * 3
+def test_no_draws_raise():
+    with pytest.raises(ValueError, match="at least one draw"):
+        chunk_streams(0, substream(SEED, 5))
 
 
 def _peak_bytes(fn):

@@ -401,6 +401,7 @@ def test_malformed_value_names_its_line(n_hops, section, key):
         ("hd", "rsi_snr_db = 3\n", "half-duplex hops cannot carry self-interference"),
         ("fd", "rsi_snr_db = 3\nrsi_tx_antennas = 3\n", "does not match hop 2 tx_antennas=2"),
         ("fd", "[hop.2]\nrsi_snr_db = 3\nrsi_tx_antennas = 7\n", "hop 2: rsi_tx_antennas=7"),
+        ("fd", "rsi_tx_antennas = 7\n", "hop 1: rsi_tx_antennas=7"),
     ),
 )
 def test_chain_errors_name_the_network_line(mode, hop_extra, fragment):
@@ -416,6 +417,14 @@ def test_chain_errors_name_the_network_line(mode, hop_extra, fragment):
 def test_parse_scenario_missing_file(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         parse_scenario(tmp_path / "absent.scenario")
+
+
+def test_parse_scenario_that_is_not_utf8_names_its_file(tmp_path):
+    path = tmp_path / "bad.scenario"
+    path.write_bytes(b"\xff[network]\nmode = fd\n")
+    with pytest.raises(ScenarioError, match="cannot read scenario") as err:
+        parse_scenario(path)
+    assert str(err.value).startswith(f"{path}: cannot read scenario: 'utf-8' codec")
 
 
 def test_parse_scenario_roundtrip(tmp_path):
