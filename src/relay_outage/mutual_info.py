@@ -23,24 +23,27 @@ at most two receive antennas, else sampled (:func:`estimate_hop_moments`).
 Every sampled per-hop quantity comes from one chunk kernel,
 :func:`sample_hop_chunk`, which draws a :class:`HopConfig`'s receive Gram
 forms (the interference one only when the hop has RSI) and computes only
-the fields its caller names (``HOP_FIELDS``).  :func:`hop_chunks` yields
-them for each chunk of a sample in turn, each chunk from its own
-substream, so only what the caller's loop keeps outlives a chunk.  Every
-field depends on the channels only through their Gram forms, which
-:func:`~relay_outage.randmat.sample_gram` draws directly.  Those of at most
-two rows -- every shipped preset -- come as entries and are evaluated in
-closed form (:class:`~relay_outage.randmat.SmallGram`), the desired form
-in the eigenframe of the interference one: ``W``'s law is unitarily
-invariant and independent of ``Wbar``, so its entries there are drawn
-directly, and only ``Wbar``'s eigenvalues enter (:func:`_closed_form_exact`).
+the fields its caller names (``HOP_FIELDS``), each once.  :func:`hop_chunks`
+yields them for each chunk of a sample in turn, each chunk from its own
+substream, so only what the caller's loop keeps outlives a chunk:
+:func:`sampled_moments` keeps a running count, mean and centred sum of
+squares, and only :func:`sample_hop_fields`, for ``distribution``, joins
+every draw.  Every field depends on the channels only through their Gram
+forms, which :func:`~relay_outage.randmat.sample_gram` draws directly.
+Those of at most two rows -- every shipped preset -- come as entries and
+are evaluated in closed form (:class:`~relay_outage.randmat.SmallGram`),
+the desired form in the eigenframe of the interference one: ``W``'s law is
+unitarily invariant and independent of ``Wbar``, so its entries there are
+drawn directly, and only ``Wbar``'s eigenvalues enter
+(:func:`_closed_form_exact`).
 Larger ones come as their factor ``L`` of ``W = L L^+``: their spectra
 come from the small side ``L^+ L``, and their exact log-dets from the
 ``R`` of one QR of the stacked ``[S; I]``, ``S = [sqrt(rho) Lbar,
 sqrt(eta) L]``, by Sylvester's identity ``det(I + S^+ S) = det(I +
 rho*Wbar + eta*W)``.  Neither ``W`` nor ``I + rho*Wbar`` is formed;
 :func:`_factor_exact` gives why each ``|R_jj| >= 1`` and why QR, not a
-Cholesky factor.  Each form supplies only its spectra and exact log-dets
-to :func:`hop_fields`.
+Cholesky factor.  Each form supplies only its spectra, one array per rank,
+and its exact log-dets to :func:`hop_fields`.
 """
 from __future__ import annotations
 
@@ -157,13 +160,18 @@ def pair_gain(alpha, beta, eta: float, rho: float):
 
 
 def _closed_form_exact(
-    gram: SmallGram, rsi: SmallGram | None, eta: float, rho: float, wanted: set
+    gram: SmallGram,
+    rsi: SmallGram | None,
+    rsi_spectrum: tuple[np.ndarray, ...] | None,
+    eta: float,
+    rho: float,
+    wanted: set,
 ) -> dict[str, np.ndarray]:
     """Wanted ``EXACT``/``EXACT_MI`` of Gram forms of at most two rows (``EXACT`` without RSI).
 
     ``gram`` holds ``W``'s entries in the eigenframe of ``Wbar``, whose
-    descending eigenvalues ``l1 >= l2`` come from ``rsi.spectrum()``.  With
-    ``Wbar = diag(l1, l2)`` there,
+    descending eigenvalues ``l1 >= l2`` are ``rsi_spectrum`` (read only when
+    ``Wbar`` has two rows).  With ``Wbar = diag(l1, l2)`` there,
     ``det(I + rho*Wbar + eta*W) - det(I + rho*Wbar)
     = eta tr W + eta^2 det W + rho*eta (l2 a + l1 d)``, a sum of
     non-negative products that cannot cancel, so no clamp is needed; and
@@ -173,7 +181,7 @@ def _closed_form_exact(
     if rsi is None:
         return {EXACT: np.log1p(gain) / LN2}
     if rsi.rows == 2:  # the mixed term, 0 for one row
-        l1, l2 = rsi.spectrum().T
+        l1, l2 = rsi_spectrum
         gain = gain + rho * eta * (l2 * gram.a + l1 * gram.d)
     rsi_growth = rho * rsi.trace + rho * rho * rsi.det  # det(I + rho*Wbar) - 1
     out = {}
@@ -188,19 +196,20 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def _factor_spectra(factor: np.ndarray) -> np.ndarray:
-    """Descending ``(n, rows)`` spectra of ``W = L L^+``: the top eigenvalues
-    of the small side ``L^+ L``, padded with exact zeros."""
+def _factor_spectra(factor: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Descending spectra of ``W = L L^+``, one array per rank (the columns of
+    the ``(n, rows)`` spectra): the top eigenvalues of the small side
+    ``L^+ L``, padded with exact zeros."""
     rows, cols = factor.shape[-2:]
     out = np.zeros(factor.shape[:-2] + (rows,))
     out[..., : min(rows, cols)] = descending_spectra(_adjoint(factor) @ factor)[..., :rows]
-    return out
+    return tuple(np.moveaxis(out, -1, 0))
 
 
 def _factor_exact(
     factor: np.ndarray, rsi_factor: np.ndarray | None, eta: float, rho: float, wanted: set
 ) -> dict[str, np.ndarray]:
-    """``EXACT`` and ``EXACT_MI`` of ``W = L L^+`` from factors ``L``, from one QR.
+    """Wanted ``EXACT``/``EXACT_MI`` of ``W = L L^+`` from factors ``L``, from one QR.
 
     With ``S = [sqrt(rho) Lbar, sqrt(eta) L]`` (``S = sqrt(eta) L`` without
     RSI) of ``K`` columns, the ``R`` of ``[S; I_K] = Q R`` has
@@ -223,7 +232,37 @@ def _factor_exact(
     # |R_jj|^2 is a Schur complement of I_K + S^+ S >= I, so it is >= 1;
     # the floor removes only round-off and keeps EXACT_MI >= 0
     bits = 2.0 * np.log(np.maximum(np.abs(np.diagonal(r, 0, -2, -1)), 1.0)) / LN2
-    return {EXACT: bits.sum(axis=-1), EXACT_MI: bits[..., -factor.shape[-1] :].sum(axis=-1)}
+    out = {}
+    if EXACT in wanted:
+        out[EXACT] = bits.sum(axis=-1)
+    if EXACT_MI in wanted:
+        out[EXACT_MI] = bits[..., -factor.shape[-1] :].sum(axis=-1)
+    return out
+
+
+def _pairing_fields(
+    alpha: tuple[np.ndarray, ...], beta: tuple[np.ndarray, ...], eta: float, rho: float, wanted: set
+) -> dict[str, np.ndarray]:
+    """Wanted ``LOWER``/``UPPER``/``MIDPOINT``/``APPROX_MI`` of per-rank descending spectra.
+
+    ``alpha`` holds ``Wbar``'s eigenvalues and ``beta`` ``W``'s, one array
+    per rank, largest first; each field adds its rank terms left to right.
+    """
+    out = {}
+    # same-rank pairing gives the lower bound, opposite-rank the upper
+    pairings = (beta, beta[::-1])
+    if wanted & {LOWER, UPPER, MIDPOINT}:
+        out[LOWER], out[UPPER] = (
+            sum(np.log1p(rho * a + eta * b) for a, b in zip(alpha, p)) / LN2 for p in pairings
+        )
+        if MIDPOINT in wanted:
+            out[MIDPOINT] = 0.5 * (out[LOWER] + out[UPPER])
+    if APPROX_MI in wanted:
+        out[APPROX_MI] = 0.5 * sum(
+            pair_gain(a, b, eta, rho) + pair_gain(a, c, eta, rho)
+            for a, b, c in zip(alpha, *pairings)
+        )
+    return out
 
 
 def hop_fields(
@@ -241,25 +280,37 @@ def hop_fields(
     entries, those of ``w`` taken in the eigenframe of ``wbar``, or stacked
     factors ``L`` of ``W = L L^+`` (a Bartlett factor or a drawn channel).
     Returns one length-``n`` array per name in ``fields`` (see
-    ``HOP_FIELDS``), in that order.
+    ``HOP_FIELDS``), in that order.  Each named field is computed once and
+    no other is: ``Wbar``'s spectrum once, for the pairings and the
+    two-row closed form alike; ``W``'s only for a pairing field.
     """
     wanted = set(fields)
     unknown = wanted.difference(HOP_FIELDS)
     if unknown:
         raise ValueError(f"unknown hop fields {sorted(unknown)}; expected {HOP_FIELDS}")
     small = isinstance(w, SmallGram)
-    exact_fields = _closed_form_exact if small else _factor_exact
     if wbar is None:  # without interference both pairings, and every field, are exact
-        return (exact_fields(w, None, eta, rho, wanted)[EXACT],) * len(fields)
-    out = exact_fields(w, wbar, eta, rho, wanted) if wanted & {EXACT, EXACT_MI} else {}
-    if wanted & {LOWER, UPPER, MIDPOINT, APPROX_MI}:
-        beta, alpha = (g.spectrum() if small else _factor_spectra(g) for g in (w, wbar))
-        # same-rank pairing gives the lower bound, opposite-rank the upper
-        pairings = (beta, beta[..., ::-1])
-        out[LOWER], out[UPPER] = (np.log1p(rho * alpha + eta * b).sum(-1) / LN2 for b in pairings)
-        out[MIDPOINT] = 0.5 * (out[LOWER] + out[UPPER])
-        same, opposite = (pair_gain(alpha, b, eta, rho) for b in pairings)
-        out[APPROX_MI] = 0.5 * (same + opposite).sum(axis=-1)
+        exact = (
+            _closed_form_exact(w, None, None, eta, rho, {EXACT})
+            if small
+            else _factor_exact(w, None, eta, rho, {EXACT})
+        )
+        return (exact[EXACT],) * len(fields)
+    spectrum = SmallGram.spectrum if small else _factor_spectra
+    exact_wanted = wanted & {EXACT, EXACT_MI}
+    pairings_wanted = wanted - exact_wanted
+    alpha = None
+    if pairings_wanted or (exact_wanted and small and wbar.rows == 2):
+        alpha = spectrum(wbar)
+    out = {}
+    if exact_wanted:
+        out = (
+            _closed_form_exact(w, wbar, alpha, eta, rho, wanted)
+            if small
+            else _factor_exact(w, wbar, eta, rho, wanted)
+        )
+    if pairings_wanted:
+        out.update(_pairing_fields(alpha, spectrum(w), eta, rho, wanted))
     return tuple(out[name] for name in fields)
 
 
@@ -306,8 +357,33 @@ def hop_chunks(
 def sample_hop_fields(
     hop: HopConfig, n_samples: int, rng: np.random.Generator, fields: tuple[str, ...]
 ) -> tuple[np.ndarray, ...]:
-    """Every draw of ``fields``: ``hop_chunks`` joined in chunk order."""
+    """Every draw of ``fields``: ``hop_chunks`` joined in chunk order.
+
+    Holds all ``n_samples`` draws of each field; ``distribution``, whose KS
+    distance needs every draw, is its one production caller.
+    """
     return tuple(np.concatenate(f) for f in zip(*hop_chunks(hop, n_samples, rng, fields)))
+
+
+def sampled_moments(
+    hop: HopConfig, n_samples: int, rng: np.random.Generator, field: str
+) -> tuple[float, float]:
+    """Sample mean and unbiased variance of ``n_samples`` draws of one hop field.
+
+    Holds one chunk at a time: each chunk's count, mean and centred sum of
+    squares merge into the running ones by the pairwise update of Chan,
+    Golub & LeVeque (1979), which adds only non-negative terms, so a
+    constant sample has variance exactly 0.
+    """
+    count, mean, sum_sq = 0, 0.0, 0.0
+    for (values,) in hop_chunks(hop, n_samples, rng, (field,)):
+        chunk_mean = float(values.mean())
+        centred = values - chunk_mean
+        delta, total = chunk_mean - mean, count + values.size
+        mean += delta * (values.size / total)
+        sum_sq += float(centred @ centred) + delta * delta * (count * values.size / total)
+        count = total
+    return mean, sum_sq / (count - 1)
 
 
 def estimate_hop_moments(
@@ -318,5 +394,4 @@ def estimate_hop_moments(
     The closed form's fallback for the hops that quadrature does not cover;
     a chain scales them by its time share.
     """
-    (samples,) = sample_hop_fields(hop, n_samples, rng, (APPROX_MI,))
-    return HopMoments(float(samples.mean()), float(samples.var(ddof=1)), n_samples)
+    return HopMoments(*sampled_moments(hop, n_samples, rng, APPROX_MI), n_samples)

@@ -9,11 +9,12 @@ the stream addressing scheme.
 Every receive Gram form ``W = H H^+`` is drawn directly, by Bartlett's
 decomposition (:func:`sample_gram`); no channel is ever drawn.  Those of at
 most ``MAX_CLOSED_FORM_RX`` rows come back as their entries
-(:class:`SmallGram`), whose spectra have a closed form, drawn from unit
-exponentials alone: no phase is drawn, since no hop field depends on one,
-and integer Gamma shapes up to 3 are sums of exponentials.  Larger ones come
-back as their factor ``L`` (``W = L L^+`` is never formed), whose spectra
-the batched LAPACK eigensolver in ``descending_spectra`` takes from ``L^+ L``.
+(:class:`SmallGram`), whose spectra have a closed form (one array per
+rank), drawn from unit exponentials alone: no phase is drawn, since no hop
+field depends on one, and integer Gamma shapes up to 3 are sums of
+exponentials.  Larger ones come back as their factor ``L`` (``W = L L^+`` is
+never formed), whose spectra the batched LAPACK eigensolver in
+``descending_spectra`` takes from ``L^+ L``.
 """
 from __future__ import annotations
 
@@ -95,18 +96,22 @@ class SmallGram:
     def trace(self) -> np.ndarray:
         return self.a + self.d
 
-    def spectrum(self) -> np.ndarray:
-        """Descending eigenvalues of ``W``, an ``(n, rows)`` array; all >= 0.
+    def spectrum(self) -> tuple[np.ndarray, ...]:
+        """Descending eigenvalues of ``W``, one length-``n`` array per rank; all >= 0.
 
-        The smaller of two is ``det / largest`` rather than a difference, so
-        it keeps full relative precision when ``W`` is near singular.
+        The ``(largest, smallest)`` pair for two rows, ``(largest,)`` for
+        one.  The smaller of two is ``det / largest`` rather than a
+        difference, so it keeps full relative precision when ``W`` is near
+        singular.
         """
         half_gap = 0.5 * (self.a - self.d)
         largest = 0.5 * self.trace + np.sqrt(half_gap * half_gap + self.b_sq)
+        if self.rows == 1:
+            return (largest,)
         smallest = np.divide(
             self.det, largest, out=np.zeros_like(largest), where=largest > 0.0
         )
-        return np.stack((largest, np.minimum(smallest, largest))[: self.rows], axis=-1)
+        return largest, np.minimum(smallest, largest)
 
 
 def sample_gram(

@@ -7,8 +7,10 @@ scalar Rayleigh closed form for the half-duplex single-antenna chain, and
 Laguerre quadrature for the sampled log-det means.  All three quadratures
 (normal tail, density mass, log-det mean) call ``gauss_legendre`` of
 ``wishart_stats``, on numpy alone.  The sampled sides all come from the
-production per-hop kernel (``sample_hop_chunk``), one substream per chunk;
-the sandwich check keeps only each chunk's worst bound violation.
+production per-hop kernel (``sample_hop_chunk``), one substream per chunk,
+and each holds one chunk at a time: the sandwich check keeps only each
+chunk's worst bound violation, the log-det check the running moments of
+``sampled_moments``.
 Each check returns a ``CheckResult``, whose ``passed`` property (the
 measurement is at most the limit; NaN fails) is the one verdict rule:
 ``relay-outage validate`` runs them all through ``run_validation`` and
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import outage as _outage
-from .mutual_info import EXACT, LOWER, UPPER, HopConfig, hop_chunks, sample_hop_fields
+from .mutual_info import EXACT, LOWER, UPPER, HopConfig, hop_chunks, sampled_moments
 from .outage import DuplexMode, NetworkConfig, montecarlo_outage
 from .rng import STREAM_VALIDATION, substream
 from .scenario import DEFAULT_SEED
@@ -145,17 +147,15 @@ def check_logdet_moments(
         hop = hop_at_scales(rx, tx, scale)
         analytic = expected_logdet(hop.rx_antennas, hop.tx_antennas, hop.eta)
         rng = substream(seed, STREAM_VALIDATION, 2, i)
-        (values,) = sample_hop_fields(hop, n_samples, rng, (EXACT,))
-        gap = abs(float(values.mean()) - analytic)
-        tolerance = max(
-            0.01 * analytic, 3.0 * float(values.std(ddof=1)) / math.sqrt(n_samples)
-        )
+        mean, variance = sampled_moments(hop, n_samples, rng, EXACT)
+        gap = abs(mean - analytic)
+        tolerance = max(0.01 * analytic, 3.0 * math.sqrt(variance) / math.sqrt(n_samples))
         worst = max(worst, gap / tolerance)
     return CheckResult(
         "logdet-moments",
         worst,
         1.0,
-        "max |quadrature - MC mean| / max(1%, 3 SE) over (m, p, scale) cases",
+        "max |quadrature - MC mean| / max(1%, 3 SE) over (rx, tx, scale) cases",
     )
 
 

@@ -116,20 +116,20 @@ def test_outage_output_is_byte_stable(scenario_file, tmp_path):
 # sha256 of every preset's CSV at its default sizes and of `validate`'s
 # output with its timings stripped.  Bytes may move only with the package
 # version, so a new version re-pins them; they hold on one numpy version.
-PINNED_VERSION, PINNED_NUMPY = "0.11.0", "2.4.6"
+PINNED_VERSION, PINNED_NUMPY = "0.12.0", "2.4.6"
 PINNED_SHA256 = {
-    "fig3-fd-norsi-outage.csv": "b1d24bdc4bae06e9e310e7c01ceae82beef42918ceec0e1e52ce9c582697e418",
-    "fig3-fd-rsi12-outage.csv": "f10650a9e086601554c8a60f7965cdd7c553169570860248d3a4a5d22e552405",
-    "fig3-fd-rsi12-last17-outage.csv": "c4ff5aa5a156ec98acc1a39aeff20c2e4ba52ad924cdf3060815524ea33a7530",
-    "fig3-fd-rsi35-outage.csv": "a0d07be0a2b6567e00ee7d0f810f80c1df7a1e940531e1a1846a891c6196d7cb",
-    "fig3-fd-rsi5-outage.csv": "37e7194c02d21cf89013f34c1badd9ba01c711b447df436b4f0384fea41a8d59",
-    "fig3-fd-rsi5-last17-outage.csv": "0b9f5bbba0e690c2c7337629b7ddffca7aa3fe33c3fcf3017fa85c756018e924",
-    "fig3-hd-outage.csv": "85da38d16a16d364053d424ecdba458011730ed22174471cc90288b70463e1f0",
-    "dist-snr10-rsi0-distribution.csv": "bcfe6a81ef24a195e25b003367b5fa1f3aa8f9a749aaea490200f15a42edd0d5",
-    "dist-snr10-rsineg10-distribution.csv": "065f35276ba90b866bff8a95fb78bd323996ebb8cc00b7ab129d1cf48062b6c1",
-    "dist-snr20-rsi0-distribution.csv": "ef2dbd2a9c6b754b6bdbb4e2950441f28a177e03c416819b842a3167a9931217",
-    "dist-snr30-rsi15-distribution.csv": "0beb032b99cc12a646df066861bca660caa3d9c6b05df65ad5455b45378d2d91",
-    "validate": "f342b0d8b7cdbb29b5388c76fe44e29812d3187b38984da26ac0feada49528b6",
+    "fig3-fd-norsi-outage.csv": "07962a7bb94a1a3421bac96affcf2cbd90317506ff72b72f126d797c057b0d38",
+    "fig3-fd-rsi12-outage.csv": "0f42498b2570c1da09bb4d8bb7f5aa62f061445effc311f321324e6a707cc120",
+    "fig3-fd-rsi12-last17-outage.csv": "b6417a3bd586a1c007d9dd9a630ac1d7f812ddad257823164f2166cd14fbaa87",
+    "fig3-fd-rsi35-outage.csv": "17a65e2fc9a66d29c8dde2991e946e8299c2aeee1a868d6088f4a853f787e342",
+    "fig3-fd-rsi5-outage.csv": "52666535a80d259ec1bb3d00451e39b637534e4b04c1a9d72a13af431eed0c59",
+    "fig3-fd-rsi5-last17-outage.csv": "67fe3d09db0586c8bd67199468e5f7aadf8aa098151cbdaab8ca46e9b890c42f",
+    "fig3-hd-outage.csv": "adfcd1f1a86bc544b4113e05c562974dbde86b11d242a1647e4121764e82f5a8",
+    "dist-snr10-rsi0-distribution.csv": "a657251e3e5c1533a523df42a688f52675d8e682aeaec908301cee53a775ea7b",
+    "dist-snr10-rsineg10-distribution.csv": "96e6773963a8df6aa876695271803066756393f022ffb4a2a031e3b6e65d972e",
+    "dist-snr20-rsi0-distribution.csv": "4755d261b041e61bf6ce77fc5988190a594d1a24794b7d17342ac7ed78928ee6",
+    "dist-snr30-rsi15-distribution.csv": "df4d7a6bc9fda39a943df09b82ca6ff6cafb76eb273e9809b76d3f1e3e7a214b",
+    "validate": "edd76e64aaf8d8b6f579eef636918bef8b4c0adf65136a0b5c7638257b48bc72",
 }
 OUTAGE_PRESETS = (
     "fig3-fd-norsi", "fig3-fd-rsi12", "fig3-fd-rsi12-last17", "fig3-fd-rsi35",

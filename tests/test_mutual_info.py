@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from relay_outage.mutual_info import (
 )
 from relay_outage.outage import DuplexMode, NetworkConfig
 from relay_outage.randmat import SmallGram, descending_spectra, sample_gram
-from relay_outage.rng import substream
+from relay_outage.rng import CHUNK_SIZE, substream
 from relay_outage.validation import hop_at_scales
 from relay_outage.wishart_stats import expected_logdet
 
@@ -261,6 +262,33 @@ def test_hop_chunks_refuses_a_tiny_sample_before_it_is_iterated():
     hop = HopConfig(tx_antennas=1, rx_antennas=1, snr_db=10.0)
     with pytest.raises(ValueError, match="at least 100 samples"):
         hop_chunks(hop, 99, substream(SEED, 13), (EXACT,))
+
+
+def _traced_peak(call):
+    """Peak bytes that ``tracemalloc`` sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_moments_hold_one_chunk_and_match_the_joined_draws():
+    # the moments merge chunk by chunk, so ten times the chunks must not
+    # take ten times the memory (joined draws grew by about 10 MB)
+    hop = hop_at_scales(2, 2, 10.0, 1.0)
+    peaks = [
+        _traced_peak(lambda: estimate_hop_moments(hop, chunks * CHUNK_SIZE, substream(SEED, 15)))
+        for chunks in (10, 100)
+    ]
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+    # a short last chunk merges with its own count
+    n = 5 * CHUNK_SIZE + 17
+    moments = estimate_hop_moments(hop, n, substream(SEED, 16))
+    (draws,) = sample_hop_fields(hop, n, substream(SEED, 16), (APPROX_MI,))
+    assert moments.mean == pytest.approx(draws.mean(), rel=1e-12, abs=0.0)
+    assert moments.variance == pytest.approx(draws.var(ddof=1), rel=1e-12, abs=0.0)
 
 
 def test_estimate_hop_moments_reproducible():
