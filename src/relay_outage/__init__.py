@@ -14,7 +14,7 @@ this module first.
 """
 import importlib
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {

@@ -23,14 +23,16 @@ at most two receive antennas, else sampled (:func:`estimate_hop_moments`).
 Every sampled per-hop quantity comes from one chunk kernel,
 :func:`sample_hop_chunk`, which draws a :class:`HopConfig`'s receive Gram
 forms (the interference one only when the hop has RSI) and computes only
-the fields its caller names (``HOP_FIELDS``), each once.  :func:`hop_chunks`
-yields them for each chunk of a sample in turn, each chunk from its own
-substream, so only what the caller's loop keeps outlives a chunk:
-:func:`sampled_moments` keeps a running count, mean and centred sum of
-squares, and only :func:`sample_hop_fields`, for ``distribution``, joins
-every draw.  Every field depends on the channels only through their Gram
-forms, which :func:`~relay_outage.randmat.sample_gram` draws directly.
-Those of at most two rows -- every shipped preset -- come as entries and
+the fields its caller names (``HOP_FIELDS``), each once.  Every caller
+reaches it through :func:`hop_chunks`, which yields them for each chunk in
+turn, each from its own substream of the hop's stream, so only what the
+caller's loop keeps outlives a chunk: :func:`sampled_moments` keeps a
+running count, mean and centred sum of squares, the Monte Carlo a running
+minimum over the hops, and only :func:`sample_hop_fields`, for
+``distribution``, joins every draw.  Every field depends on the channels
+only through their Gram forms, which
+:func:`~relay_outage.randmat.sample_gram` draws directly.  Those of at
+most two rows -- every shipped preset -- come as entries and
 are evaluated in closed form (:class:`~relay_outage.randmat.SmallGram`),
 the desired form in the eigenframe of the interference one: ``W``'s law is
 unitarily invariant and independent of ``Wbar``, so its entries there are
@@ -345,10 +347,10 @@ def hop_chunks(
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """``sample_hop_chunk``'s ``fields`` of each chunk, in chunk order.
 
-    One substream per chunk of ``CHUNK_SIZE`` draws.  The one entry through
-    which moments, ``distribution`` and ``validate`` sample a hop, so it
-    enforces their minimum (``check_sample_count``) when called, before
-    any chunk is drawn.
+    One substream of ``rng`` per chunk of ``CHUNK_SIZE`` draws, spawned as
+    it is reached.  The one entry through which every sampler reaches a
+    hop, so it enforces their minimum (``check_sample_count``) when
+    called, before any chunk is drawn.
     """
     check_sample_count(n_samples)
     return (sample_hop_chunk(hop, s, count, fields) for s, count in chunk_streams(n_samples, rng))

@@ -8,6 +8,8 @@ by quadrature where that converges and sampled elsewhere
 (:func:`chain_moments`); the Monte Carlo path recomputes the exact per-hop
 mutual information per realization and therefore stands as an independent
 check on both the Gaussian assumption and the midpoint approximation.
+Both sample each hop on its own child of their stream, through
+:func:`~relay_outage.mutual_info.hop_chunks`.
 """
 from __future__ import annotations
 
@@ -23,9 +25,8 @@ from .mutual_info import (
     HopMoments,
     check_sample_count,
     estimate_hop_moments,
-    sample_hop_chunk,
+    hop_chunks,
 )
-from .rng import chunk_streams
 from .wishart_stats import quadrature_hop_moments
 
 MIN_MC_REALIZATIONS = 1000
@@ -106,25 +107,6 @@ def q_function(x):
     return out if out.ndim else float(out)
 
 
-def sample_min_mutual_info(
-    cfg: NetworkConfig, stream: np.random.Generator, count: int
-) -> np.ndarray:
-    """Weakest-hop exact mutual information of one chunk of ``count`` realizations.
-
-    Every hop (and its interference link, when the hop has RSI) is
-    redrawn independently per realization.  Each hop owns a fixed child of
-    the chunk's ``stream``, drawn desired link first, so configurations
-    differing only in interference level share their desired-link
-    realizations.  Scaled by the chain's time share.
-    """
-    min_mi = None
-    for hop, hop_stream in zip(cfg.hops, stream.spawn(cfg.n_hops)):
-        (mi,) = sample_hop_chunk(hop, hop_stream, count, (EXACT_MI,))
-        min_mi = mi if min_mi is None else np.minimum(min_mi, mi)
-    min_mi *= cfg.time_share
-    return min_mi
-
-
 def check_rate_grid(rates: np.ndarray) -> np.ndarray:
     """``rates`` as a float array, if a non-empty, finite, strictly ascending 1-d grid."""
     rates = np.asarray(rates, dtype=float)
@@ -200,9 +182,16 @@ def montecarlo_outage(
 
     One set of ``n_realizations`` realizations is drawn from ``rng``; a
     realization is in outage at a rate its weakest hop falls strictly
-    below.  Each chunk counts its own outages at every rate, by binary
-    search in its sorted samples, and the counts are added into one integer
-    total chunk by chunk, so memory is O(``CHUNK_SIZE``) plus O(rates).
+    below.  Each hop draws its exact mutual information through
+    ``hop_chunks`` on its own child of ``rng``, desired link first, so
+    chains differing only in interference level share their desired-link
+    realizations.  The hops advance in lockstep: each other hop's chunk is
+    folded into the first hop's in turn, in place by ``np.minimum``, so one
+    hop's chunk is in hand beside the running minimum, whatever the hop
+    count.  Scaled by the chain's time share, each chunk counts its own
+    outages at every rate, by binary search in its sorted samples, and the
+    counts are added into one integer total chunk by chunk, so memory is
+    O(``CHUNK_SIZE``) plus O(rates).
     """
     rates = check_rate_grid(rates)
     if n_realizations < MIN_MC_REALIZATIONS:
@@ -210,9 +199,15 @@ def montecarlo_outage(
             f"need at least {MIN_MC_REALIZATIONS} realizations, got "
             f"{n_realizations}"
         )
+    first, *rest = (
+        hop_chunks(hop, n_realizations, stream, (EXACT_MI,))
+        for hop, stream in zip(cfg.hops, rng.spawn(cfg.n_hops))
+    )
     below = np.zeros(rates.shape, dtype=np.intp)
-    for stream, count in chunk_streams(n_realizations, rng):
-        samples = sample_min_mutual_info(cfg, stream, count)
+    for (samples,) in first:
+        for it in rest:
+            np.minimum(samples, next(it)[0], out=samples)
+        samples *= cfg.time_share
         samples.sort()
         below += np.searchsorted(samples, rates, side="left")
     p = below / n_realizations

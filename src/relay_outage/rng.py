@@ -3,11 +3,11 @@
 Stream scheme (stable across releases of this package): the stream
 addressed by ``(seed, path)`` is a PCG64 generator seeded with
 ``numpy.random.SeedSequence(seed, spawn_key=path)``.  Top-level path ids
-are fixed per sampling domain (constants below); chunked samplers spawn
-one child stream per chunk of ``CHUNK_SIZE`` draws, a fixed constant, and
-loop over the ``(stream, count)`` pairs of :func:`chunk_streams` in the
-calling process.  Each chunk draws only from its own stream, so results
-depend only on ``(seed, path, n_samples)``.
+are fixed per sampling domain (constants below).  Every sampler uses one
+layout, domain -> hop -> chunk: one child stream per hop, and from each
+hop's, one per chunk of ``CHUNK_SIZE`` draws (a fixed constant) through
+:func:`chunk_streams`.  Each chunk draws only from its own stream, so
+results depend only on ``(seed, path, n_samples)``.
 """
 from __future__ import annotations
 
@@ -40,12 +40,10 @@ def chunk_streams(
     """The ``(stream, count)`` of every chunk of ``n_total`` draws, in chunk order.
 
     ``n_total`` draws split into full chunks of ``CHUNK_SIZE`` plus one
-    remainder chunk, each with its own child stream of ``rng``.  The
-    streams are spawned when this is called; callers loop over the chunks
-    and keep only what they need of each.
+    remainder chunk, each with its own child stream of ``rng``, spawned
+    when the loop reaches it: the keys of one up-front ``rng.spawn``, if
+    nothing else spawns from ``rng`` meanwhile.
     """
     if n_total < 1:
         raise ValueError(f"need at least one draw, got {n_total}")
-    n_full, rest = divmod(n_total, CHUNK_SIZE)
-    sizes = [CHUNK_SIZE] * n_full + ([rest] if rest else [])
-    return zip(rng.spawn(len(sizes)), sizes)
+    return ((rng.spawn(1)[0], min(CHUNK_SIZE, n_total - i)) for i in range(0, n_total, CHUNK_SIZE))

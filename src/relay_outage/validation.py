@@ -7,7 +7,7 @@ scalar Rayleigh closed form for the half-duplex single-antenna chain, and
 Laguerre quadrature for the sampled log-det means.  All three quadratures
 (normal tail, density mass, log-det mean) call ``gauss_legendre`` of
 ``wishart_stats``, on numpy alone.  The sampled sides all come from the
-production per-hop kernel (``sample_hop_chunk``), one substream per chunk,
+production per-hop kernel through ``hop_chunks``, one substream per chunk,
 and each holds one chunk at a time: the sandwich check keeps only each
 chunk's worst bound violation, the log-det check the running moments of
 ``sampled_moments``.

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import relay_outage
-from relay_outage import __version__, cli, outage
+from relay_outage import __version__, cli, mutual_info
 from relay_outage.cli import ERROR_PREFIX, _ks_distance, _skewness, _write_result
 from relay_outage.mutual_info import EXACT, MAX_POWER_DB, MIDPOINT, HopConfig, sample_hop_fields
 from relay_outage.rng import CHUNK_SIZE, substream
@@ -116,20 +116,20 @@ def test_outage_output_is_byte_stable(scenario_file, tmp_path):
 # sha256 of every preset's CSV at its default sizes and of `validate`'s
 # output with its timings stripped.  Bytes may move only with the package
 # version, so a new version re-pins them; they hold on one numpy version.
-PINNED_VERSION, PINNED_NUMPY = "0.12.0", "2.4.6"
+PINNED_VERSION, PINNED_NUMPY = "0.13.0", "2.4.6"
 PINNED_SHA256 = {
-    "fig3-fd-norsi-outage.csv": "07962a7bb94a1a3421bac96affcf2cbd90317506ff72b72f126d797c057b0d38",
-    "fig3-fd-rsi12-outage.csv": "0f42498b2570c1da09bb4d8bb7f5aa62f061445effc311f321324e6a707cc120",
-    "fig3-fd-rsi12-last17-outage.csv": "b6417a3bd586a1c007d9dd9a630ac1d7f812ddad257823164f2166cd14fbaa87",
-    "fig3-fd-rsi35-outage.csv": "17a65e2fc9a66d29c8dde2991e946e8299c2aeee1a868d6088f4a853f787e342",
-    "fig3-fd-rsi5-outage.csv": "52666535a80d259ec1bb3d00451e39b637534e4b04c1a9d72a13af431eed0c59",
-    "fig3-fd-rsi5-last17-outage.csv": "67fe3d09db0586c8bd67199468e5f7aadf8aa098151cbdaab8ca46e9b890c42f",
-    "fig3-hd-outage.csv": "adfcd1f1a86bc544b4113e05c562974dbde86b11d242a1647e4121764e82f5a8",
-    "dist-snr10-rsi0-distribution.csv": "a657251e3e5c1533a523df42a688f52675d8e682aeaec908301cee53a775ea7b",
-    "dist-snr10-rsineg10-distribution.csv": "96e6773963a8df6aa876695271803066756393f022ffb4a2a031e3b6e65d972e",
-    "dist-snr20-rsi0-distribution.csv": "4755d261b041e61bf6ce77fc5988190a594d1a24794b7d17342ac7ed78928ee6",
-    "dist-snr30-rsi15-distribution.csv": "df4d7a6bc9fda39a943df09b82ca6ff6cafb76eb273e9809b76d3f1e3e7a214b",
-    "validate": "edd76e64aaf8d8b6f579eef636918bef8b4c0adf65136a0b5c7638257b48bc72",
+    "fig3-fd-norsi-outage.csv": "9093a2de9c3065a2be787fce3ff05bce8cb55d3eb77787d0036788278a7245cc",
+    "fig3-fd-rsi12-outage.csv": "805ce7d2bf4634dc50cb44ae87064bb20a63c5b2f1e13de991f3ae8786952556",
+    "fig3-fd-rsi12-last17-outage.csv": "381fef067b44d84bcc2f5d1b4c1d4909554467b907a31d40dea33271bf4dee43",
+    "fig3-fd-rsi35-outage.csv": "f44ce9c138281cf25ccedb7f76004a2c877faf2f33f405ee74cb983149053392",
+    "fig3-fd-rsi5-outage.csv": "a5bc48726e70badfe907219ac94bfd01f48095f0fded14572eee107dc5133116",
+    "fig3-fd-rsi5-last17-outage.csv": "636e8fca6d01901c31e943ac11d883e473d0232817e902aaa251930e3b079163",
+    "fig3-hd-outage.csv": "3e5b70f6498043a74692c0a8030cc2a9c46b87a7513c73c64d5caafb0978480d",
+    "dist-snr10-rsi0-distribution.csv": "0e3670a931ae1a658800614b6f6c44e1b4971a9e4800ae6af58464ab563ba2f3",
+    "dist-snr10-rsineg10-distribution.csv": "9a98ad06d29214b365fdf92ed2a334831c91c50d01cd8a1a8fb89b4e66133ad6",
+    "dist-snr20-rsi0-distribution.csv": "254bf8ea9f51ea35ed75e80a7fbca687a310ba8d32b3fbd8252311b58c259070",
+    "dist-snr30-rsi15-distribution.csv": "f0b4c736f5b0082e1409a4957ec18b1501a186599eebdd1307310101ad697072",
+    "validate": "7eddf5ed76b0bb34b598f84e1a9961d4aa833e92e5583891503ea888a2e426b5",
 }
 OUTAGE_PRESETS = (
     "fig3-fd-norsi", "fig3-fd-rsi12", "fig3-fd-rsi12-last17", "fig3-fd-rsi35",
@@ -637,16 +637,16 @@ def test_numerical_failure_exits_3(scenario_file, tmp_path, monkeypatch, capsys)
 def test_error_in_a_shared_chunk_keeps_its_exit_code(
     error, code, scenario_file, tmp_path, monkeypatch, capsys
 ):
-    # five Monte Carlo chunks; the short last chunk fails, and its error
-    # reaches the command's exit code
-    kernel = outage.sample_hop_chunk
+    # five Monte Carlo chunks per hop; the short last chunk fails, and its
+    # error reaches the command's exit code
+    kernel = mutual_info.sample_hop_chunk
 
     def failing_kernel(hop, stream, count, fields):
         if count != CHUNK_SIZE:
             raise error("broken chunk")
         return kernel(hop, stream, count, fields)
 
-    monkeypatch.setattr(outage, "sample_hop_chunk", failing_kernel)
+    monkeypatch.setattr(mutual_info, "sample_hop_chunk", failing_kernel)
     rc = cli.main([
         "outage", "--scenario", str(scenario_file), "--realizations", "40000",
         "--out", str(tmp_path),

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,8 +9,14 @@ import pytest
 from scipy.special import erfc
 from scipy.stats import norm
 
-from relay_outage import outage
-from relay_outage.mutual_info import HopConfig, HopMoments, estimate_hop_moments
+from relay_outage import mutual_info
+from relay_outage.mutual_info import (
+    EXACT_MI,
+    HopConfig,
+    HopMoments,
+    estimate_hop_moments,
+    hop_chunks,
+)
 from relay_outage.outage import (
     DuplexMode,
     NetworkConfig,
@@ -17,9 +25,8 @@ from relay_outage.outage import (
     gaussian_chain_outage,
     montecarlo_outage,
     q_function,
-    sample_min_mutual_info,
 )
-from relay_outage.rng import chunk_streams, substream
+from relay_outage.rng import CHUNK_SIZE, substream
 from relay_outage.scenario import load_preset
 
 SEED = 505
@@ -32,6 +39,17 @@ Z_FOR_P01 = 1.2815515655446004
 
 def _chain(n_hops, mode=DuplexMode.FULL_DUPLEX, hop=HOP_2X2_20DB):
     return NetworkConfig(hops=(hop,) * n_hops, mode=mode)
+
+
+def _weakest_hop(cfg, rng, n):
+    """Each realization's weakest-hop exact mutual information, scaled by the
+    time share, from the stream layout alone: hop ``k`` draws its ``n``
+    realizations through ``hop_chunks`` on the ``k``-th child of ``rng``."""
+    per_hop = [
+        np.concatenate([mi for (mi,) in hop_chunks(hop, n, stream, (EXACT_MI,))])
+        for hop, stream in zip(cfg.hops, rng.spawn(cfg.n_hops))
+    ]
+    return cfg.time_share * reduce(np.minimum, per_hop)
 
 
 def test_q_function_values():
@@ -199,7 +217,7 @@ def test_network_config_validation():
 
 
 def test_min_mutual_info_extreme_rates():
-    samples = sample_min_mutual_info(_chain(3), substream(SEED, 0), 2000)
+    samples = _weakest_hop(_chain(3), substream(SEED, 0), 2000)
     assert samples.shape == (2000,)
     assert np.all(samples > 0.0)  # rate 0 never in outage
     assert np.all(samples < 1000.0)  # absurd rate always in outage
@@ -276,7 +294,7 @@ def test_rsi_levels_share_their_desired_link_draws():
     # by realization as the RSI grows
     def weakest_hop(rsi_db):
         hop = HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20.0, rsi_snr_db=rsi_db)
-        return sample_min_mutual_info(_chain(3, hop=hop), substream(SEED, 40), 4096)
+        return _weakest_hop(_chain(3, hop=hop), substream(SEED, 40), 4096)
 
     free = weakest_hop(None)
     faint, weak, strong = (weakest_hop(db) for db in (-300.0, 0.0, 10.0))
@@ -291,20 +309,20 @@ def test_empirical_outage_matches_broadcast_compare(monkeypatch):
     # sample, also when equal samples fall in different chunks
     cfg = _chain(2)
     n = 20_000  # three chunks
-    kernel = outage.sample_min_mutual_info
+    kernel = mutual_info.sample_hop_chunk
 
-    def rounded(cfg, stream, count):
-        return np.round(kernel(cfg, stream, count), 1)
+    def rounded(hop, stream, count, fields):
+        return tuple(np.round(f, 1) for f in kernel(hop, stream, count, fields))
 
-    chunks = [rounded(cfg, s, c) for s, c in chunk_streams(n, substream(SEED, 12))]
-    assert len(chunks) == 3
+    monkeypatch.setattr(mutual_info, "sample_hop_chunk", rounded)
+    samples = _weakest_hop(cfg, substream(SEED, 12), n)
+    chunks = np.split(samples, [CHUNK_SIZE, 2 * CHUNK_SIZE])
+    assert chunks[-1].size == n - 2 * CHUNK_SIZE > 0
     assert np.intersect1d(chunks[0], chunks[1]).size > 0  # ties across chunks
-    samples = np.concatenate(chunks)
     rates = np.concatenate(
         ([-1.0, 0.0], np.unique(samples)[::7], [samples.max() + 1.0])
     )
     rates.sort()
-    monkeypatch.setattr(outage, "sample_min_mutual_info", rounded)
     p, se = montecarlo_outage(cfg, rates, substream(SEED, 12), n)
     want = np.mean(samples[np.newaxis, :] < rates[:, np.newaxis], axis=-1)
     assert np.array_equal(p, want)
@@ -313,18 +331,53 @@ def test_empirical_outage_matches_broadcast_compare(monkeypatch):
 
 
 def test_montecarlo_counts_add_up_across_chunks():
-    # distinct samples: at the k-th smallest sample exactly k realizations
-    # lie strictly below, so the per-chunk counts (three chunks here) must
-    # add up to k / n bit for bit
-    cfg = _chain(2)
+    # the Monte Carlo draws each hop through hop_chunks on its own child of
+    # its stream and takes the weakest hop, so its samples are those of
+    # _weakest_hop.  They are distinct: at the k-th smallest sample exactly
+    # k realizations lie strictly below, so the per-chunk counts (three
+    # chunks here) must add up to k / n bit for bit, on a chain of like
+    # hops, one of unlike hops (with and without RSI, closed-form and factor
+    # routes) and a half-duplex one
     n = 20_000
-    samples = np.concatenate(
-        [sample_min_mutual_info(cfg, s, c) for s, c in chunk_streams(n, substream(SEED, 12))]
+    unlike = NetworkConfig(
+        hops=(
+            HopConfig(2, 2, 20.0, rsi_snr_db=5.0),
+            HopConfig(2, 3, 15.0),
+            HopConfig(3, 2, 25.0, rsi_snr_db=0.0),
+        ),
+        mode=DuplexMode.FULL_DUPLEX,
     )
-    assert np.unique(samples).size == n
-    rates = np.sort(samples)[::97]
-    p, _ = montecarlo_outage(cfg, rates, substream(SEED, 12), n)
-    assert np.array_equal(p, np.arange(0, n, 97) / n)
+    for cfg in (_chain(2), unlike, _chain(2, mode=DuplexMode.HALF_DUPLEX)):
+        samples = _weakest_hop(cfg, substream(SEED, 12), n)
+        assert np.unique(samples).size == n
+        rates = np.sort(samples)[::97]
+        p, _ = montecarlo_outage(cfg, rates, substream(SEED, 12), n)
+        assert np.array_equal(p, np.arange(0, n, 97) / n)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_montecarlo_memory_does_not_grow_with_hops():
+    # the hops advance in lockstep and fold into a running minimum, so one
+    # hop's chunk is in hand at a time: 16 hops peak where 2 do (zipping
+    # the hops' iterators would hold 14 more chunks at once)
+    rates = np.arange(0.0, 14.01, 0.05)
+    n = 3 * CHUNK_SIZE
+
+    def peak(n_hops):
+        cfg = _chain(n_hops)
+        return _peak_bytes(lambda: montecarlo_outage(cfg, rates, substream(SEED, 14), n))
+
+    peak(2)  # one-time allocations (caches, lazy imports) stay out of both
+    short, long = peak(2), peak(16)
+    assert abs(long - short) < 0.5 * 2**20, (short, long)
 
 
 def test_montecarlo_outage_single_point():
