@@ -12,8 +12,9 @@ Plotting stays out of process: ``--gnuplot`` writes a companion script
 next to the CSV.
 
 Exit codes: 0 success, 1 failed validation checks, 2 unusable input
-(flags or scenario), 3 numerical failure.  Errors print a single line to
-stderr starting with ``relay-outage: error:``.
+(flags or scenario, or a run larger than memory holds), 3 numerical
+failure.  Errors print a single line to stderr starting with
+``relay-outage: error:``.
 
 The command runs numpy's BLAS on one thread unless ``OPENBLAS_NUM_THREADS``
 is set: every matrix the package hands to BLAS or LAPACK is too small to
@@ -318,8 +319,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    # Imported here so that the other commands do not load the oracles
-    # (about 6 ms on top of the ~160 ms import of this module).
+    # Imported here so that the other commands do not load the oracles.
     from .validation import run_validation
 
     options: dict[str, int] = {}  # an omitted flag keeps run_validation's default
@@ -435,6 +435,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # the input asks for more than the machine holds
+        print(f"{ERROR_PREFIX} out of memory: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"{ERROR_PREFIX} numerical failure: {exc}", file=sys.stderr)

@@ -44,8 +44,10 @@ come from the small side ``L^+ L``, and their exact log-dets from the
 sqrt(eta) L]``, by Sylvester's identity ``det(I + S^+ S) = det(I +
 rho*Wbar + eta*W)``.  Neither ``W`` nor ``I + rho*Wbar`` is formed;
 :func:`_factor_exact` gives why each ``|R_jj| >= 1`` and why QR, not a
-Cholesky factor.  Each form supplies only its spectra, one array per rank,
-and its exact log-dets to :func:`hop_fields`.
+Cholesky factor.  :func:`hop_fields` picks a form's spectrum and exact
+log-det routines once, by its type; the two log-det routines share one
+signature, so its interference-free path and its general one each make one
+log-det call, whatever the form.
 """
 from __future__ import annotations
 
@@ -162,30 +164,28 @@ def pair_gain(alpha, beta, eta: float, rho: float):
 
 
 def _closed_form_exact(
-    gram: SmallGram,
-    rsi: SmallGram | None,
-    rsi_spectrum: tuple[np.ndarray, ...] | None,
-    eta: float,
-    rho: float,
-    wanted: set,
+    w: SmallGram, wbar: SmallGram | None, rsi_spectrum: tuple | None,
+    eta: float, rho: float, wanted: set,
 ) -> dict[str, np.ndarray]:
-    """Wanted ``EXACT``/``EXACT_MI`` of Gram forms of at most two rows (``EXACT`` without RSI).
+    """Wanted ``EXACT``/``EXACT_MI`` of Gram forms of at most two rows.
 
-    ``gram`` holds ``W``'s entries in the eigenframe of ``Wbar``, whose
-    descending eigenvalues ``l1 >= l2`` are ``rsi_spectrum`` (read only when
-    ``Wbar`` has two rows).  With ``Wbar = diag(l1, l2)`` there,
+    ``w`` holds ``W``'s entries in the eigenframe of ``Wbar``, ``wbar``
+    those of ``Wbar`` (``None`` without RSI), whose descending eigenvalues
+    ``l1 >= l2`` are ``rsi_spectrum`` (read only when ``Wbar`` has two
+    rows).  With ``Wbar = diag(l1, l2)`` there,
     ``det(I + rho*Wbar + eta*W) - det(I + rho*Wbar)
     = eta tr W + eta^2 det W + rho*eta (l2 a + l1 d)``, a sum of
     non-negative products that cannot cancel, so no clamp is needed; and
-    ``det(I + rho*Wbar) - 1 = rho tr Wbar + rho^2 det Wbar``.
+    ``det(I + rho*Wbar) - 1 = rho tr Wbar + rho^2 det Wbar``, exactly 0
+    without RSI, where both fields are ``log1p`` of that gain to the bit.
     """
-    gain = eta * gram.trace + eta * eta * gram.det
-    if rsi is None:
-        return {EXACT: np.log1p(gain) / LN2}
-    if rsi.rows == 2:  # the mixed term, 0 for one row
-        l1, l2 = rsi_spectrum
-        gain = gain + rho * eta * (l2 * gram.a + l1 * gram.d)
-    rsi_growth = rho * rsi.trace + rho * rho * rsi.det  # det(I + rho*Wbar) - 1
+    gain = eta * w.trace + eta * eta * w.det
+    rsi_growth = 0.0  # det(I + rho*Wbar) - 1
+    if wbar is not None:
+        if wbar.rows == 2:  # the mixed term, 0 for one row
+            l1, l2 = rsi_spectrum
+            gain = gain + rho * eta * (l2 * w.a + l1 * w.d)
+        rsi_growth = rho * wbar.trace + rho * rho * wbar.det
     out = {}
     if EXACT in wanted:
         out[EXACT] = np.log1p(rsi_growth + gain) / LN2
@@ -194,22 +194,20 @@ def _closed_form_exact(
     return out
 
 
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
-
-
 def _factor_spectra(factor: np.ndarray) -> tuple[np.ndarray, ...]:
     """Descending spectra of ``W = L L^+``, one array per rank (the columns of
     the ``(n, rows)`` spectra): the top eigenvalues of the small side
     ``L^+ L``, padded with exact zeros."""
     rows, cols = factor.shape[-2:]
+    small_side = np.conj(np.swapaxes(factor, -1, -2)) @ factor
     out = np.zeros(factor.shape[:-2] + (rows,))
-    out[..., : min(rows, cols)] = descending_spectra(_adjoint(factor) @ factor)[..., :rows]
+    out[..., : min(rows, cols)] = descending_spectra(small_side)[..., :rows]
     return tuple(np.moveaxis(out, -1, 0))
 
 
 def _factor_exact(
-    factor: np.ndarray, rsi_factor: np.ndarray | None, eta: float, rho: float, wanted: set
+    w: np.ndarray, wbar: np.ndarray | None, rsi_spectrum: tuple | None,
+    eta: float, rho: float, wanted: set,
 ) -> dict[str, np.ndarray]:
     """Wanted ``EXACT``/``EXACT_MI`` of ``W = L L^+`` from factors ``L``, from one QR.
 
@@ -225,10 +223,12 @@ def _factor_exact(
     against round-off.  Householder QR is backward stable on ``[S; I_K]``,
     which holds ``I`` exactly; the Cholesky factor of the formed
     ``I_K + S^+ S`` would cancel in those Schur complements at high SNR.
+    ``w`` and ``wbar`` are ``L`` and ``Lbar`` (``None`` without RSI);
+    ``rsi_spectrum`` is not read, only shared with the closed form's signature.
     """
-    s = math.sqrt(eta) * factor
-    if rsi_factor is not None:
-        s = np.concatenate((math.sqrt(rho) * rsi_factor, s), axis=-1)
+    s = math.sqrt(eta) * w
+    if wbar is not None:
+        s = np.concatenate((math.sqrt(rho) * wbar, s), axis=-1)
     eye = np.broadcast_to(np.eye(s.shape[-1]), s.shape[:-2] + (s.shape[-1],) * 2)
     r = np.linalg.qr(np.concatenate((s, eye), axis=-2), mode="r")
     # |R_jj|^2 is a Schur complement of I_K + S^+ S >= I, so it is >= 1;
@@ -238,7 +238,7 @@ def _factor_exact(
     if EXACT in wanted:
         out[EXACT] = bits.sum(axis=-1)
     if EXACT_MI in wanted:
-        out[EXACT_MI] = bits[..., -factor.shape[-1] :].sum(axis=-1)
+        out[EXACT_MI] = bits[..., -w.shape[-1] :].sum(axis=-1)
     return out
 
 
@@ -291,26 +291,18 @@ def hop_fields(
     if unknown:
         raise ValueError(f"unknown hop fields {sorted(unknown)}; expected {HOP_FIELDS}")
     small = isinstance(w, SmallGram)
+    if small:
+        spectrum, exact = SmallGram.spectrum, _closed_form_exact
+    else:
+        spectrum, exact = _factor_spectra, _factor_exact
     if wbar is None:  # without interference both pairings, and every field, are exact
-        exact = (
-            _closed_form_exact(w, None, None, eta, rho, {EXACT})
-            if small
-            else _factor_exact(w, None, eta, rho, {EXACT})
-        )
-        return (exact[EXACT],) * len(fields)
-    spectrum = SmallGram.spectrum if small else _factor_spectra
+        return (exact(w, None, None, eta, rho, {EXACT})[EXACT],) * len(fields)
     exact_wanted = wanted & {EXACT, EXACT_MI}
     pairings_wanted = wanted - exact_wanted
     alpha = None
     if pairings_wanted or (exact_wanted and small and wbar.rows == 2):
         alpha = spectrum(wbar)
-    out = {}
-    if exact_wanted:
-        out = (
-            _closed_form_exact(w, wbar, alpha, eta, rho, wanted)
-            if small
-            else _factor_exact(w, wbar, eta, rho, wanted)
-        )
+    out = exact(w, wbar, alpha, eta, rho, wanted) if exact_wanted else {}
     if pairings_wanted:
         out.update(_pairing_fields(alpha, spectrum(w), eta, rho, wanted))
     return tuple(out[name] for name in fields)

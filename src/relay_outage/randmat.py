@@ -100,14 +100,14 @@ class SmallGram:
         """Descending eigenvalues of ``W``, one length-``n`` array per rank; all >= 0.
 
         The ``(largest, smallest)`` pair for two rows, ``(largest,)`` for
-        one.  The smaller of two is ``det / largest`` rather than a
-        difference, so it keeps full relative precision when ``W`` is near
-        singular.
+        one, where it is ``W`` itself.  The smaller of two is ``det / largest``
+        rather than a difference, so it keeps full relative precision when
+        ``W`` is near singular.
         """
+        if self.rows == 1:
+            return (self.a,)
         half_gap = 0.5 * (self.a - self.d)
         largest = 0.5 * self.trace + np.sqrt(half_gap * half_gap + self.b_sq)
-        if self.rows == 1:
-            return (largest,)
         smallest = np.divide(
             self.det, largest, out=np.zeros_like(largest), where=largest > 0.0
         )

@@ -1,9 +1,11 @@
 """Shared test plumbing: collect acceptance verdicts and print them last,
 name the hop shapes of the law tests, form dense Gram matrices from
 closed-form entries or factors and take their log-dets, the reference
-route for the hop kernel, and draw channels, the reference route for the
-Bartlett draw."""
+route for the hop kernel, draw channels, the reference route for the
+Bartlett draw, name the numpy version that pinned bytes hold on, and trace
+a call's peak heap."""
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -13,6 +15,10 @@ ACCEPTANCE_LINES: list[str] = []
 # (rx > tx), wide, and one-row links, and three rows with a tall desired
 # and a wide interference link
 LAW_CASES = ((1, 1, 1), (2, 2, 2), (2, 1, 3), (2, 4, 2), (1, 3, 2), (3, 2, 4))
+
+# Pinned sha256 digests of drawn bytes hold on this numpy version; elsewhere
+# their tests skip.
+PINNED_NUMPY = "2.4.6"
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -44,6 +50,16 @@ def logdet2_psd(a):
     Cholesky factor of the formed matrix."""
     diag = np.diagonal(np.linalg.cholesky(a), axis1=-2, axis2=-1).real
     return 2.0 * np.log(diag).sum(axis=-1) / math.log(2.0)
+
+
+def traced_peak(call):
+    """Peak bytes that ``tracemalloc`` sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def draw_channels(n, rows, cols, rng):

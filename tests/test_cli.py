@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import PINNED_NUMPY
+
 import relay_outage
 from relay_outage import __version__, cli, mutual_info
 from relay_outage.cli import ERROR_PREFIX, _ks_distance, _skewness, _write_result
@@ -115,8 +117,8 @@ def test_outage_output_is_byte_stable(scenario_file, tmp_path):
 
 # sha256 of every preset's CSV at its default sizes and of `validate`'s
 # output with its timings stripped.  Bytes may move only with the package
-# version, so a new version re-pins them; they hold on one numpy version.
-PINNED_VERSION, PINNED_NUMPY = "0.13.0", "2.4.6"
+# version, so a new version re-pins them; they hold on PINNED_NUMPY.
+PINNED_VERSION = "0.13.0"
 PINNED_SHA256 = {
     "fig3-fd-norsi-outage.csv": "9093a2de9c3065a2be787fce3ff05bce8cb55d3eb77787d0036788278a7245cc",
     "fig3-fd-rsi12-outage.csv": "805ce7d2bf4634dc50cb44ae87064bb20a63c5b2f1e13de991f3ae8786952556",
@@ -633,7 +635,7 @@ def test_numerical_failure_exits_3(scenario_file, tmp_path, monkeypatch, capsys)
     assert ERROR_PREFIX in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error, code", [(ValueError, 2), (FloatingPointError, 3)])
+@pytest.mark.parametrize("error, code", [(ValueError, 2), (FloatingPointError, 3), (MemoryError, 2)])
 def test_error_in_a_shared_chunk_keeps_its_exit_code(
     error, code, scenario_file, tmp_path, monkeypatch, capsys
 ):
@@ -654,6 +656,7 @@ def test_error_in_a_shared_chunk_keeps_its_exit_code(
     assert rc == code
     err = capsys.readouterr().err
     assert err.startswith(ERROR_PREFIX) and "broken chunk" in err
+    assert err.count("\n") == 1
 
 
 def test_scenario_and_preset_are_exclusive(scenario_file, capsys):

@@ -12,6 +12,7 @@ far apart -- the factor route is checked against a rank-one closed form
 and the pairing sandwich instead.  The Bartlett draw itself is checked in
 law against drawn channels, which the kernel takes as factors.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import LAW_CASES, dense_gram, draw_channels, logdet2_psd
+from conftest import LAW_CASES, PINNED_NUMPY, dense_gram, draw_channels, logdet2_psd
 
 from relay_outage.cli import _ks_distance
 from relay_outage.mutual_info import (
@@ -206,6 +207,44 @@ def test_kernel_returns_requested_fields_in_order(rx, rho, fields):
         assert np.array_equal(value, full[name]), name
     with pytest.raises(ValueError):
         sample_hop_chunk(hop, substream(SEED, 9), 50, ("spectrum",))
+
+
+def _route_hops():
+    """Every law shape at 10 dB with and without 5 dB RSI, and a 4x4 RSI hop:
+    the one-row, two-row, rank-one, ``standard_gamma`` (tx = 4) and QR routes."""
+    for rx, tx, rsi_tx in LAW_CASES:
+        yield f"{rx}x{tx}-norsi", HopConfig(tx, rx, 10.0)
+        yield f"{rx}x{tx}-rsi{rsi_tx}", HopConfig(tx, rx, 10.0, 5.0, rsi_tx)
+    yield "4x4-rsi4", HopConfig(4, 4, 10.0, 5.0, 4)
+
+
+# sha256 of every field of a 1000-draw chunk of each route hop, with its
+# fields' bytes joined in HOP_FIELDS order; they hold on PINNED_NUMPY
+ROUTE_SHA256 = {
+    "1x1-norsi": "7a18e1f8ce89b4ec80009c38dea0bfe0e539e3160123d0481018a7163f181b91",
+    "1x1-rsi1": "e21d7f6eafb3efa7efb0055fa908f0744eb5e2af8e6ec6038171ea368244c631",
+    "2x2-norsi": "a1326aea4957da8d03883bb52cd37b7a49377299be8f6b4eda9d7a924d73c783",
+    "2x2-rsi2": "f3f9a1349103474810f801fa52419eae9c7f5d1d5056895cbbef9fe532a835b4",
+    "2x1-norsi": "c66dbd96425e482f142612ea5333fa788996799c57663afeb5b166ba3aa1c5a9",
+    "2x1-rsi3": "b0518d7a42dc010e3fc1f7f590c4c3cea72a7eaef333d4f41ca7525915c80041",
+    "2x4-norsi": "d421c07ffb8b14bba967400a67dc7f035f994aebf36aa55269030ff7f858f334",
+    "2x4-rsi2": "f4381da5bbcf2baeff2b56e0e9faedd6473a22ee0e9f24e325dde466807c521e",
+    "1x3-norsi": "bd8540960242fbd8d977632b008f9797fb0e57917b13314346d1d5b243b108fe",
+    "1x3-rsi2": "1b789e82543f846f5bb922d128bc1f15da5d47937b59c03b8358c2f2ef8b7837",
+    "3x2-norsi": "6e0267475c5e10b3a97aacf3d5f9f72d8004502cbc750738a813f93231a534c4",
+    "3x2-rsi4": "90c9a9ee00371e3b9379a9019b248b39590dd439e67e8a10f5e56d3ac1022548",
+    "4x4-rsi4": "1a11e672691d0aa2189ee3de9b7447f75a5e7538e21261371c0dd816547e9c7e",
+}
+
+
+def test_kernel_keeps_its_bytes_on_every_route():
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"bytes pinned on numpy {PINNED_NUMPY}, running {np.__version__}")
+    got = {}
+    for index, (name, hop) in enumerate(_route_hops()):
+        fields = sample_hop_chunk(hop, substream(SEED, 15, index), 1000, HOP_FIELDS)
+        got[name] = hashlib.sha256(b"".join(f.tobytes() for f in fields)).hexdigest()
+    assert got == ROUTE_SHA256
 
 
 def test_small_gram_degenerate_channels():

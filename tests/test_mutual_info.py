@@ -1,11 +1,10 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import channel_grams, dense_gram, logdet2_psd
+from conftest import channel_grams, dense_gram, logdet2_psd, traced_peak
 from relay_outage.mutual_info import (
     APPROX_MI,
     EXACT,
@@ -264,22 +263,12 @@ def test_hop_chunks_refuses_a_tiny_sample_before_it_is_iterated():
         hop_chunks(hop, 99, substream(SEED, 13), (EXACT,))
 
 
-def _traced_peak(call):
-    """Peak bytes that ``tracemalloc`` sees allocated during ``call()``."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_sampled_moments_hold_one_chunk_and_match_the_joined_draws():
     # the moments merge chunk by chunk, so ten times the chunks must not
     # take ten times the memory (joined draws grew by about 10 MB)
     hop = hop_at_scales(2, 2, 10.0, 1.0)
     peaks = [
-        _traced_peak(lambda: estimate_hop_moments(hop, chunks * CHUNK_SIZE, substream(SEED, 15)))
+        traced_peak(lambda: estimate_hop_moments(hop, chunks * CHUNK_SIZE, substream(SEED, 15)))
         for chunks in (10, 100)
     ]
     assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks

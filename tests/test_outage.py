@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from functools import reduce
 
@@ -8,6 +7,8 @@ import pytest
 
 from scipy.special import erfc
 from scipy.stats import norm
+
+from conftest import traced_peak
 
 from relay_outage import mutual_info
 from relay_outage.mutual_info import (
@@ -355,15 +356,6 @@ def test_montecarlo_counts_add_up_across_chunks():
         assert np.array_equal(p, np.arange(0, n, 97) / n)
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_montecarlo_memory_does_not_grow_with_hops():
     # the hops advance in lockstep and fold into a running minimum, so one
     # hop's chunk is in hand at a time: 16 hops peak where 2 do (zipping
@@ -373,7 +365,7 @@ def test_montecarlo_memory_does_not_grow_with_hops():
 
     def peak(n_hops):
         cfg = _chain(n_hops)
-        return _peak_bytes(lambda: montecarlo_outage(cfg, rates, substream(SEED, 14), n))
+        return traced_peak(lambda: montecarlo_outage(cfg, rates, substream(SEED, 14), n))
 
     peak(2)  # one-time allocations (caches, lazy imports) stay out of both
     short, long = peak(2), peak(16)

@@ -106,6 +106,14 @@ def test_psd_clamping_tolerance():
         descending_spectra(np.stack([np.eye(2), np.diag([1.0, -1e-3])]))
 
 
+def test_one_row_spectrum_is_the_entry():
+    # a 1x1 Gram form is its own eigenvalue, at any magnitude: no square
+    # root to underflow below 1e-154 or overflow above 1e154
+    a = np.array([0.0, 5e-324, 1e-200, 1.0, 1e200, np.finfo(float).max])
+    (spectrum,) = SmallGram(rows=1, a=a).spectrum()
+    assert np.array_equal(spectrum, a)
+
+
 def test_descending_spectra_batched_matches_single():
     ws = dense_gram(sample_gram(64, 3, 2, substream(SEED, 7)))
     batched = descending_spectra(ws)

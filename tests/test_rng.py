@@ -1,7 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+
+from conftest import traced_peak
 
 from relay_outage.mutual_info import HopConfig
 from relay_outage.outage import DuplexMode, NetworkConfig, montecarlo_outage
@@ -33,15 +33,6 @@ def test_no_draws_raise():
         chunk_streams(0, substream(SEED, 5))
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_chunk_streams_spawn_as_the_loop_reaches_them():
     # 10^8 draws are 12 208 chunks; spawning every chunk's generator up
     # front held about 11 MB before the first draw, while spawning each as
@@ -51,7 +42,7 @@ def test_chunk_streams_spawn_as_the_loop_reaches_them():
         next(chunks), next(chunks)
 
     first_two()  # one-time allocations stay out of the measurement
-    assert _peak_bytes(first_two) < 2**20
+    assert traced_peak(first_two) < 2**20
 
 
 def test_montecarlo_memory_does_not_grow_with_realizations():
@@ -61,7 +52,7 @@ def test_montecarlo_memory_does_not_grow_with_realizations():
     rates = np.arange(0.0, 14.01, 0.05)
 
     def peak(n):
-        return _peak_bytes(lambda: montecarlo_outage(cfg, rates, substream(SEED, 6), n))
+        return traced_peak(lambda: montecarlo_outage(cfg, rates, substream(SEED, 6), n))
 
     peak(1000)  # one-time allocations (caches, lazy imports) stay out of both
     small, large = peak(100_000), peak(1_000_000)
