@@ -32,9 +32,10 @@ from pathlib import Path
 
 # numpy starts OpenBLAS's pool, one thread per CPU, when it loads, and no
 # BLAS call of this package is large enough to use it: on a 2-vCPU machine
-# (numpy 2.4.6, OpenBLAS 0.3.31) the idle pool cost every run about 0.13 s
-# of CPU.  The count only takes effect before numpy loads; a process that
-# already holds numpy keeps its environment, and a value the user set wins.
+# (numpy 2.4.6, OpenBLAS 0.3.31) the idle pool cost every run about 0.06 to
+# 0.07 s of wall and of CPU time (medians of 9 alternated children, with and
+# without it).  The count only takes effect before numpy loads; a process
+# that already holds numpy keeps its environment, and a value the user set wins.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -49,6 +50,7 @@ from .outage import (
     montecarlo_outage,
 )
 from .rng import (
+    CHUNK_SIZE,
     STREAM_DISTRIBUTION,
     STREAM_HOP_MOMENTS,
     STREAM_NETWORK_MC,
@@ -84,17 +86,27 @@ DISTRIBUTION_COLUMNS = (
 def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov distance: the largest gap between ECDFs.
 
-    Both ECDFs are read at every sample by binary search, so ties need no
-    special care.  The arithmetic is ``scipy.stats.ks_2samp``'s statistic
-    before its exact p-value path re-rounds it for small samples.
+    ``F_a - F_b`` rises only at points of ``a`` and falls only at points of
+    ``b``, so its largest value is at a point of ``a`` and its smallest at a
+    point of ``b``; each sample is read for its own side of the gap.  At the
+    ``j``-th point of a sorted sample its own count is taken as ``j``, short
+    of the true count only inside a tie group, whose last point has it
+    exactly, so ties need no special care; the other sample's count comes
+    by binary search, in the stretch of it that a block of ``CHUNK_SIZE``
+    points spans.  Beside the two sorted copies only one block is held.
+    The arithmetic, and so the float, is ``scipy.stats.ks_2samp``'s
+    statistic before its exact p-value path re-rounds it for small samples.
     """
     a, b = np.sort(a), np.sort(b)
-    both = np.concatenate([a, b])
-    gap = (
-        np.searchsorted(a, both, side="right") / a.size
-        - np.searchsorted(b, both, side="right") / b.size
-    )
-    return float(max(gap.max(), -gap.min()))
+    widest = 0.0
+    for own, other in ((a, b), (b, a)):
+        for start in range(0, own.size, CHUNK_SIZE):
+            points = own[start : start + CHUNK_SIZE]
+            lo, hi = np.searchsorted(other, points[[0, -1]], side="right")
+            below = lo + np.searchsorted(other[lo:hi], points, side="right")
+            gap = np.arange(start + 1, start + points.size + 1) / own.size - below / other.size
+            widest = max(widest, gap.max())
+    return float(widest)
 
 
 def _skewness(x: np.ndarray) -> float:

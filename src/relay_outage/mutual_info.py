@@ -18,7 +18,7 @@ lower bound and pairing opposite ranks an upper bound on
 approximated mutual information whose moments feed the Gaussian outage
 closed form in :mod:`relay_outage.outage`: by quadrature
 (:func:`~relay_outage.wishart_stats.quadrature_hop_moments`) for hops of
-at most two receive antennas, else sampled (:func:`estimate_hop_moments`).
+at most two receive antennas, else sampled (:func:`sampled_moments`).
 
 Every sampled per-hop quantity comes from one chunk kernel,
 :func:`sample_hop_chunk`, which draws a :class:`HopConfig`'s receive Gram
@@ -378,14 +378,3 @@ def sampled_moments(
         sum_sq += float(centred @ centred) + delta * delta * (count * values.size / total)
         count = total
     return mean, sum_sq / (count - 1)
-
-
-def estimate_hop_moments(
-    hop: HopConfig, n_samples: int, rng: np.random.Generator
-) -> HopMoments:
-    """Sampled mean and variance of one hop's ``APPROX_MI``, in full-duplex form.
-
-    The closed form's fallback for the hops that quadrature does not cover;
-    a chain scales them by its time share.
-    """
-    return HopMoments(*sampled_moments(hop, n_samples, rng, APPROX_MI), n_samples)

@@ -20,12 +20,13 @@ from enum import Enum
 import numpy as np
 
 from .mutual_info import (
+    APPROX_MI,
     EXACT_MI,
     HopConfig,
     HopMoments,
     check_sample_count,
-    estimate_hop_moments,
     hop_chunks,
+    sampled_moments,
 )
 from .wishart_stats import quadrature_hop_moments
 
@@ -56,8 +57,9 @@ class NetworkConfig:
 
     The chain owns the interferer size: an RSI hop's ``rsi_tx_antennas`` is
     the next hop's ``tx_antennas``, and the terminal hop's is its own.  It
-    is set when omitted and must equal that size when given, on every hop.
-    A hop without self-interference keeps none.
+    is set when omitted and must equal that size when given in code, on
+    every hop; a scenario file has no key for it.  A hop without
+    self-interference keeps none.
     """
 
     hops: tuple[HopConfig, ...]
@@ -125,7 +127,8 @@ def chain_moments(
     """Each hop's Gaussian moments, scaled by the chain's time share.
 
     By quadrature (:func:`~relay_outage.wishart_stats.quadrature_hop_moments`),
-    which needs no draws, wherever it converges; otherwise estimated from
+    which needs no draws, wherever it converges; otherwise the
+    :func:`~relay_outage.mutual_info.sampled_moments` of ``APPROX_MI`` over
     ``n_samples`` draws on the hop's own substream of ``rng``.  The sample
     minimum holds whether or not any hop samples.
     """
@@ -135,7 +138,7 @@ def chain_moments(
     for hop, stream in zip(cfg.hops, rng.spawn(cfg.n_hops)):
         m = quadrature_hop_moments(hop)
         if m is None:
-            m = estimate_hop_moments(hop, n_samples, stream)
+            m = HopMoments(*sampled_moments(hop, n_samples, stream, APPROX_MI), n_samples)
         moments.append(replace(m, mean=share * m.mean, variance=share * share * m.variance))
     return moments
 

@@ -18,9 +18,9 @@ order is reported, with the source name and the line.  The rules on the
 whole file follow, in this order: missing ``[network]`` section or keys;
 hop indices beyond the chain; each hop's missing keys and own rules
 (:class:`~relay_outage.mutual_info.HopConfig`), at the hop's section
-line; the chain's, the interferer size among them, owned by
-:class:`~relay_outage.outage.NetworkConfig` and reported at the
-``[network]`` line; the rate grid; the distribution hop.  Sample counts
+line; the chain's, owned by :class:`~relay_outage.outage.NetworkConfig`
+(which alone sets each interferer's size), at the ``[network]`` line; the
+rate grid; the distribution hop.  Sample counts
 are capped at ``MAX_DRAWS`` here; the sampling functions enforce their
 minimums when a run starts.
 
@@ -164,9 +164,7 @@ _HOP_KEYS = {
     "rx_antennas": (_integer(1), _REQUIRED),
     "snr_db": (_number(), _REQUIRED),
     "rsi_snr_db": (_or_none(_number()), None),
-    "rsi_tx_antennas": (_or_none(_integer(1)), None),
 }
-_RSI_KEYS = frozenset(key for key in _HOP_KEYS if key.startswith("rsi_"))
 _TABLES = {**_SECTIONS, "hop": _HOP_KEYS}  # [hop.K] sections use the "hop" table
 _Entry = tuple[object, int]  # parsed value, line number
 
@@ -251,9 +249,8 @@ def _build_hops(
         section = f"hop.{k}"
         merged = dict(sections.get("hop", {}))
         if k == n_hops:
-            # Terminal receiver: interference defaults do not apply.
-            for key in _RSI_KEYS:
-                merged.pop(key, None)
+            # Terminal receiver: the interference default does not apply.
+            merged.pop("rsi_snr_db", None)
         merged.update(sections.get(section, {}))
         line = section_lines.get(section, section_lines.get("hop"))
         fields = {

@@ -276,7 +276,7 @@ def quadrature_hop_moments(hop: HopConfig) -> HopMoments | None:
     """One hop's closed-form moments by quadrature, or ``None`` where that fails.
 
     The mean and variance of ``APPROX_MI``, which
-    :func:`~relay_outage.mutual_info.estimate_hop_moments` samples, in
+    :func:`~relay_outage.mutual_info.sampled_moments` otherwise samples, in
     full-duplex form, under the exact eigenvalue laws of ``eigen_weights``.
     ``None`` for more than ``MAX_QUADRATURE_RX`` receive antennas, and
     where the ``PAIR_NODES`` rule's values differ from those of the

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import PINNED_NUMPY
+from conftest import PINNED_NUMPY, traced_peak
 
 import relay_outage
 from relay_outage import __version__, cli, mutual_info
@@ -579,6 +579,21 @@ def test_bad_scenario_exits_2(tmp_path, capsys):
     assert "broken.scenario:3" in err
 
 
+def test_interferer_size_key_exits_2_at_its_line(tmp_path, capsys):
+    # the chain sets each interferer's size; a file that still gives one is
+    # refused as any unknown key is
+    path = tmp_path / "sized.scenario"
+    path.write_text(
+        "[network]\nmode = fd\nhops = 2\n[hop]\ntx_antennas = 2\nrx_antennas = 2\n"
+        "snr_db = 20\nrsi_snr_db = 8\nrsi_tx_antennas = 2\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["outage", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{ERROR_PREFIX} {path}:9: unknown key 'rsi_tx_antennas' in [hop]\n"
+    )
+
+
 def test_unusable_out_exits_2(tmp_path):
     # no directory can be made below a regular file
     (tmp_path / "plain").write_text("", encoding="utf-8")
@@ -728,6 +743,31 @@ def test_distribution_stats_match_scipy(n):
     assert _ks_distance(exact, midpoint) == want
     assert _skewness(exact) == stats.skew(exact)
     assert _skewness(midpoint) == stats.skew(midpoint)
+
+
+def test_ks_distance_matches_scipy_across_blocks():
+    # tie groups that straddle CHUNK_SIZE blocks, samples of unequal size,
+    # and samples that do not overlap, where a block's span of the other
+    # sample is empty
+    rng = np.random.default_rng(9)
+    a = rng.integers(0, 12, 5 * CHUNK_SIZE + 3).astype(float)
+    b = rng.integers(2, 15, 3 * CHUNK_SIZE - 5).astype(float)
+    far = rng.standard_normal(2 * CHUNK_SIZE + 1) + 100.0
+    for x, y in ((a, b), (b, a), (a, far), (far, b)):
+        assert _ks_distance(x, y) == stats.ks_2samp(x, y, method="asymp").statistic
+
+
+def test_distribution_peak_memory_per_draw(tmp_path):
+    # the KS distance reads the sorted samples block by block, so the
+    # command never holds the pooled samples or their ECDFs at every point
+    # (about 96 bytes per draw when it did); the fields, their sorted
+    # copies and the skewness temporaries stay below 48
+    n = 200_000
+    args = ["distribution", "--preset", "dist-snr20-rsi0", "--out", str(tmp_path)]
+    codes = [cli.main(args + ["--samples", "1000"])]  # loads the preset once
+    peak = traced_peak(lambda: codes.append(cli.main(args + ["--samples", str(n)])))
+    assert codes == [0, 0]
+    assert peak / n < 48.0, f"{peak / n:.1f} bytes per draw"
 
 
 def test_distribution_stats_match_scipy_with_ties():

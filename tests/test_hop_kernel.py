@@ -10,7 +10,10 @@ pairing bounds and both mutual informations written out below as
 differences of log-dets.  Where the formed matrices lose digits -- powers
 far apart -- the factor route is checked against a rank-one closed form
 and the pairing sandwich instead.  The Bartlett draw itself is checked in
-law against drawn channels, which the kernel takes as factors.
+law against drawn channels: those of at most two rows go through a
+test-local closed form on their Gram entries, itself checked against the
+kernel's factor route on shared channels, and larger ones through the
+factor route.
 """
 import hashlib
 import math
@@ -266,14 +269,85 @@ LAW_DRAWS = 1_000_000
 LAW_ALPHA = 0.0027
 
 
+def _gram_entries(h):
+    """Diagonal and (0, 1) entries of ``W = H H^+`` of channels of one or two
+    rows; each row's squared norm is the dot product of its real and
+    imaginary parts with themselves."""
+    parts = h.view(float)
+    diag = np.einsum("nij,nij->ni", parts, parts)
+    return diag[:, 0], diag[:, -1], np.einsum("nj,nj->n", h[:, 0], np.conj(h[:, -1]))
+
+
+def _det2(p, r, q):
+    """Determinant of Hermitian ``[[p, q], [q*, r]]``; a rank-one form's
+    round-off is clamped at 0."""
+    return np.maximum(p * r - (q.real**2 + q.imag**2), 0.0)
+
+
+def _spectrum2(p, r, q):
+    """Descending eigenvalues of Hermitian ``[[p, q], [q*, r]]``, the smaller
+    as the determinant over the larger, so that it does not cancel."""
+    top = 0.5 * (p + r) + np.hypot(0.5 * (p - r), np.abs(q))
+    return top, _det2(p, r, q) / top
+
+
+def _gram_entry_fields(h, h_rsi, eta, rho):
+    """Every hop field, in ``HOP_FIELDS`` order, of channels of at most two
+    rows, from their Gram forms' complex entries in the frame they are drawn in: det(I + rho*Wbar + eta*W)
+    and det(I + rho*Wbar) in closed form, and each form's spectrum.  An
+    independent route to the kernel's fields: it never reads ``W`` in the
+    eigenframe of ``Wbar``, as the closed form of the kernel does."""
+    (a, d, b), (abar, dbar, bbar) = _gram_entries(h), _gram_entries(h_rsi)
+    if h.shape[-2] == 1:
+        alpha, beta = abar[:, np.newaxis], a[:, np.newaxis]
+        total, base = np.log1p(rho * abar + eta * a), np.log1p(rho * abar)
+    else:
+        alpha = np.stack(_spectrum2(abar, dbar, bbar), axis=-1)
+        beta = np.stack(_spectrum2(a, d, b), axis=-1)
+        x = (rho * abar + eta * a, rho * dbar + eta * d, rho * bbar + eta * b)
+        total = np.log1p(x[0] + x[1] + _det2(*x))
+        base = np.log1p(rho * (abar + dbar) + rho * rho * _det2(abar, dbar, bbar))
+    lower, upper = _pairing_bounds(alpha, beta, eta, rho)
+    midpoint = 0.5 * (lower + upper)
+    exact, base = total / LN2, base / LN2
+    fields = {
+        EXACT: exact,
+        LOWER: lower,
+        UPPER: upper,
+        MIDPOINT: midpoint,
+        EXACT_MI: exact - base,
+        APPROX_MI: midpoint - base,
+    }
+    return tuple(fields[name] for name in HOP_FIELDS)
+
+
 def _channel_route_fields(hop, n, rng):
-    """Every hop field of ``n`` draws of channels, passed as factors."""
+    """Every hop field of ``n`` draws of channels: by ``_gram_entry_fields``
+    for at most two rows, else passed to the kernel as factors (QR route)."""
     chunks = []
     for stream, count in chunk_streams(n, rng):
         h = draw_channels(count, hop.rx_antennas, hop.tx_antennas, stream)
         h_rsi = draw_channels(count, hop.rx_antennas, hop.interferer_antennas, stream)
-        chunks.append(hop_fields(h, h_rsi, hop.eta, hop.rho, HOP_FIELDS))
+        if hop.rx_antennas <= MAX_CLOSED_FORM_RX:
+            chunks.append(_gram_entry_fields(h, h_rsi, hop.eta, hop.rho))
+        else:
+            chunks.append(hop_fields(h, h_rsi, hop.eta, hop.rho, HOP_FIELDS))
     return tuple(np.concatenate(field) for field in zip(*chunks))
+
+
+@pytest.mark.parametrize(
+    "rx, tx, rsi_tx", [case for case in LAW_CASES if case[0] <= MAX_CLOSED_FORM_RX]
+)
+def test_gram_entry_route_matches_factor_route(rx, tx, rsi_tx):
+    # the law test's channel side for rx <= 2 against the kernel's factor
+    # route, on shared channels at the law test's powers
+    hop = HopConfig(tx, rx, snr_db=10.0, rsi_snr_db=5.0, rsi_tx_antennas=rsi_tx)
+    stream = substream(SEED, 16, rx, tx, rsi_tx)
+    h, h_rsi = draw_channels(50_000, rx, tx, stream), draw_channels(50_000, rx, rsi_tx, stream)
+    got = _gram_entry_fields(h, h_rsi, hop.eta, hop.rho)
+    want = hop_fields(h, h_rsi, hop.eta, hop.rho, HOP_FIELDS)
+    for name, g, w in zip(HOP_FIELDS, got, want):
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12, err_msg=name)
 
 
 MI_DRAWS = 20_000

@@ -16,10 +16,10 @@ from relay_outage.mutual_info import (
     UPPER,
     HopConfig,
     HopMoments,
-    estimate_hop_moments,
     hop_chunks,
     hop_fields,
     sample_hop_fields,
+    sampled_moments,
 )
 from relay_outage.outage import DuplexMode, NetworkConfig
 from relay_outage.randmat import SmallGram, descending_spectra, sample_gram
@@ -215,22 +215,24 @@ def test_approx_mi_unclamped_and_nonnegative():
     assert approx_mi.min() < 1e-3
 
 
+# the estimate below, sampled_moments of APPROX_MI, is the closed form's
+# fallback where quadrature does not converge (outage.chain_moments)
 def test_estimate_hop_moments_hd_siso_quadrature():
     # a half-duplex chain scales the hop's moments by its time share
     hop = HopConfig(tx_antennas=1, rx_antennas=1, snr_db=20.0)
-    moments = estimate_hop_moments(hop, 50_000, substream(SEED, 10))
+    mean, variance = sampled_moments(hop, 50_000, substream(SEED, 10), APPROX_MI)
     share = NetworkConfig(hops=(hop,), mode=DuplexMode.HALF_DUPLEX).time_share
     expected = 0.5 * expected_logdet(1, 1, 100.0)
-    se = math.sqrt(moments.variance / moments.n_samples)
-    assert abs(share * moments.mean - expected) < 3 * share * se
+    se = math.sqrt(variance / 50_000)
+    assert abs(share * mean - expected) < 3 * share * se
 
 
 def test_estimate_hop_moments_fd_norsi_quadrature():
     hop = HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20.0)
-    moments = estimate_hop_moments(hop, 50_000, substream(SEED, 11))
+    mean, variance = sampled_moments(hop, 50_000, substream(SEED, 11), APPROX_MI)
     expected = expected_logdet(2, 2, 50.0)
-    se = math.sqrt(moments.variance / moments.n_samples)
-    assert abs(moments.mean - expected) < 3 * se
+    se = math.sqrt(variance / 50_000)
+    assert abs(mean - expected) < 3 * se
 
 
 def test_estimate_hop_moments_mean_decreases_with_rsi():
@@ -244,15 +246,15 @@ def test_estimate_hop_moments_mean_decreases_with_rsi():
             rsi_snr_db=rsi_db,
             rsi_tx_antennas=None if rsi_db is None else 2,
         )
-        moments = estimate_hop_moments(hop, 20_000, substream(SEED, 12))
-        means.append(moments.mean)
+        mean, _ = sampled_moments(hop, 20_000, substream(SEED, 12), APPROX_MI)
+        means.append(mean)
     assert all(a > b for a, b in zip(means, means[1:]))
 
 
 def test_estimate_hop_moments_rejects_tiny_sample():
     hop = HopConfig(tx_antennas=1, rx_antennas=1, snr_db=10.0)
     with pytest.raises(ValueError):
-        estimate_hop_moments(hop, 99, substream(SEED, 13))
+        sampled_moments(hop, 99, substream(SEED, 13), APPROX_MI)
 
 
 def test_hop_chunks_refuses_a_tiny_sample_before_it_is_iterated():
@@ -268,22 +270,24 @@ def test_sampled_moments_hold_one_chunk_and_match_the_joined_draws():
     # take ten times the memory (joined draws grew by about 10 MB)
     hop = hop_at_scales(2, 2, 10.0, 1.0)
     peaks = [
-        traced_peak(lambda: estimate_hop_moments(hop, chunks * CHUNK_SIZE, substream(SEED, 15)))
+        traced_peak(
+            lambda: sampled_moments(hop, chunks * CHUNK_SIZE, substream(SEED, 15), APPROX_MI)
+        )
         for chunks in (10, 100)
     ]
     assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
     # a short last chunk merges with its own count
     n = 5 * CHUNK_SIZE + 17
-    moments = estimate_hop_moments(hop, n, substream(SEED, 16))
+    mean, variance = sampled_moments(hop, n, substream(SEED, 16), APPROX_MI)
     (draws,) = sample_hop_fields(hop, n, substream(SEED, 16), (APPROX_MI,))
-    assert moments.mean == pytest.approx(draws.mean(), rel=1e-12, abs=0.0)
-    assert moments.variance == pytest.approx(draws.var(ddof=1), rel=1e-12, abs=0.0)
+    assert mean == pytest.approx(draws.mean(), rel=1e-12, abs=0.0)
+    assert variance == pytest.approx(draws.var(ddof=1), rel=1e-12, abs=0.0)
 
 
 def test_estimate_hop_moments_reproducible():
     hop = HopConfig(
         tx_antennas=2, rx_antennas=2, snr_db=20.0, rsi_snr_db=8.0, rsi_tx_antennas=2
     )
-    a = estimate_hop_moments(hop, 5000, substream(SEED, 14))
-    b = estimate_hop_moments(hop, 5000, substream(SEED, 14))
+    a = sampled_moments(hop, 5000, substream(SEED, 14), APPROX_MI)
+    b = sampled_moments(hop, 5000, substream(SEED, 14), APPROX_MI)
     assert a == b

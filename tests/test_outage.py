@@ -12,11 +12,12 @@ from conftest import traced_peak
 
 from relay_outage import mutual_info
 from relay_outage.mutual_info import (
+    APPROX_MI,
     EXACT_MI,
     HopConfig,
     HopMoments,
-    estimate_hop_moments,
     hop_chunks,
+    sampled_moments,
 )
 from relay_outage.outage import (
     DuplexMode,
@@ -408,7 +409,7 @@ def test_norsi_preset_outage_half_at_adjusted_mean_rate():
     # is 0.5**(1/K), i.e. at the per-hop mean shifted down by z* per-hop std
     sc = load_preset("fig3-fd-norsi")
     moments = [
-        estimate_hop_moments(hop, 100_000, substream(SEED, 20, k))
+        HopMoments(*sampled_moments(hop, 100_000, substream(SEED, 20, k), APPROX_MI))
         for k, hop in enumerate(sc.network.hops)
     ]
     mu = float(np.mean([m.mean for m in moments]))

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,36 +123,44 @@ def test_chain_sets_the_interferer_from_the_next_transmitter():
 
 @st.composite
 def fd_chains(draw):
-    """A full-duplex chain as ``HopConfig``s and as ``[hop.K]`` scenario text."""
+    """A full-duplex chain as ``[hop.K]`` scenario text and as ``HopConfig``s,
+    with and without the interferer sizes that only code may give."""
     n_hops = draw(st.integers(1, 4))
-    hops, lines = [], ["[network]", "mode = fd", f"hops = {n_hops}"]
+    hops, given_hops, lines = [], [], ["[network]", "mode = fd", f"hops = {n_hops}"]
     for k in range(1, n_hops + 1):
         fields = {
             "tx_antennas": draw(st.integers(1, 4)),
             "rx_antennas": draw(st.integers(1, 3)),
             "snr_db": float(draw(st.integers(-10, 40))),
         }
+        given = {}
         if draw(st.booleans()):
             fields["rsi_snr_db"] = float(draw(st.integers(-10, 40)))
             if draw(st.booleans()):
-                fields["rsi_tx_antennas"] = draw(st.integers(1, 4))
+                given["rsi_tx_antennas"] = draw(st.integers(1, 4))
         hops.append(HopConfig(**fields))
+        given_hops.append(HopConfig(**fields, **given))
         lines.append(f"[hop.{k}]")
         lines += [f"{key} = {value}" for key, value in fields.items()]
-    return tuple(hops), "\n".join(lines) + "\n"
+    return tuple(hops), tuple(given_hops), "\n".join(lines) + "\n"
 
 
 @settings(max_examples=100, deadline=None)
 @given(chain=fd_chains())
 def test_scenario_text_and_library_build_the_same_chain(chain):
-    hops, text = chain
+    hops, given_hops, text = chain
+    parsed = parse_scenario_text(text, name="chain").network
+    assert parsed == NetworkConfig(hops, DuplexMode.FULL_DUPLEX)
     try:
-        library = NetworkConfig(hops, DuplexMode.FULL_DUPLEX)
+        library = NetworkConfig(given_hops, DuplexMode.FULL_DUPLEX)
     except ValueError as exc:  # a given interferer size that is not the next tx
-        with pytest.raises(ScenarioError, match=re.escape(str(exc))):
-            parse_scenario_text(text, name="chain")
+        assert "does not match hop" in str(exc)
+        assert any(
+            hop.rsi_tx_antennas not in (None, chained.rsi_tx_antennas)
+            for hop, chained in zip(given_hops, parsed.hops)
+        )
     else:
-        assert parse_scenario_text(text, name="chain").network == library
+        assert library == parsed
 
 
 def test_rsi_none_clears_default():
@@ -362,7 +368,7 @@ def _render(sections):
 
 
 # (chain length, section, key); on a 1-hop chain the [hop] interference
-# keys apply to no hop, and are still parsed
+# key applies to no hop, and is still parsed
 SETTABLE_KEYS = [
     (n_hops, section, key)
     for n_hops in (2, 1)
@@ -399,9 +405,6 @@ def test_malformed_value_names_its_line(n_hops, section, key):
     "mode,hop_extra,fragment",
     (
         ("hd", "rsi_snr_db = 3\n", "half-duplex hops cannot carry self-interference"),
-        ("fd", "rsi_snr_db = 3\nrsi_tx_antennas = 3\n", "does not match hop 2 tx_antennas=2"),
-        ("fd", "[hop.2]\nrsi_snr_db = 3\nrsi_tx_antennas = 7\n", "hop 2: rsi_tx_antennas=7"),
-        ("fd", "rsi_tx_antennas = 7\n", "hop 1: rsi_tx_antennas=7"),
     ),
 )
 def test_chain_errors_name_the_network_line(mode, hop_extra, fragment):
@@ -412,6 +415,27 @@ def test_chain_errors_name_the_network_line(mode, hop_extra, fragment):
     with pytest.raises(ScenarioError, match=fragment) as err:
         parse_scenario_text(text, name="chain", source="chain.scenario")
     assert str(err.value).startswith("chain.scenario:3: ")
+
+
+@pytest.mark.parametrize(
+    "hop_extra, line",
+    (
+        ("rsi_snr_db = 3\nrsi_tx_antennas = 2\n", 11),
+        ("[hop.2]\nrsi_snr_db = 3\nrsi_tx_antennas = 2\n", 12),
+        ("rsi_tx_antennas = 7\n", 10),
+    ),
+    ids=("hop", "hop.2", "hop-without-rsi"),
+)
+def test_interferer_size_key_is_unknown_at_its_line(hop_extra, line):
+    # the chain alone sets an interferer's size, so the file has no key for
+    # it, not even one that gives the size the chain would set
+    text = (
+        "# chain rules are checked on the whole network\n\n[network]\nmode = fd\n"
+        "hops = 2\n[hop]\ntx_antennas = 2\nrx_antennas = 2\nsnr_db = 20\n" + hop_extra
+    )
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text, name="chain", source="chain.scenario")
+    assert str(err.value).startswith(f"chain.scenario:{line}: unknown key 'rsi_tx_antennas'")
 
 
 def test_parse_scenario_missing_file(tmp_path):

@@ -11,7 +11,7 @@ from relay_outage.mutual_info import APPROX_MI, LN2, HopConfig, sample_hop_field
 from relay_outage.outage import DuplexMode, NetworkConfig, chain_moments
 from relay_outage.randmat import descending_spectra
 from relay_outage.rng import substream
-from relay_outage.scenario import MAX_DRAWS
+from relay_outage.scenario import MAX_DRAWS, load_preset, preset_names
 from relay_outage.wishart_stats import (
     MAX_QUADRATURE_RX,
     MOMENT_RTOL,
@@ -282,3 +282,10 @@ def test_quadrature_variance_is_never_negative(rx, tx, rsi_tx):
                 assert mean >= 0.0 and variance >= 0.0, (hop, n)
             moments = quadrature_hop_moments(hop)
             assert moments is None or moments.variance >= 0.0
+
+
+def test_every_preset_hop_takes_quadrature_moments():
+    # so no shipped preset's analytical column depends on the seed
+    for name in preset_names():
+        for k, hop in enumerate(load_preset(name).network.hops, start=1):
+            assert quadrature_hop_moments(hop) is not None, f"{name} hop {k}"
