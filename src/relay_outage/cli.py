@@ -112,9 +112,11 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
 def _skewness(x: np.ndarray) -> float:
     """Biased sample skewness ``m3 / m2**1.5``, in ``scipy.stats.skew``'s arithmetic."""
     dev = x - x.mean()
-    sq = dev**2
+    sq = dev * dev
+    m2 = sq.mean()
+    sq *= dev  # cubed in place, so one temporary fewer is held
     with np.errstate(invalid="ignore"):  # a constant sample has none: 0 / 0 reads nan
-        return float((sq * dev).mean() / sq.mean() ** 1.5)
+        return float(sq.mean() / m2**1.5)
 
 
 def _hop_header(index: int, hop: HopConfig) -> str:

@@ -98,6 +98,10 @@ class HopConfig:
     rsi_tx_antennas: int | None = None
 
     def __post_init__(self) -> None:
+        # a bool passes as a number (rsi_snr_db=False would be RSI at 0 dB), so refuse it
+        for name, value in vars(self).items():
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must not be a bool, got {value!r}")
         counts = {"tx_antennas": self.tx_antennas, "rx_antennas": self.rx_antennas}
         if self.rsi_tx_antennas is not None:
             counts["rsi_tx_antennas"] = self.rsi_tx_antennas
@@ -284,7 +288,7 @@ def hop_fields(
     Returns one length-``n`` array per name in ``fields`` (see
     ``HOP_FIELDS``), in that order.  Each named field is computed once and
     no other is: ``Wbar``'s spectrum once, for the pairings and the
-    two-row closed form alike; ``W``'s only for a pairing field.
+    closed form alike; ``W``'s only for a pairing field.
     """
     wanted = set(fields)
     unknown = wanted.difference(HOP_FIELDS)
@@ -299,9 +303,7 @@ def hop_fields(
         return (exact(w, None, None, eta, rho, {EXACT})[EXACT],) * len(fields)
     exact_wanted = wanted & {EXACT, EXACT_MI}
     pairings_wanted = wanted - exact_wanted
-    alpha = None
-    if pairings_wanted or (exact_wanted and small and wbar.rows == 2):
-        alpha = spectrum(wbar)
+    alpha = spectrum(wbar) if pairings_wanted or small else None
     out = exact(w, wbar, alpha, eta, rho, wanted) if exact_wanted else {}
     if pairings_wanted:
         out.update(_pairing_fields(alpha, spectrum(w), eta, rho, wanted))

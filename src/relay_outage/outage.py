@@ -44,11 +44,8 @@ class DuplexMode(Enum):
     HALF_DUPLEX = "hd"
 
     @classmethod
-    def parse(cls, text: str) -> "DuplexMode":
-        for mode in cls:
-            if mode.value == text:
-                return mode
-        raise ValueError(f"unknown duplex mode {text!r} (expected 'fd' or 'hd')")
+    def _missing_(cls, value):
+        raise ValueError(f"unknown duplex mode {value!r} (expected 'fd' or 'hd')")
 
 
 @dataclass(frozen=True)
@@ -66,6 +63,8 @@ class NetworkConfig:
     mode: DuplexMode
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, DuplexMode):
+            raise ValueError(f"mode must be a DuplexMode, got {self.mode!r}")
         if len(self.hops) < 1:
             raise ValueError("a network needs at least one hop")
         hops = []
@@ -114,7 +113,7 @@ def check_rate_grid(rates: np.ndarray) -> np.ndarray:
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or rates.size < 1:
         raise ValueError("rate grid must be a non-empty 1-d array")
-    if rates.size > 1 and np.any(np.diff(rates) <= 0.0):
+    if np.any(np.diff(rates) <= 0.0):
         raise ValueError("rate grid must be strictly ascending")
     if not np.all(np.isfinite(rates)):
         raise ValueError("rate grid must be finite")

@@ -16,7 +16,7 @@ One pass checks each line with its section's table and parses its value
 there, even a value that applies to no hop, so the first bad line in file
 order is reported, with the source name and the line.  The rules on the
 whole file follow, in this order: missing ``[network]`` section or keys;
-hop indices beyond the chain; each hop's missing keys and own rules
+hop indices beyond the chain; each hop's missing keys and power range
 (:class:`~relay_outage.mutual_info.HopConfig`), at the hop's section
 line; the chain's, owned by :class:`~relay_outage.outage.NetworkConfig`
 (which alone sets each interferer's size), at the ``[network]`` line; the
@@ -138,7 +138,7 @@ def _or_none(parse):
 # The [network] fields build the NetworkConfig; the rest are Scenario fields.
 _SECTIONS = {
     "network": {
-        "mode": (lambda text, field: DuplexMode.parse(text), _REQUIRED, "mode"),
+        "mode": (lambda text, field: DuplexMode(text), _REQUIRED, "mode"),
         "hops": (_integer(1), _REQUIRED, "n_hops"),
     },
     "rates": {

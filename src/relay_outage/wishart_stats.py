@@ -179,8 +179,6 @@ def expected_logdet(rows: int, cols: int, scale: float) -> float:
     m, _ = _order(rows, cols)
     if scale < 0.0:
         raise ValueError(f"scale must be non-negative, got {scale}")
-    if scale == 0.0:
-        return 0.0
     value, err = eigen_expectation(rows, cols, lambda lam: np.log1p(scale * lam) / LN2)
     if m * err > QUAD_ABS_TOL:
         raise ArithmeticError(

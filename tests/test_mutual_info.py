@@ -51,10 +51,10 @@ def _scalar_gram(gain):
 
 
 def test_duplex_mode_parse():
-    assert DuplexMode.parse("fd") is DuplexMode.FULL_DUPLEX
-    assert DuplexMode.parse("hd") is DuplexMode.HALF_DUPLEX
-    with pytest.raises(ValueError):
-        DuplexMode.parse("simplex")
+    assert DuplexMode("fd") is DuplexMode.FULL_DUPLEX
+    assert DuplexMode("hd") is DuplexMode.HALF_DUPLEX
+    with pytest.raises(ValueError, match=r"unknown duplex mode 'simplex' \(expected 'fd' or 'hd'\)"):
+        DuplexMode("simplex")
 
 
 def test_hop_config_linear_ratios():
@@ -93,6 +93,14 @@ def test_hop_config_validation():
         with pytest.raises(ValueError, match="must be an integer"):
             HopConfig(*counts[:2], snr_db=10.0, rsi_snr_db=5.0, rsi_tx_antennas=counts[2])
     HopConfig(np.int64(2), np.int32(2), snr_db=10.0, rsi_snr_db=5.0, rsi_tx_antennas=np.int64(2))
+    # a bool is no count and no power: rsi_snr_db=False would be RSI at 0 dB
+    for wrong in (
+        {"rsi_snr_db": False}, {"rsi_snr_db": np.False_}, {"snr_db": True},
+        {"tx_antennas": True}, {"rx_antennas": True}, {"rsi_tx_antennas": True},
+    ):
+        fields = {"tx_antennas": 2, "rx_antennas": 2, "snr_db": 20.0, **wrong}
+        with pytest.raises(ValueError, match="must not be a bool"):
+            HopConfig(**fields)
 
 
 def test_hop_moments_std_error():

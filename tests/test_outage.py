@@ -24,6 +24,7 @@ from relay_outage.outage import (
     NetworkConfig,
     analytical_outage,
     chain_moments,
+    check_rate_grid,
     gaussian_chain_outage,
     montecarlo_outage,
     q_function,
@@ -216,6 +217,10 @@ def test_network_config_validation():
         NetworkConfig(hops=(HOP_2X2_20DB, rsi_hop), mode=DuplexMode.FULL_DUPLEX)
     with pytest.raises(ValueError):
         NetworkConfig(hops=(rsi_hop,), mode=DuplexMode.HALF_DUPLEX)
+    # the mode is a DuplexMode: text would run as full duplex with no time share
+    for mode in ("hd", None):
+        with pytest.raises(ValueError, match="mode must be a DuplexMode"):
+            NetworkConfig(hops=(HOP_2X2_20DB,), mode=mode)
 
 
 def test_min_mutual_info_extreme_rates():
@@ -402,6 +407,8 @@ def test_rate_grid_validation():
                 outage(_chain(1), np.array(rates), substream(SEED, 10), 2000)
         with pytest.raises(ValueError, match="rate grid"):
             gaussian_chain_outage([HopMoments(mean=5.0, variance=1.0)], np.array(rates))
+    # a one-point grid has no step to be ascending and passes
+    assert np.array_equal(check_rate_grid([4.0]), [4.0])
 
 
 def test_norsi_preset_outage_half_at_adjusted_mean_rate():

@@ -111,7 +111,7 @@ def test_one_row_spectrum_is_the_entry():
     # root to underflow below 1e-154 or overflow above 1e154
     a = np.array([0.0, 5e-324, 1e-200, 1.0, 1e200, np.finfo(float).max])
     (spectrum,) = SmallGram(rows=1, a=a).spectrum()
-    assert np.array_equal(spectrum, a)
+    assert spectrum is a  # no arithmetic at all, so the one-row closed form may read it
 
 
 def test_descending_spectra_batched_matches_single():

@@ -114,7 +114,10 @@ def test_integration_cutoff_reaches_weight_floor():
 
 
 def test_expected_logdet_zero_scale():
-    assert expected_logdet(2, 2, 0.0) == 0.0
+    # the quadrature itself reads 0 at scale 0, with no special case
+    for shape in ((1, 1), (2, 3), (4, 6), (8, 12)):
+        for scale in (0.0, -0.0):
+            assert expected_logdet(*shape, scale) == 0.0
 
 
 def test_expected_logdet_exponential_integral():
