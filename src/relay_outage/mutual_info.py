@@ -55,6 +55,7 @@ import math
 import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -108,7 +109,13 @@ class HopConfig:
         for name, count in counts.items():
             if not isinstance(count, numbers.Integral) or count < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
-        if not all(abs(db) <= MAX_POWER_DB for db in (self.snr_db, self.rsi_snr_db or 0.0)):
+        powers = {"snr_db": self.snr_db}
+        if self.rsi_snr_db is not None:
+            powers["rsi_snr_db"] = self.rsi_snr_db
+        for name, db in powers.items():
+            if not isinstance(db, numbers.Real):
+                raise ValueError(f"{name} must be a real number of dB, got {db!r}")
+        if not all(abs(db) <= MAX_POWER_DB for db in powers.values()):
             raise ValueError(
                 f"powers must lie in [-{MAX_POWER_DB:g}, {MAX_POWER_DB:g}] dB, "
                 f"got {self.snr_db}, {self.rsi_snr_db} dB"
@@ -168,14 +175,13 @@ def pair_gain(alpha, beta, eta: float, rho: float):
 
 
 def _closed_form_exact(
-    w: SmallGram, wbar: SmallGram | None, rsi_spectrum: tuple | None,
-    eta: float, rho: float, wanted: set,
+    w: SmallGram, wbar: SmallGram | None, eta: float, rho: float, wanted: set
 ) -> dict[str, np.ndarray]:
     """Wanted ``EXACT``/``EXACT_MI`` of Gram forms of at most two rows.
 
     ``w`` holds ``W``'s entries in the eigenframe of ``Wbar``, ``wbar``
     those of ``Wbar`` (``None`` without RSI), whose descending eigenvalues
-    ``l1 >= l2`` are ``rsi_spectrum`` (read only when ``Wbar`` has two
+    ``l1 >= l2`` are ``wbar.spectrum`` (read only when ``Wbar`` has two
     rows).  With ``Wbar = diag(l1, l2)`` there,
     ``det(I + rho*Wbar + eta*W) - det(I + rho*Wbar)
     = eta tr W + eta^2 det W + rho*eta (l2 a + l1 d)``, a sum of
@@ -187,7 +193,7 @@ def _closed_form_exact(
     rsi_growth = 0.0  # det(I + rho*Wbar) - 1
     if wbar is not None:
         if wbar.rows == 2:  # the mixed term, 0 for one row
-            l1, l2 = rsi_spectrum
+            l1, l2 = wbar.spectrum
             gain = gain + rho * eta * (l2 * w.a + l1 * w.d)
         rsi_growth = rho * wbar.trace + rho * rho * wbar.det
     out = {}
@@ -210,8 +216,7 @@ def _factor_spectra(factor: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _factor_exact(
-    w: np.ndarray, wbar: np.ndarray | None, rsi_spectrum: tuple | None,
-    eta: float, rho: float, wanted: set,
+    w: np.ndarray, wbar: np.ndarray | None, eta: float, rho: float, wanted: set
 ) -> dict[str, np.ndarray]:
     """Wanted ``EXACT``/``EXACT_MI`` of ``W = L L^+`` from factors ``L``, from one QR.
 
@@ -227,8 +232,7 @@ def _factor_exact(
     against round-off.  Householder QR is backward stable on ``[S; I_K]``,
     which holds ``I`` exactly; the Cholesky factor of the formed
     ``I_K + S^+ S`` would cancel in those Schur complements at high SNR.
-    ``w`` and ``wbar`` are ``L`` and ``Lbar`` (``None`` without RSI);
-    ``rsi_spectrum`` is not read, only shared with the closed form's signature.
+    ``w`` and ``wbar`` are ``L`` and ``Lbar`` (``None`` without RSI).
     """
     s = math.sqrt(eta) * w
     if wbar is not None:
@@ -287,26 +291,23 @@ def hop_fields(
     factors ``L`` of ``W = L L^+`` (a Bartlett factor or a drawn channel).
     Returns one length-``n`` array per name in ``fields`` (see
     ``HOP_FIELDS``), in that order.  Each named field is computed once and
-    no other is: ``Wbar``'s spectrum once, for the pairings and the
-    closed form alike; ``W``'s only for a pairing field.
+    no other is, each spectrum at most once (a ``SmallGram`` keeps its own).
+    Without interference every name returns the same array object, so a
+    caller that changes a field in place must ask for one name only.
     """
     wanted = set(fields)
     unknown = wanted.difference(HOP_FIELDS)
     if unknown:
         raise ValueError(f"unknown hop fields {sorted(unknown)}; expected {HOP_FIELDS}")
-    small = isinstance(w, SmallGram)
-    if small:
-        spectrum, exact = SmallGram.spectrum, _closed_form_exact
+    if isinstance(w, SmallGram):
+        spectrum, exact = attrgetter("spectrum"), _closed_form_exact
     else:
         spectrum, exact = _factor_spectra, _factor_exact
     if wbar is None:  # without interference both pairings, and every field, are exact
-        return (exact(w, None, None, eta, rho, {EXACT})[EXACT],) * len(fields)
-    exact_wanted = wanted & {EXACT, EXACT_MI}
-    pairings_wanted = wanted - exact_wanted
-    alpha = spectrum(wbar) if pairings_wanted or small else None
-    out = exact(w, wbar, alpha, eta, rho, wanted) if exact_wanted else {}
-    if pairings_wanted:
-        out.update(_pairing_fields(alpha, spectrum(w), eta, rho, wanted))
+        return (exact(w, None, eta, rho, {EXACT})[EXACT],) * len(fields)
+    out = exact(w, wbar, eta, rho, wanted) if wanted & {EXACT, EXACT_MI} else {}
+    if wanted - {EXACT, EXACT_MI}:
+        out.update(_pairing_fields(spectrum(wbar), spectrum(w), eta, rho, wanted))
     return tuple(out[name] for name in fields)
 
 

@@ -67,6 +67,9 @@ class NetworkConfig:
             raise ValueError(f"mode must be a DuplexMode, got {self.mode!r}")
         if len(self.hops) < 1:
             raise ValueError("a network needs at least one hop")
+        for k, hop in enumerate(self.hops):
+            if not isinstance(hop, HopConfig):
+                raise ValueError(f"hops: hop {k + 1} must be a HopConfig, got {hop!r}")
         hops = []
         for k, hop in enumerate(self.hops):
             j = min(k + 1, len(self.hops) - 1)  # the terminal hop's interferer is its own

@@ -19,6 +19,7 @@ never formed), whose spectra the batched LAPACK eigensolver in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,13 +97,14 @@ class SmallGram:
     def trace(self) -> np.ndarray:
         return self.a + self.d
 
+    @cached_property
     def spectrum(self) -> tuple[np.ndarray, ...]:
         """Descending eigenvalues of ``W``, one length-``n`` array per rank; all >= 0.
 
         The ``(largest, smallest)`` pair for two rows, ``(largest,)`` for
         one, where it is ``W`` itself.  The smaller of two is ``det / largest``
         rather than a difference, so it keeps full relative precision when
-        ``W`` is near singular.
+        ``W`` is near singular.  Computed on first read, then kept.
         """
         if self.rows == 1:
             return (self.a,)

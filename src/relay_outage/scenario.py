@@ -41,7 +41,8 @@ from .outage import DuplexMode, NetworkConfig, check_rate_grid
 DEFAULT_SEED = 12345
 # Most rows a result CSV may have: the points of a rate grid (the presets
 # use 57, the finest benchmark grid 281) or a distribution's histogram bins
-# (the presets' 0.1-bit bins make 92 to 143).
+# (the presets' 0.1-bit bins make 92 to 143).  It also caps [network] hops:
+# each hop writes two '#' header lines of an outage CSV.
 MAX_CSV_ROWS = 100_000
 # Largest draw count accepted, from a scenario key or a --samples or
 # --realizations flag; the largest benchmark run draws 10^6.
@@ -139,7 +140,7 @@ def _or_none(parse):
 _SECTIONS = {
     "network": {
         "mode": (lambda text, field: DuplexMode(text), _REQUIRED, "mode"),
-        "hops": (_integer(1), _REQUIRED, "n_hops"),
+        "hops": (_integer(1, MAX_CSV_ROWS), _REQUIRED, "n_hops"),
     },
     "rates": {
         "start": (_number(), 0.0, "rate_start"),

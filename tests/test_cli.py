@@ -22,7 +22,7 @@ from relay_outage import __version__, cli, mutual_info
 from relay_outage.cli import ERROR_PREFIX, _ks_distance, _skewness, _write_result
 from relay_outage.mutual_info import EXACT, MAX_POWER_DB, MIDPOINT, HopConfig, sample_hop_fields
 from relay_outage.rng import CHUNK_SIZE, substream
-from relay_outage.scenario import MAX_DRAWS, load_preset
+from relay_outage.scenario import MAX_CSV_ROWS, MAX_DRAWS, load_preset
 from relay_outage.validation import hop_at_scales
 from relay_outage.wishart_stats import quadrature_hop_moments
 
@@ -56,7 +56,9 @@ def scenario_file(tmp_path):
     return path
 
 
-def _run_clean(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+def _run_clean(
+    *args: str, env: dict[str, str] | None = None, timeout: float = 120
+) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a child whose environment holds only this
     checkout's ``PYTHONPATH`` and ``env``, so no caller's setting leaks in."""
     return subprocess.run(
@@ -64,7 +66,7 @@ def _run_clean(*args: str, env: dict[str, str] | None = None) -> subprocess.Comp
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **(env or {})},
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -591,6 +593,26 @@ def test_interferer_size_key_exits_2_at_its_line(tmp_path, capsys):
     assert cli.main(["outage", "--scenario", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         f"{ERROR_PREFIX} {path}:9: unknown key 'rsi_tx_antennas' in [hop]\n"
+    )
+
+
+@pytest.mark.parametrize("hops", (100_001, 1_000_000_000))
+def test_hop_count_past_the_row_cap_exits_2_at_its_line(tmp_path, hops):
+    # each hop writes two header lines, so MAX_CSV_ROWS caps the chain too;
+    # the count is refused at its line before any hop is built, so the
+    # child ends at once rather than when memory runs out
+    path = tmp_path / "long.scenario"
+    path.write_text(
+        f"[network]\nmode = fd\nhops = {hops}\n"
+        "[hop]\ntx_antennas = 2\nrx_antennas = 2\nsnr_db = 20\n",
+        encoding="utf-8",
+    )
+    proc = _run_clean("-m", "relay_outage.cli", "outage", "--scenario", str(path),
+                      "--out", str(tmp_path), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"{ERROR_PREFIX} {path}:3: network.hops: must be <= {MAX_CSV_ROWS}, got {hops}\n"
     )
 
 

@@ -101,6 +101,15 @@ def test_hop_config_validation():
         fields = {"tx_antennas": 2, "rx_antennas": 2, "snr_db": 20.0, **wrong}
         with pytest.raises(ValueError, match="must not be a bool"):
             HopConfig(**fields)
+    # a power is a real number of dB; only rsi_snr_db may be None (no RSI)
+    for name, wrong in (
+        ("snr_db", "20"), ("snr_db", None), ("snr_db", 1j),
+        ("rsi_snr_db", "5"), ("rsi_snr_db", [5.0]),
+    ):
+        fields = {"tx_antennas": 2, "rx_antennas": 2, "snr_db": 20.0, name: wrong}
+        with pytest.raises(ValueError, match=f"^{name} must be a real number of dB, got "):
+            HopConfig(**fields)
+    HopConfig(2, 2, np.float32(20.0), rsi_snr_db=np.int64(5))
 
 
 def test_hop_moments_std_error():

@@ -221,6 +221,10 @@ def test_network_config_validation():
     for mode in ("hd", None):
         with pytest.raises(ValueError, match="mode must be a DuplexMode"):
             NetworkConfig(hops=(HOP_2X2_20DB,), mode=mode)
+    # every hop is a HopConfig, the last one too (its size sets the one before)
+    for hops, k in ((("x",), 1), ((HOP_2X2_20DB, "x"), 2), ((HOP_2X2_20DB, None), 2)):
+        with pytest.raises(ValueError, match=f"^hops: hop {k} must be a HopConfig, got "):
+            NetworkConfig(hops=hops, mode=DuplexMode.FULL_DUPLEX)
 
 
 def test_min_mutual_info_extreme_rates():

@@ -110,8 +110,14 @@ def test_one_row_spectrum_is_the_entry():
     # a 1x1 Gram form is its own eigenvalue, at any magnitude: no square
     # root to underflow below 1e-154 or overflow above 1e154
     a = np.array([0.0, 5e-324, 1e-200, 1.0, 1e200, np.finfo(float).max])
-    (spectrum,) = SmallGram(rows=1, a=a).spectrum()
+    (spectrum,) = SmallGram(rows=1, a=a).spectrum
     assert spectrum is a  # no arithmetic at all, so the one-row closed form may read it
+
+
+def test_two_row_spectrum_is_computed_once():
+    # the closed form and the pairing fields read the same cached pair
+    gram = sample_gram(16, 2, 3, substream(SEED, 12))
+    assert gram.spectrum is gram.spectrum
 
 
 def test_descending_spectra_batched_matches_single():
