@@ -21,7 +21,8 @@ _EXPORTS = {
     "HopConfig": "mutual_info",
     "DuplexMode": "outage",
     "NetworkConfig": "outage",
-    "analytical_outage": "outage",
+    "chain_moments": "outage",
+    "gaussian_chain_outage": "outage",
     "montecarlo_outage": "outage",
     "substream": "rng",
     "Scenario": "scenario",

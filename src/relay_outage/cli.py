@@ -223,10 +223,17 @@ def _write_result(
 
 
 def _moment_header(moments) -> list[str]:
-    """One line per hop's (time-share scaled) moments, and a warning per misfit hop."""
+    """One line per hop's (time-share scaled) moments, and a warning per misfit hop.
+
+    Each distinct moment pair's mass below zero is folded once: a chain of
+    equal hops holds one pair, however many hops it has.
+    """
+    mass_below_zero = {
+        hop: float(gaussian_chain_outage([hop], np.zeros(1))[0]) for hop in dict.fromkeys(moments)
+    }
     lines, warnings = [], []
     for k, hop in enumerate(moments, start=1):
-        below_zero = float(gaussian_chain_outage([hop], np.zeros(1))[0])
+        below_zero = mass_below_zero[hop]
         lines.append(
             f"hop {k} moments: mean={hop.mean!r} variance={hop.variance!r} "
             f"source={hop.source} gaussian_p_below_0={below_zero!r}"
@@ -447,15 +454,16 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, name, None) is not None:
                 setattr(args, name, parse_draws(getattr(args, name), f"--{name}"))
         return args.func(args)
+    # first: LinAlgError is a ValueError, which the input clause below would take
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"{ERROR_PREFIX} numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # the input asks for more than the machine holds
         print(f"{ERROR_PREFIX} out of memory: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"{ERROR_PREFIX} numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -132,13 +132,16 @@ def chain_moments(
     which needs no draws, wherever it converges; otherwise the
     :func:`~relay_outage.mutual_info.sampled_moments` of ``APPROX_MI`` over
     ``n_samples`` draws on the hop's own substream of ``rng``.  The sample
-    minimum holds whether or not any hop samples.
+    minimum holds whether or not any hop samples.  The quadrature runs once
+    per distinct hop (a scenario's ``[hop]`` section repeats one over the
+    relays); each sampled hop still draws on its own substream.
     """
     check_sample_count(n_samples)
     share = cfg.time_share
+    by_quadrature = {hop: quadrature_hop_moments(hop) for hop in dict.fromkeys(cfg.hops)}
     moments = []
     for hop, stream in zip(cfg.hops, rng.spawn(cfg.n_hops)):
-        m = quadrature_hop_moments(hop)
+        m = by_quadrature[hop]
         if m is None:
             m = HopMoments(*sampled_moments(hop, n_samples, stream, APPROX_MI), n_samples)
         moments.append(replace(m, mean=share * m.mean, variance=share * share * m.variance))
@@ -163,18 +166,6 @@ def gaussian_chain_outage(moments: list[HopMoments], rates: np.ndarray) -> np.nd
         log_success = np.sum(np.log1p(-p), axis=0)
     # 0.0 - x rather than -x: a chain that never fails reads 0.0, not -0.0
     return 0.0 - np.expm1(log_success)
-
-
-def analytical_outage(
-    cfg: NetworkConfig, rates: np.ndarray, rng: np.random.Generator, n_samples: int
-) -> np.ndarray:
-    """Gaussian closed-form chain outage at each rate.
-
-    Each hop's moments come once from :func:`chain_moments` and are reused
-    across the grid; ``rng`` and ``n_samples`` serve only the hops that
-    fall back to sampling.
-    """
-    return gaussian_chain_outage(chain_moments(cfg, rng, n_samples), rates)
 
 
 def montecarlo_outage(

@@ -45,14 +45,15 @@ def descending_spectra(ws: np.ndarray) -> np.ndarray:
 
     The matrices must be Hermitian by construction (Gram forms); symmetry
     is not checked.  Round-off negatives within the PSD tolerance are
-    clamped to zero; larger negatives raise ``ValueError``.
+    clamped to zero; larger negatives, which no Gram form has in exact
+    arithmetic, raise ``np.linalg.LinAlgError`` (a ``ValueError``).
     """
     vals = np.linalg.eigvalsh(np.asarray(ws))
     scale = np.maximum(np.abs(vals).max(axis=-1), 1.0)
     tol = PSD_RTOL * scale
     worst = (vals.min(axis=-1) + tol).min()
     if worst < 0.0:
-        raise ValueError(
+        raise np.linalg.LinAlgError(
             f"matrix is not positive semidefinite within tolerance "
             f"(eigenvalue undershoot {worst:.3e})"
         )

@@ -3,11 +3,21 @@
 Stream scheme (stable across releases of this package): the stream
 addressed by ``(seed, path)`` is a PCG64 generator seeded with
 ``numpy.random.SeedSequence(seed, spawn_key=path)``.  Top-level path ids
-are fixed per sampling domain (constants below).  Every sampler uses one
-layout, domain -> hop -> chunk: one child stream per hop, and from each
-hop's, one per chunk of ``CHUNK_SIZE`` draws (a fixed constant) through
-:func:`chunk_streams`.  Each chunk draws only from its own stream, so
-results depend only on ``(seed, path, n_samples)``.
+are fixed per sampling domain (constants below).  Every sampler ends in
+one child stream per chunk of ``CHUNK_SIZE`` draws (a fixed constant),
+spawned by :func:`chunk_streams` from the stream of the hop it samples;
+what lies above that differs by sampler:
+
+- ``outage``'s hop moments and Monte Carlo: domain -> hop -> chunk, one
+  child of the domain's stream per hop of the chain;
+- ``distribution``: domain -> chunk, its one hop sampled on the domain's
+  stream itself;
+- ``validate``'s sandwich and log-det checks: ``(seed, STREAM_VALIDATION,
+  check, case)`` -> chunk, one path per case; its Monte Carlo check:
+  ``(seed, STREAM_VALIDATION, 1)`` -> hop -> chunk, as ``outage``.
+
+Each chunk draws only from its own stream, so results depend only on
+``(seed, path, n_samples)``.
 """
 from __future__ import annotations
 

@@ -52,7 +52,7 @@ from scipy import stats
 from conftest import ACCEPTANCE_LINES
 from relay_outage import cli, validation
 from relay_outage.mutual_info import APPROX_MI, EXACT, EXACT_MI, MIDPOINT, sample_hop_fields
-from relay_outage.outage import DuplexMode, analytical_outage, montecarlo_outage
+from relay_outage.outage import DuplexMode, chain_moments, gaussian_chain_outage, montecarlo_outage
 from relay_outage.rng import STREAM_DISTRIBUTION, STREAM_HOP_MOMENTS, STREAM_NETWORK_MC, substream
 from relay_outage.scenario import load_preset
 from relay_outage.wishart_stats import expected_logdet
@@ -126,9 +126,9 @@ def curve_runs():
     for name in CURVE_PRESETS + ("fig3-fd-rsi35",):
         sc = load_preset(name)
         t0 = time.perf_counter()
-        analytical = analytical_outage(
-            sc.network, sc.rates, substream(sc.seed, STREAM_HOP_MOMENTS), N_ACCEPT
-        )
+        # the two calls of ``relay-outage outage``
+        moments = chain_moments(sc.network, substream(sc.seed, STREAM_HOP_MOMENTS), N_ACCEPT)
+        analytical = gaussian_chain_outage(moments, sc.rates)
         montecarlo, std_errors = run_montecarlo(sc, sc.rates)
         out[name] = CurveRun(analytical, montecarlo, std_errors, time.perf_counter() - t0)
     return out

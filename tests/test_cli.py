@@ -20,7 +20,14 @@ from conftest import PINNED_NUMPY, traced_peak
 import relay_outage
 from relay_outage import __version__, cli, mutual_info
 from relay_outage.cli import ERROR_PREFIX, _ks_distance, _skewness, _write_result
-from relay_outage.mutual_info import EXACT, MAX_POWER_DB, MIDPOINT, HopConfig, sample_hop_fields
+from relay_outage.mutual_info import (
+    EXACT,
+    MAX_POWER_DB,
+    MIDPOINT,
+    HopConfig,
+    HopMoments,
+    sample_hop_fields,
+)
 from relay_outage.rng import CHUNK_SIZE, substream
 from relay_outage.scenario import MAX_CSV_ROWS, MAX_DRAWS, load_preset
 from relay_outage.validation import hop_at_scales
@@ -60,12 +67,17 @@ def _run_clean(
     *args: str, env: dict[str, str] | None = None, timeout: float = 120
 ) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a child whose environment holds only this
-    checkout's ``PYTHONPATH`` and ``env``, so no caller's setting leaks in."""
+    checkout's ``PYTHONPATH``, ``PYTHONDONTWRITEBYTECODE`` and ``env``, so no
+    caller's setting leaks in and the child leaves no bytecode in the checkout."""
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **(env or {})},
+        env={
+            "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1",
+            **(env or {}),
+        },
         timeout=timeout,
     )
 
@@ -404,6 +416,29 @@ def test_outage_header_reports_each_hops_moments(rsi_db, tmp_path):
     assert warned == ([] if rsi_db == 8.0 else ["1"])
 
 
+def test_moment_header_folds_each_distinct_moment_pair_once(monkeypatch):
+    # a chain of equal hops holds one moment pair: 40 hops of two pairs
+    # take two one-hop folds, and every hop still gets its own lines
+    fold, calls = cli.gaussian_chain_outage, []
+
+    def counted(moments, rates):
+        calls.append(moments)
+        return fold(moments, rates)
+
+    monkeypatch.setattr(cli, "gaussian_chain_outage", counted)
+    relay, last = HopMoments(mean=10.0, variance=4.0), HopMoments(mean=1.0, variance=1.0)
+    chain = [relay] * 39 + [last]
+    lines = cli._moment_header(chain)
+    assert calls == [[relay], [last]]
+    below_zero = {m: float(fold([m], np.zeros(1))[0]) for m in (relay, last)}
+    assert lines[:40] == [
+        f"hop {k} moments: mean={m.mean!r} variance={m.variance!r} "
+        f"source=quadrature gaussian_p_below_0={below_zero[m]!r}"
+        for k, m in enumerate(chain, start=1)
+    ]
+    assert len(lines) == 41 and lines[40].startswith("warning: hop 40 Gaussian law puts 0.159 ")
+
+
 def test_analytical_column_does_not_depend_on_the_seed(scenario_file, tmp_path):
     # every hop of the 2x2 chain has quadrature moments, so no draw enters
     # the analytical column, while the Monte Carlo one moves
@@ -672,7 +707,10 @@ def test_numerical_failure_exits_3(scenario_file, tmp_path, monkeypatch, capsys)
     assert ERROR_PREFIX in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error, code", [(ValueError, 2), (FloatingPointError, 3), (MemoryError, 2)])
+@pytest.mark.parametrize(
+    "error, code",
+    [(ValueError, 2), (FloatingPointError, 3), (MemoryError, 2), (np.linalg.LinAlgError, 3)],
+)
 def test_error_in_a_shared_chunk_keeps_its_exit_code(
     error, code, scenario_file, tmp_path, monkeypatch, capsys
 ):
@@ -693,6 +731,7 @@ def test_error_in_a_shared_chunk_keeps_its_exit_code(
     assert rc == code
     err = capsys.readouterr().err
     assert err.startswith(ERROR_PREFIX) and "broken chunk" in err
+    assert ("numerical failure:" in err) == (code == 3)
     assert err.count("\n") == 1
 
 

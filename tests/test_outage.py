@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from conftest import traced_peak
 
-from relay_outage import mutual_info
+from relay_outage import mutual_info, outage
 from relay_outage.mutual_info import (
     APPROX_MI,
     EXACT_MI,
@@ -22,7 +22,6 @@ from relay_outage.mutual_info import (
 from relay_outage.outage import (
     DuplexMode,
     NetworkConfig,
-    analytical_outage,
     chain_moments,
     check_rate_grid,
     gaussian_chain_outage,
@@ -184,12 +183,38 @@ def test_analytical_fold_matches_per_rate_loop():
     )
     cfg = NetworkConfig(hops=hops, mode=DuplexMode.FULL_DUPLEX)
     rates = np.arange(0.0, 14.01, 0.25)
-    got = analytical_outage(cfg, rates, substream(SEED, 30), 3000)
     moments = chain_moments(cfg, substream(SEED, 30), 3000)
+    got = gaussian_chain_outage(moments, rates)
     assert [m.source for m in moments] == ["quadrature", "quadrature", "sampled"]
     assert len({m.mean for m in moments}) == 3
     assert np.array_equal(got, _reference_chain_outage(moments, rates))
     assert 0.0 < got[8] < got[-8] < 1.0
+
+
+def test_chain_moments_runs_the_quadrature_once_per_distinct_hop(monkeypatch):
+    # a scenario's [hop] section repeats one HopConfig over the relays: 40
+    # hops of three distinct configs take three quadratures, and the two
+    # equal sampled hops still draw on their own streams
+    relay = HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20.0, rsi_snr_db=5.0)
+    sampled = HopConfig(tx_antennas=2, rx_antennas=3, snr_db=20.0)
+    hops = (relay,) * 37 + (sampled,) * 2 + (HOP_2X2_20DB,)
+    cfg = NetworkConfig(hops=hops, mode=DuplexMode.FULL_DUPLEX)
+    quadrature, calls = outage.quadrature_hop_moments, []
+
+    def counted(hop):
+        calls.append(hop)
+        return quadrature(hop)
+
+    monkeypatch.setattr(outage, "quadrature_hop_moments", counted)
+    got = chain_moments(cfg, substream(SEED, 32), 2000)
+    assert calls == [cfg.hops[0], sampled, HOP_2X2_20DB]
+    reference = [
+        quadrature(hop) or HopMoments(*sampled_moments(hop, 2000, stream, APPROX_MI), 2000)
+        for hop, stream in zip(cfg.hops, substream(SEED, 32).spawn(cfg.n_hops))
+    ]
+    assert got == reference
+    assert [m.source for m in got[36:]] == ["quadrature", "sampled", "sampled", "quadrature"]
+    assert got[37] != got[38]
 
 
 def test_hd_analytical_curve_is_fd_curve_at_twice_the_rate():
@@ -197,8 +222,10 @@ def test_hd_analytical_curve_is_fd_curve_at_twice_the_rate():
     # variance x 1/4, both exact in binary floating point, so on the same
     # stream the curve at R is the RSI-free full-duplex curve at 2R
     rates = np.arange(0.0, 7.01, 0.25)
-    hd = analytical_outage(_chain(3, DuplexMode.HALF_DUPLEX), rates, substream(SEED, 31), 2000)
-    fd = analytical_outage(_chain(3), 2.0 * rates, substream(SEED, 31), 2000)
+    hd = gaussian_chain_outage(
+        chain_moments(_chain(3, DuplexMode.HALF_DUPLEX), substream(SEED, 31), 2000), rates
+    )
+    fd = gaussian_chain_outage(chain_moments(_chain(3), substream(SEED, 31), 2000), 2.0 * rates)
     assert np.array_equal(hd, fd)
     assert 0.0 < hd[12] < 1.0
 
@@ -389,7 +416,7 @@ def test_montecarlo_outage_single_point():
 
 def test_analytical_curve_monotone():
     rates = np.arange(0.0, 14.01, 0.5)
-    probs = analytical_outage(_chain(3), rates, substream(SEED, 8), 2000)
+    probs = gaussian_chain_outage(chain_moments(_chain(3), substream(SEED, 8), 2000), rates)
     assert np.all(np.diff(probs) >= 0.0)
     assert np.all((probs >= 0.0) & (probs <= 1.0))
 
@@ -406,9 +433,8 @@ def test_rate_grid_validation():
         [2.0, 1.0], [1.0, 1.0], [], [[1.0, 2.0]], [1.0, np.nan], [np.nan], [0.0, np.inf]
     )
     for rates in bad_grids:
-        for outage in (analytical_outage, montecarlo_outage):
-            with pytest.raises(ValueError, match="rate grid"):
-                outage(_chain(1), np.array(rates), substream(SEED, 10), 2000)
+        with pytest.raises(ValueError, match="rate grid"):
+            montecarlo_outage(_chain(1), np.array(rates), substream(SEED, 10), 2000)
         with pytest.raises(ValueError, match="rate grid"):
             gaussian_chain_outage([HopMoments(mean=5.0, variance=1.0)], np.array(rates))
     # a one-point grid has no step to be ascending and passes

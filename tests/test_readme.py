@@ -32,6 +32,7 @@ def test_readme_library_example_runs():
     namespace: dict = {}
     exec(compile(code, str(README), "exec"), namespace)
     rates = namespace["rates"]
+    assert len(namespace["moments"]) == namespace["net"].n_hops
     for curve in (namespace["analytical"], namespace["montecarlo"]):
         assert curve.shape == rates.shape
         assert np.all(np.diff(curve) >= 0.0)
