@@ -14,7 +14,7 @@ this module first.
 """
 import importlib
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {
@@ -23,6 +23,7 @@ _EXPORTS = {
     "NetworkConfig": "outage",
     "chain_moments": "outage",
     "gaussian_chain_outage": "outage",
+    "gaussian_hop_outage": "outage",
     "montecarlo_outage": "outage",
     "substream": "rng",
     "Scenario": "scenario",

@@ -47,6 +47,7 @@ from .outage import (
     MIN_MC_REALIZATIONS,
     chain_moments,
     gaussian_chain_outage,
+    gaussian_hop_outage,
     montecarlo_outage,
 )
 from .rng import (
@@ -225,11 +226,12 @@ def _write_result(
 def _moment_header(moments) -> list[str]:
     """One line per hop's (time-share scaled) moments, and a warning per misfit hop.
 
-    Each distinct moment pair's mass below zero is folded once: a chain of
-    equal hops holds one pair, however many hops it has.
+    A hop's mass below zero is its :func:`~relay_outage.outage.gaussian_hop_outage`
+    at rate 0, taken once per distinct moment pair: a chain of equal hops
+    holds one pair, however many hops it has.
     """
     mass_below_zero = {
-        hop: float(gaussian_chain_outage([hop], np.zeros(1))[0]) for hop in dict.fromkeys(moments)
+        hop: float(gaussian_hop_outage(hop, np.zeros(1))[0]) for hop in dict.fromkeys(moments)
     }
     lines, warnings = [], []
     for k, hop in enumerate(moments, start=1):

@@ -5,7 +5,9 @@ information falls below the target rate, so the network outage is
 ``1 - prod_k (1 - p_k)`` with per-hop outage probabilities ``p_k``.  The
 closed form models each hop's mutual information as Gaussian, with moments
 by quadrature where that converges and sampled elsewhere
-(:func:`chain_moments`); the Monte Carlo path recomputes the exact per-hop
+(:func:`chain_moments`); :func:`gaussian_hop_outage` is that law, and
+:func:`gaussian_chain_outage` folds it over the chain, evaluating it once
+per distinct moment pair.  The Monte Carlo path recomputes the exact per-hop
 mutual information per realization and therefore stands as an independent
 check on both the Gaussian assumption and the midpoint approximation.
 Both sample each hop on its own child of their stream, through
@@ -70,6 +72,10 @@ class NetworkConfig:
         for k, hop in enumerate(self.hops):
             if not isinstance(hop, HopConfig):
                 raise ValueError(f"hops: hop {k + 1} must be a HopConfig, got {hop!r}")
+        # Each (hop object, interferer size) is built once: a chain repeats
+        # one HopConfig over its relays.  Keyed by identity, since equal hops
+        # may still print differently (snr_db=20 and 20.0).
+        built: dict[tuple[int, int], HopConfig] = {}
         hops = []
         for k, hop in enumerate(self.hops):
             j = min(k + 1, len(self.hops) - 1)  # the terminal hop's interferer is its own
@@ -79,7 +85,10 @@ class NetworkConfig:
                     f"hop {k + 1}: rsi_tx_antennas={hop.rsi_tx_antennas} does "
                     f"not match hop {j + 1} tx_antennas={size}"
                 )
-            hops.append(replace(hop, rsi_tx_antennas=size if hop.has_rsi else None))
+            key = (id(hop), size)
+            if key not in built:
+                built[key] = replace(hop, rsi_tx_antennas=size if hop.has_rsi else None)
+            hops.append(built[key])
         object.__setattr__(self, "hops", tuple(hops))
         if self.mode is DuplexMode.HALF_DUPLEX and any(hop.has_rsi for hop in hops):
             raise ValueError("half-duplex hops cannot carry self-interference")
@@ -148,22 +157,37 @@ def chain_moments(
     return moments
 
 
+def gaussian_hop_outage(moments: HopMoments, rates) -> np.ndarray:
+    """One hop's Gaussian law: ``P(N(mean, variance) < rate)`` at each rate.
+
+    A zero-variance hop is in outage at rates strictly above its mean, as
+    Monte Carlo counts.
+    """
+    rates = np.asarray(rates, dtype=float)
+    if moments.variance == 0.0:
+        return (rates > moments.mean).astype(float)
+    return q_function((moments.mean - rates) / math.sqrt(moments.variance))
+
+
 def gaussian_chain_outage(moments: list[HopMoments], rates: np.ndarray) -> np.ndarray:
     """Chain outage at each rate from per-hop Gaussian moments (see ``chain_moments``).
 
-    Hop ``k`` is in outage with the probability ``p_k`` that a normal
-    variable of its mean and variance falls below the rate; the chain is
-    in outage with ``1 - prod_k (1 - p_k)``, summed in log space so that
-    probabilities far below 1e-16 survive.  A zero-variance hop is in
-    outage at rates strictly above its mean, as Monte Carlo counts.
+    Hop ``k`` is in outage with its :func:`gaussian_hop_outage` ``p_k``;
+    the chain is in outage with ``1 - prod_k (1 - p_k)``, summed in log
+    space so that probabilities far below 1e-16 survive.  The law runs
+    once per distinct moment pair; its ``log1p(-p)`` row is gathered for
+    each hop in hop order and the rows are summed in one axis-0 sum, whose
+    order numpy fixes by the stack's shape (a running sum per hop differs
+    in the last bit on a one-point grid, which numpy sums pairwise).
     """
     rates = check_rate_grid(rates)
-    mean = np.array([m.mean for m in moments], dtype=float)[:, np.newaxis]
-    std = np.sqrt(np.array([m.variance for m in moments], dtype=float))[:, np.newaxis]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(std == 0.0, rates > mean, q_function((mean - rates) / std))
+    rows: dict[HopMoments, int] = {}
+    index = [rows.setdefault(m, len(rows)) for m in moments]
+    table = np.empty((len(rows), rates.size))
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf, folded to exactly 1
-        log_success = np.sum(np.log1p(-p), axis=0)
+        for row, m in zip(table, rows):
+            np.log1p(-gaussian_hop_outage(m, rates), out=row)
+    log_success = table[index].sum(axis=0)
     # 0.0 - x rather than -x: a chain that never fails reads 0.0, not -0.0
     return 0.0 - np.expm1(log_success)
 

@@ -245,23 +245,32 @@ def _build_hops(
     for name, line in section_lines.items():
         if name.startswith("hop.") and int(name[4:]) > n_hops:
             raise ScenarioError(f"hop index {name[4:]} out of range ({n_hops} hops)", source, line)
+    # A hop's fields come from its own section, if it has one, over the
+    # [hop] defaults, less the interference default on the terminal hop; so
+    # each (section, terminal) pair is built once, at its first hop, which
+    # is where a bad field set fails.
+    built: dict[tuple[str, bool], HopConfig] = {}
     hops = []
     for k in range(1, n_hops + 1):
         section = f"hop.{k}"
-        merged = dict(sections.get("hop", {}))
-        if k == n_hops:
-            # Terminal receiver: the interference default does not apply.
-            merged.pop("rsi_snr_db", None)
-        merged.update(sections.get(section, {}))
-        line = section_lines.get(section, section_lines.get("hop"))
-        fields = {
-            key: _value(merged, section, key, default, source, line)
-            for key, (_, default) in _HOP_KEYS.items()
-        }
-        try:
-            hops.append(HopConfig(**fields))
-        except ValueError as exc:
-            raise ScenarioError(f"hop {k}: {exc}", source, line) from None
+        terminal = k == n_hops
+        origin = (section if section in sections else "hop", terminal)
+        if origin not in built:
+            merged = dict(sections.get("hop", {}))
+            if terminal:
+                # Terminal receiver: the interference default does not apply.
+                merged.pop("rsi_snr_db", None)
+            merged.update(sections.get(section, {}))
+            line = section_lines.get(section, section_lines.get("hop"))
+            fields = {
+                key: _value(merged, section, key, default, source, line)
+                for key, (_, default) in _HOP_KEYS.items()
+            }
+            try:
+                built[origin] = HopConfig(**fields)
+            except ValueError as exc:
+                raise ScenarioError(f"hop {k}: {exc}", source, line) from None
+        hops.append(built[origin])
     return tuple(hops)
 
 

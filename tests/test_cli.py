@@ -132,19 +132,19 @@ def test_outage_output_is_byte_stable(scenario_file, tmp_path):
 # sha256 of every preset's CSV at its default sizes and of `validate`'s
 # output with its timings stripped.  Bytes may move only with the package
 # version, so a new version re-pins them; they hold on PINNED_NUMPY.
-PINNED_VERSION = "0.13.0"
+PINNED_VERSION = "0.14.0"
 PINNED_SHA256 = {
-    "fig3-fd-norsi-outage.csv": "9093a2de9c3065a2be787fce3ff05bce8cb55d3eb77787d0036788278a7245cc",
-    "fig3-fd-rsi12-outage.csv": "805ce7d2bf4634dc50cb44ae87064bb20a63c5b2f1e13de991f3ae8786952556",
-    "fig3-fd-rsi12-last17-outage.csv": "381fef067b44d84bcc2f5d1b4c1d4909554467b907a31d40dea33271bf4dee43",
-    "fig3-fd-rsi35-outage.csv": "f44ce9c138281cf25ccedb7f76004a2c877faf2f33f405ee74cb983149053392",
-    "fig3-fd-rsi5-outage.csv": "a5bc48726e70badfe907219ac94bfd01f48095f0fded14572eee107dc5133116",
-    "fig3-fd-rsi5-last17-outage.csv": "636e8fca6d01901c31e943ac11d883e473d0232817e902aaa251930e3b079163",
-    "fig3-hd-outage.csv": "3e5b70f6498043a74692c0a8030cc2a9c46b87a7513c73c64d5caafb0978480d",
-    "dist-snr10-rsi0-distribution.csv": "0e3670a931ae1a658800614b6f6c44e1b4971a9e4800ae6af58464ab563ba2f3",
-    "dist-snr10-rsineg10-distribution.csv": "9a98ad06d29214b365fdf92ed2a334831c91c50d01cd8a1a8fb89b4e66133ad6",
-    "dist-snr20-rsi0-distribution.csv": "254bf8ea9f51ea35ed75e80a7fbca687a310ba8d32b3fbd8252311b58c259070",
-    "dist-snr30-rsi15-distribution.csv": "f0b4c736f5b0082e1409a4957ec18b1501a186599eebdd1307310101ad697072",
+    "fig3-fd-norsi-outage.csv": "57371e3f19faf3f5d2c5600eaa8dc10a659bd812e4324ab22ecff818bb98c249",
+    "fig3-fd-rsi12-outage.csv": "8fb772b47e837468a6e279fc46e344b8ebc03a83bef82062abc678cca94496bd",
+    "fig3-fd-rsi12-last17-outage.csv": "137e50a74c0f05153161dc6155ba888fe80574c849ed4d2b85054ed793f0e799",
+    "fig3-fd-rsi35-outage.csv": "0f8490f9968f051d8e14cbd9573683ba8473cb05eac997f9408a0df6d62e2a65",
+    "fig3-fd-rsi5-outage.csv": "b25e38674eda5f3a8429fd2f9cc8c00b91b83dbcb235bef080c2fa7e2b40aaa2",
+    "fig3-fd-rsi5-last17-outage.csv": "a98c770327e9f02d7f391da1282098422e095b04447b30031826bd533822715f",
+    "fig3-hd-outage.csv": "cb5b6a595b728148a9983254c67848c5781a600204db906f45dfe7545a94c06d",
+    "dist-snr10-rsi0-distribution.csv": "cd78c049bbc63cc8f89007ce4a4cd4a09a129463102cd58c71f04f91193d05cb",
+    "dist-snr10-rsineg10-distribution.csv": "f412adf62b31cfcd1758160081ae355494ebc2dd883d6cd06fdcb0d8740c78ef",
+    "dist-snr20-rsi0-distribution.csv": "24505d5d4337fcef09097c97036e41d7d459f0624da3ef996267ae0bf0a88090",
+    "dist-snr30-rsi15-distribution.csv": "50f543ecc293050cf69f74726cea3a1452275608b9fc9c2fa85850da69a46975",
     "validate": "7eddf5ed76b0bb34b598f84e1a9961d4aa833e92e5583891503ea888a2e426b5",
 }
 OUTAGE_PRESETS = (
@@ -416,21 +416,26 @@ def test_outage_header_reports_each_hops_moments(rsi_db, tmp_path):
     assert warned == ([] if rsi_db == 8.0 else ["1"])
 
 
-def test_moment_header_folds_each_distinct_moment_pair_once(monkeypatch):
+def test_moment_header_takes_each_distinct_hop_law_once(monkeypatch):
     # a chain of equal hops holds one moment pair: 40 hops of two pairs
-    # take two one-hop folds, and every hop still gets its own lines
-    fold, calls = cli.gaussian_chain_outage, []
+    # take the hop law twice, at rate 0, and fold no chain; every hop still
+    # gets its own lines
+    law, calls = cli.gaussian_hop_outage, []
 
     def counted(moments, rates):
-        calls.append(moments)
-        return fold(moments, rates)
+        calls.append((moments, rates.tolist()))
+        return law(moments, rates)
 
-    monkeypatch.setattr(cli, "gaussian_chain_outage", counted)
+    def no_fold(moments, rates):
+        raise AssertionError("the header folds no chain")
+
+    monkeypatch.setattr(cli, "gaussian_hop_outage", counted)
+    monkeypatch.setattr(cli, "gaussian_chain_outage", no_fold)
     relay, last = HopMoments(mean=10.0, variance=4.0), HopMoments(mean=1.0, variance=1.0)
     chain = [relay] * 39 + [last]
     lines = cli._moment_header(chain)
-    assert calls == [[relay], [last]]
-    below_zero = {m: float(fold([m], np.zeros(1))[0]) for m in (relay, last)}
+    assert calls == [(relay, [0.0]), (last, [0.0])]
+    below_zero = {m: float(law(m, np.zeros(1))[0]) for m in (relay, last)}
     assert lines[:40] == [
         f"hop {k} moments: mean={m.mean!r} variance={m.variance!r} "
         f"source=quadrature gaussian_p_below_0={below_zero[m]!r}"
@@ -925,6 +930,8 @@ def test_package_import_loads_no_numpy():
 
 def test_public_names_are_their_modules_objects():
     names = set(relay_outage.__all__) - {"__version__"}
+    # the CLI's analytical calls, the hop law of its header included
+    assert {"chain_moments", "gaussian_chain_outage", "gaussian_hop_outage"} <= names
     for name in names:
         value = getattr(relay_outage, name)
         assert value is getattr(sys.modules[value.__module__], name)

@@ -25,6 +25,7 @@ from relay_outage.outage import (
     chain_moments,
     check_rate_grid,
     gaussian_chain_outage,
+    gaussian_hop_outage,
     montecarlo_outage,
     q_function,
 )
@@ -77,12 +78,17 @@ def test_q_function_matches_scipy_erfc():
 
 
 def _hop_outage(moments, rate):
-    """Gaussian outage of a single hop at one rate."""
-    return float(gaussian_chain_outage([moments], np.array([rate]))[0])
+    """Gaussian outage of a single hop at one rate, from the hop law itself."""
+    return float(gaussian_hop_outage(moments, np.array([rate]))[0])
 
 
 def _reference_chain_outage(moments, rates):
-    """The fold as a per-rate, per-hop loop: ``-expm1(sum_k log1p(-p_k))``."""
+    """The fold as a per-rate, per-hop loop: ``-expm1(sum_k log1p(-p_k))``.
+
+    Its running sum adds the hops in order, as numpy's axis-0 sum does for
+    two or more rates; a one-point grid's column is summed pairwise, so
+    there the loop is no reference beyond 8 hops.
+    """
     out = []
     for rate in rates:
         log_success = 0.0
@@ -137,6 +143,68 @@ def test_hop_outage_degenerate_variance_steps():
     assert np.array_equal(got, _reference_chain_outage([moments, other], rates))
     assert got[0] < got[1] < 1.0 and got[2] == 1.0
     assert got[1] == _hop_outage(other, 3.0)
+
+
+def test_hop_law_is_the_normal_cdf():
+    moments = HopMoments(mean=5.0, variance=2.25)
+    rates = np.linspace(-1.0, 12.0, 27)
+    got = gaussian_hop_outage(moments, rates)
+    np.testing.assert_allclose(got, norm.cdf(rates, loc=5.0, scale=1.5), rtol=1e-12, atol=1e-300)
+    assert got.shape == rates.shape and got.dtype == float
+
+
+def _stacked_fold(moments, rates):
+    """``-expm1`` of one axis-0 sum over the stacked (hops, rates) ``log1p(-p)``."""
+    p = np.stack([gaussian_hop_outage(m, rates) for m in moments])
+    with np.errstate(divide="ignore"):
+        return 0.0 - np.expm1(np.sum(np.log1p(-p), axis=0))
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 57])
+@pytest.mark.parametrize("n_hops", [1, 9, 300])
+def test_chain_fold_is_one_axis_sum_of_the_stacked_hops(n_points, n_hops):
+    # the fold gathers one row per hop from its distinct moment pairs and
+    # sums them as the stacked array would be summed, bit for bit: a running
+    # sum per hop would differ on the one-point grid, which numpy sums pairwise
+    rng = np.random.default_rng(n_points * 1000 + n_hops)
+    pool = [
+        HopMoments(mean=float(mean), variance=float(var))
+        for mean, var in zip(rng.uniform(4.0, 12.0, 5), rng.uniform(0.5, 4.0, 5))
+    ] + [HopMoments(mean=6.0, variance=0.0)]
+    moments = [pool[i] for i in rng.integers(0, len(pool), n_hops)]
+    rates = np.linspace(2.0, 9.0, n_points) if n_points > 1 else np.array([5.5])
+    got = gaussian_chain_outage(moments, rates)
+    assert got.shape == rates.shape
+    assert np.array_equal(got, _stacked_fold(moments, rates))
+    if n_hops > 1:
+        assert len(set(moments)) > 1 and len(set(moments)) < n_hops
+
+
+def test_chain_fold_takes_the_law_once_per_distinct_moment_pair(monkeypatch):
+    law, calls = outage.gaussian_hop_outage, []
+
+    def counted(moments, rates):
+        calls.append(moments)
+        return law(moments, rates)
+
+    monkeypatch.setattr(outage, "gaussian_hop_outage", counted)
+    relay, last = HopMoments(mean=10.0, variance=4.0), HopMoments(mean=7.0, variance=1.0)
+    chain = [relay] * 39 + [last]
+    rates = np.arange(0.0, 14.01, 0.25)
+    got = gaussian_chain_outage(chain, rates)
+    assert calls == [relay, last]
+    assert np.array_equal(got, _stacked_fold(chain, rates))
+
+
+def test_chain_fold_memory_is_one_gathered_array():
+    # the per-hop rows are computed once per distinct pair and gathered into
+    # one (hops, rates) float array; no (hops, rates) object array of erfc
+    # values, nor mean and std temporaries, is held beside it
+    rates = np.arange(0.0, 14.01, 0.25)
+    chain = [HopMoments(mean=10.0, variance=4.0), HopMoments(mean=7.0, variance=1.0)] * 5_000
+    gaussian_chain_outage(chain[:2], rates)  # one-time allocations stay out of the peak
+    peak = traced_peak(lambda: gaussian_chain_outage(chain, rates))
+    assert peak <= 1.5 * 8 * len(chain) * rates.size, peak
 
 
 def test_network_outage_single_hop_is_hop_outage():

@@ -288,6 +288,41 @@ def test_hop_values_are_parsed_once(monkeypatch):
     assert calls == ["hop.snr_db", "hop.2.snr_db"]
 
 
+def test_each_distinct_hop_is_built_once(monkeypatch):
+    # 10^4 hops of two distinct configurations, the [hop] relays and the
+    # interference-free terminal hop: the scenario builds each once, and the
+    # chain sets each one's interferer size once
+    init, calls = HopConfig.__post_init__, []
+
+    def counted(hop):
+        calls.append(hop)
+        init(hop)
+
+    monkeypatch.setattr(HopConfig, "__post_init__", counted)
+    text = (
+        "[network]\nmode = fd\nhops = 10000\n"
+        "[hop]\ntx_antennas = 2\nrx_antennas = 2\nsnr_db = 20\nrsi_snr_db = 5\n"
+    )
+    hops = parse_scenario_text(text, name="long").network.hops
+    assert len(calls) == 4
+    assert len(hops) == 10_000 and len({id(hop) for hop in hops}) == 2
+    assert hops[0].rsi_tx_antennas == 2 and hops[-1].rsi_snr_db is None
+
+
+def test_chain_keeps_each_hops_own_values():
+    # equal hops that print differently are each kept: the chain builds
+    # once per hop object, not once per equal configuration
+    hops = (
+        HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20, rsi_snr_db=5.0),
+        HopConfig(tx_antennas=2, rx_antennas=2, snr_db=20.0, rsi_snr_db=5.0),
+        HopConfig(tx_antennas=2, rx_antennas=2, snr_db=-0.0),
+        HopConfig(tx_antennas=2, rx_antennas=2, snr_db=0.0),
+    )
+    network = NetworkConfig(hops, DuplexMode.FULL_DUPLEX)
+    assert network.hops[0] == network.hops[1]
+    assert [repr(hop.snr_db) for hop in network.hops] == ["20", "20.0", "-0.0", "0.0"]
+
+
 @pytest.mark.parametrize(
     "extra,line,fragment",
     (
